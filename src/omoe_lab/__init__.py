@@ -6,8 +6,8 @@ from .errors import (ConfigError, ContractViolation, DataLoadError,
                      SingleExpertError, SingularMatrixError)
 from .linalg import Rng, gaussian_matrix, mat_mul, solve_spd, sym_eigvals
 from .projector import OrthoProjector, direct_projector, new_projector
-from .model import (MoEModel, ModelDims, RoutingRecord, gate, init_model,
-                    load_model, model_forward, moe_forward, save_model)
+from .model import (MoEModel, ModelDims, RoutingRecord, init_model, load_model,
+                    model_forward, save_model)
 from .grad import Gradients, backward, grad_check, loss
 from .optim import (BaseOptimizer, MacCounter, OMoEState, StepOutcome,
                     average_projector, load_optimizer, make_optimizer,

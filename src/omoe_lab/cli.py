@@ -49,7 +49,7 @@ def _load_config(args) -> dict:
 
 
 def _write(out_dir: str | None, name: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)  # non-finite results are errors
     if out_dir:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)

@@ -76,52 +76,28 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
 
     probs = tape.routing.weights
     dZ0 = np.zeros_like(tape.Z0)
-    dGl = np.zeros_like(probs)  # gradient w.r.t. gate logits
-
-    if model.routing == "top1":
-        for m, idx in tape.expert_tokens.items():
-            out = tape.expert_out[m]
-            hidden = tape.expert_hidden[m]
-            pre1 = tape.expert_pre1[m]
-            gm = probs[idx, m]
-            dOut = gm[:, None] * dY[idx]
-            dp = np.sum(dY[idx] * out, axis=1)  # dL/d(selected probability)
-            g[f"expert{m}.W2"] = dOut.T @ hidden
-            g[f"expert{m}.b2"] = dOut.sum(axis=0)
-            dPre1 = (dOut @ p[f"expert{m}.W2"]) * (pre1 > 0)
-            g[f"expert{m}.W1"] = dPre1.T @ tape.Z0[idx]
-            g[f"expert{m}.b1"] = dPre1.sum(axis=0)
-            dZ0[idx] += dPre1 @ p[f"expert{m}.W1"]
-            # softmax jacobian restricted to the selected probability
-            coeff = dp * gm
-            dGl[idx] -= coeff[:, None] * probs[idx]
-            dGl[idx, m] += coeff
-    else:
-        dp_all = np.zeros_like(probs)
-        for m in range(model.M):
-            out = tape.expert_out[m]
-            hidden = tape.expert_hidden[m]
-            pre1 = tape.expert_pre1[m]
-            dOut = probs[:, m][:, None] * dY
-            dp_all[:, m] = np.sum(dY * out, axis=1)
-            g[f"expert{m}.W2"] = dOut.T @ hidden
-            g[f"expert{m}.b2"] = dOut.sum(axis=0)
-            dPre1 = (dOut @ p[f"expert{m}.W2"]) * (pre1 > 0)
-            g[f"expert{m}.W1"] = dPre1.T @ tape.Z0
-            g[f"expert{m}.b1"] = dPre1.sum(axis=0)
-            dZ0 += dPre1 @ p[f"expert{m}.W1"]
-        dGl = probs * (dp_all - np.sum(probs * dp_all, axis=1, keepdims=True))
+    dP = np.zeros_like(probs)  # dL/d(gate probability); zero where a row skipped an expert
+    means: ExpertInputMeans = {}
+    for m, rows in tape.expert_tokens.items():
+        hidden = tape.expert_hidden[m]
+        Z_m, dY_m = tape.Z0[rows], dY[rows]
+        dOut = probs[rows, m][:, None] * dY_m
+        dP[rows, m] = np.sum(dY_m * tape.expert_out[m], axis=1)
+        g[f"expert{m}.W2"] = dOut.T @ hidden
+        g[f"expert{m}.b2"] = dOut.sum(axis=0)
+        dPre1 = (dOut @ p[f"expert{m}.W2"]) * (tape.expert_pre1[m] > 0)
+        g[f"expert{m}.W1"] = dPre1.T @ Z_m
+        g[f"expert{m}.b1"] = dPre1.sum(axis=0)
+        dZ0[rows] += dPre1 @ p[f"expert{m}.W1"]
+        means[(m, 1)] = (Z_m.mean(axis=0), len(Z_m))
+        means[(m, 2)] = (hidden.mean(axis=0), len(Z_m))
+    # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
+    dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
 
     g["gate.W"] = dGl.T @ tape.Z0
     dZ0 += dGl @ p["gate.W"]
     g["input_map.W"] = dZ0.T @ tape.X
     g["input_map.b"] = dZ0.sum(axis=0)
-
-    means: ExpertInputMeans = {}
-    for m, idx in tape.expert_tokens.items():
-        n_m = len(idx)
-        means[(m, 1)] = (tape.Z0[idx].mean(axis=0), n_m)
-        means[(m, 2)] = (tape.expert_hidden[m].mean(axis=0), n_m)
     return Gradients(g, loss_value), means
 
 

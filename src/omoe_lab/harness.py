@@ -7,10 +7,8 @@ numeric payload is byte-reproducible for a given (config, seeds).
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -21,8 +19,8 @@ from .errors import ConfigError, SingleExpertError
 from .grad import backward, loss as loss_fn
 from .linalg import Rng
 from .metrics import diversity_report, model_param_variance
-from .model import MoEModel, ModelDims, init_model, model_forward
-from .optim import (MacCounter, OPTIMIZER_KINDS, average_projector_macs, make_optimizer,
+from .model import ROUTING_MODES, MoEModel, ModelDims, init_model, model_forward
+from .optim import (MacCounter, OPTIMIZERS, average_projector_macs, make_optimizer,
                     new_omoe_state, projection_macs, rls_update_macs, step_dispatch)
 from .tasks import BatchPlan, Dataset, batches, gen_piecewise_regression, gen_subspace_clusters
 
@@ -52,19 +50,15 @@ def make_config(overrides: dict | None = None) -> dict:
     """Defaults merged with a (possibly partial) user dict; unknown keys rejected."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if overrides:
-        _merge(cfg, overrides, "")
+        _merge(cfg, overrides)
     validate_config(cfg)
     return cfg
 
 
-def _merge(cfg: dict, overrides: dict, path: str) -> None:
-    allowed = _ALLOWED_KEYS.get(path)
+def _merge(cfg: dict, overrides: dict) -> None:
     for key, value in overrides.items():
-        if allowed is not None and key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key: {where}")
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            _merge(cfg[key], value, key)
+            _merge(cfg[key], value)
         else:
             cfg[key] = copy.deepcopy(value)
 
@@ -80,9 +74,12 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(f"unknown config key: {where}")
     if cfg["model"]["M"] < 1:
         raise ConfigError("model.M: must be >= 1")
-    if cfg["model"]["routing"] not in ("top1", "dense"):
+    if cfg["model"]["routing"] not in ROUTING_MODES:
         raise ConfigError(f"model.routing: unknown mode {cfg['model']['routing']!r}")
-    if cfg["optimizer"]["kind"] not in OPTIMIZER_KINDS:
+    task, model = cfg["task"], cfg["model"]
+    if task["kind"] == "subspace_clusters" and task["K"] > model["c"]:
+        raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} classes")
+    if cfg["optimizer"]["kind"] not in OPTIMIZERS:
         raise ConfigError(f"optimizer.kind: unknown kind {cfg['optimizer']['kind']!r}")
     if cfg["omoe"]["enabled"] and cfg["omoe"]["s"] < 2:
         raise ConfigError("omoe.s: skipping step must be >= 2")
@@ -224,13 +221,7 @@ def run(cfg: dict, return_models: bool = False):
     With ``return_models=True`` also returns {seed: trained model}.
     """
     validate_config(cfg)
-    seeds = cfg["seeds"]
-    threads = int(os.environ.get("OMOE_LAB_THREADS", "1"))
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: train_single(cfg, s), seeds))
-    else:
-        results = [train_single(cfg, s) for s in seeds]
+    results = [train_single(cfg, s) for s in cfg["seeds"]]
 
     scores = [r.record["final_eval_score"] for r in results]
     variances = [r.record["final_param_variance"] for r in results]
@@ -314,7 +305,7 @@ def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
     """Paired baseline / OMoE-wrapped scores for each base optimizer kind."""
     if not kinds:
         raise ConfigError("kinds must be non-empty")
-    unknown = [k for k in kinds if k not in OPTIMIZER_KINDS]
+    unknown = [k for k in kinds if k not in OPTIMIZERS]
     if unknown:
         raise ConfigError(f"optimizer.kind: unknown kind {unknown[0]!r}")
     rows = []
@@ -408,8 +399,7 @@ def overhead_report(cfg: dict) -> OverheadEstimate:
     means_counts = {(m, layer): s - 1 for m in range(M) for layer in (1, 2)}
     macs = predict_o_step_macs(d, h, M, means_counts)
     param_floats = (d * d_raw + d) + M * d + M * (h * d + h + d * h + d) + (c * d + c)
-    per_param = {"sgd": 0, "adam": 2, "adamw": 2, "rmsprop": 1, "adagrad": 1}
-    base_state = per_param[cfg["optimizer"]["kind"]] * param_floats
+    base_state = OPTIMIZERS[cfg["optimizer"]["kind"]].state_floats(param_floats)
     return OverheadEstimate(
         macs_rls=macs.rls, macs_average=macs.average, macs_project=macs.project,
         projector_floats=M * (d * d + h * h),

@@ -1,9 +1,11 @@
 """Toy mixture-of-experts network: input map -> gated experts -> output head.
 
 The MoE block combines M two-layer ReLU feed-forward experts through a linear
-softmax gate. Two routing modes exist: ``top1`` (the selected expert's output
-scaled by its gate probability, ties broken toward the lowest index) and
-``dense`` (the full weighted sum over all experts).
+softmax gate. One loop over experts serves both routing modes; they differ
+only in which rows each expert receives. ``top1`` sends each row to its
+highest-probability expert (ties broken toward the lowest index), ``dense``
+sends every row to every expert. Each expert's output is scaled by its gate
+probability and summed into the rows it received.
 
 Parameters live in a flat name -> float64 array dict:
 
@@ -58,7 +60,7 @@ class BatchTape:
     X: np.ndarray                  # (N, d_raw) raw inputs
     Z0: np.ndarray                 # (N, d) post-input-map representation
     routing: RoutingRecord
-    expert_tokens: dict            # m -> index array of tokens routed to m
+    expert_tokens: dict            # m -> rows routed to m: index array (top1), slice(None) (dense)
     expert_hidden: dict            # m -> (n_m, h) post-ReLU hidden activations
     expert_pre1: dict              # m -> (n_m, h) pre-activation of layer 1
     expert_out: dict               # m -> (n_m, d) expert outputs
@@ -136,16 +138,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def gate(Wg: np.ndarray, x: np.ndarray, mode: str = "top1") -> RoutingRecord:
-    """Route a single d-vector: softmax over Wg @ x."""
-    if mode not in ROUTING_MODES:
-        raise ContractViolation(f"unknown routing mode {mode!r}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    probs = softmax((Wg @ x)[None, :])
-    selected = np.argmax(probs, axis=1) if mode == "top1" else None
-    return RoutingRecord(mode, probs, selected)
-
-
 def expert_forward(params: dict, m: int, Z: np.ndarray):
     """Run expert m on rows of Z; returns (pre1, hidden, out)."""
     pre1 = Z @ params[f"expert{m}.W1"].T + params[f"expert{m}.b1"]
@@ -159,40 +151,21 @@ def moe_block_forward(model: MoEModel, Z0: np.ndarray):
     p = model.params
     probs = softmax(Z0 @ p["gate.W"].T)
     N = Z0.shape[0]
+    selected = np.argmax(probs, axis=1) if model.routing == "top1" else None
     y_moe = np.zeros((N, model.dims.d))
     expert_tokens, expert_hidden, expert_pre1, expert_out = {}, {}, {}, {}
-    if model.routing == "top1":
-        selected = np.argmax(probs, axis=1)
-        for m in range(model.M):
-            idx = np.flatnonzero(selected == m)
-            if idx.size == 0:
-                continue
-            pre1, hidden, out = expert_forward(p, m, Z0[idx])
-            y_moe[idx] = probs[idx, m][:, None] * out
-            expert_tokens[m] = idx
-            expert_pre1[m], expert_hidden[m], expert_out[m] = pre1, hidden, out
-        routing = RoutingRecord("top1", probs, selected)
-    else:
-        all_idx = np.arange(N)
-        for m in range(model.M):
-            pre1, hidden, out = expert_forward(p, m, Z0)
-            y_moe += probs[:, m][:, None] * out
-            expert_tokens[m] = all_idx
-            expert_pre1[m], expert_hidden[m], expert_out[m] = pre1, hidden, out
-        routing = RoutingRecord("dense", probs, None)
+    for m in range(model.M):
+        # dense rows are a slice, so experts work on views of the batch, not copies
+        rows = slice(None) if selected is None else np.flatnonzero(selected == m)
+        Z_m = Z0[rows]
+        if Z_m.shape[0] == 0:
+            continue
+        pre1, hidden, out = expert_forward(p, m, Z_m)
+        y_moe[rows] += probs[rows, m][:, None] * out
+        expert_tokens[m] = rows
+        expert_pre1[m], expert_hidden[m], expert_out[m] = pre1, hidden, out
+    routing = RoutingRecord(model.routing, probs, selected)
     return y_moe, routing, (expert_tokens, expert_pre1, expert_hidden, expert_out)
-
-
-def moe_forward(model: MoEModel, x: np.ndarray):
-    """MoE block on one width-d vector; returns (y, routing, tape entries).
-
-    Tape entries expose, per expert, the layer-1 input (x itself) and the
-    layer-2 input (post-activation hidden) for projector accumulation.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y, routing, (tokens, _, hidden, _) = moe_block_forward(model, x[None, :])
-    entries = {m: {"layer1_input": x, "layer2_input": hidden[m][0]} for m in tokens}
-    return y[0], routing, entries
 
 
 def model_forward(model: MoEModel, X: np.ndarray):
@@ -242,6 +215,8 @@ def load_model(path) -> MoEModel:
         doc = json.load(f)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ContractViolation(f"unknown checkpoint format {doc.get('format')!r}")
+    if doc["routing"] not in ROUTING_MODES:
+        raise ContractViolation(f"unknown routing mode {doc['routing']!r}")
     dims = ModelDims(**doc["dims"])
     params = {k: _decode(v) for k, v in doc["params"].items()}
     return MoEModel(dims, int(doc["M"]), doc["routing"], params)

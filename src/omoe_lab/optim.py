@@ -22,13 +22,11 @@ from .grad import ExpertInputMeans, Gradients, backward
 from .model import MoEModel, model_forward
 from .projector import OrthoProjector
 
-OPTIMIZER_KINDS = ("sgd", "adam", "adamw", "rmsprop", "adagrad")
-
-
 class BaseOptimizer:
     """Per-parameter moment buffers keyed by parameter name."""
 
     kind = "base"
+    moments: tuple[str, ...] = ()  # moment buffers kept per parameter
 
     def __init__(self, lr: float):
         self.lr = lr
@@ -43,15 +41,15 @@ class BaseOptimizer:
     def _update(self, name, p, g):
         raise NotImplementedError
 
-    def _buf(self, name: str, like: np.ndarray, keys: tuple) -> dict:
+    def _buf(self, name: str, like: np.ndarray) -> dict:
         if name not in self.state:
-            self.state[name] = {k: np.zeros_like(like) for k in keys}
+            self.state[name] = {k: np.zeros_like(like) for k in self.moments}
         return self.state[name]
 
-    def state_floats(self, params: dict[str, np.ndarray]) -> int:
-        """Moment-buffer float count for a parameter set (memory accounting)."""
-        per_param = {"sgd": 0, "adam": 2, "adamw": 2, "rmsprop": 1, "adagrad": 1}[self.kind]
-        return per_param * sum(p.size for p in params.values())
+    @classmethod
+    def state_floats(cls, param_floats: int) -> int:
+        """Moment-buffer float count for ``param_floats`` parameters (memory accounting)."""
+        return len(cls.moments) * param_floats
 
 
 class SGD(BaseOptimizer):
@@ -63,13 +61,14 @@ class SGD(BaseOptimizer):
 
 class Adam(BaseOptimizer):
     kind = "adam"
+    moments = ("m", "v")
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         super().__init__(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def _update(self, name, p, g):
-        st = self._buf(name, p, ("m", "v"))
+        st = self._buf(name, p)
         st["m"] = self.beta1 * st["m"] + (1 - self.beta1) * g
         st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * g * g
         mhat = st["m"] / (1 - self.beta1 ** self.t)
@@ -92,38 +91,42 @@ class AdamW(Adam):
 
 class RMSProp(BaseOptimizer):
     kind = "rmsprop"
+    moments = ("v",)
 
     def __init__(self, lr=1e-3, rho=0.99, eps=1e-8):
         super().__init__(lr)
         self.rho, self.eps = rho, eps
 
     def _update(self, name, p, g):
-        st = self._buf(name, p, ("v",))
+        st = self._buf(name, p)
         st["v"] = self.rho * st["v"] + (1 - self.rho) * g * g
         p -= self.lr * g / (np.sqrt(st["v"]) + self.eps)
 
 
 class Adagrad(BaseOptimizer):
     kind = "adagrad"
+    moments = ("G",)
 
     def __init__(self, lr=1e-2, eps=1e-10):
         super().__init__(lr)
         self.eps = eps
 
     def _update(self, name, p, g):
-        st = self._buf(name, p, ("G",))
+        st = self._buf(name, p)
         st["G"] += g * g
         p -= self.lr * g / (np.sqrt(st["G"]) + self.eps)
 
 
+OPTIMIZERS = {cls.kind: cls for cls in (SGD, Adam, AdamW, RMSProp, Adagrad)}
+
+
 def make_optimizer(kind: str, lr: float, **hyper) -> BaseOptimizer:
     kind = kind.lower()
-    table = {"sgd": SGD, "adam": Adam, "adamw": AdamW, "rmsprop": RMSProp, "adagrad": Adagrad}
-    if kind not in table:
+    if kind not in OPTIMIZERS:
         raise ContractViolation(f"unknown optimizer kind {kind!r}")
     if kind == "sgd":
         return SGD(lr)
-    return table[kind](lr=lr, **hyper)
+    return OPTIMIZERS[kind](lr=lr, **hyper)
 
 
 # --- multiply-accumulate accounting shared by prediction and instrumentation ---

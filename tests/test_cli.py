@@ -81,6 +81,22 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "DataLoadError"
 
+    def test_more_clusters_than_classes_exit_2(self, tiny_config_path, capsys):
+        assert main(["train", "--config", tiny_config_path, "--override", "task.K=6"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "task.K" in err["error"]["message"] and "model.c" in err["error"]["message"]
+
+    def test_non_finite_report_exit_3(self, tmp_path, capsys):
+        # a diverging O-step rate drives the report to inf/nan: no report is written
+        out = tmp_path / "out"
+        code = main(["train", "--override", "omoe.o_lr=10000", "--override", "train.epochs=2",
+                     "--seeds", "0", "--out", str(out)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert "JSON compliant" in err["error"]["message"]
+        assert not (out / "run_report.json").exists()
+
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         # M=1 with omoe enabled hits SingleExpertError mid-run: a runtime failure
         cfg = json.loads(json.dumps(TINY))

@@ -3,8 +3,34 @@ import pytest
 
 from omoe_lab import Rng, grad_check, model_forward
 from omoe_lab.errors import ContractViolation
-from omoe_lab.grad import backward, loss
+from omoe_lab.grad import _dlogits, backward, loss
 from tests.test_model import small_model
+
+
+def reference_gate_grad(model, tape, targets, kind="ce"):
+    """Gate-weight gradient by the per-routing-mode formulas backward once used.
+
+    top1: each row's softmax Jacobian restricted to its selected probability,
+    accumulated expert by expert. dense: the full Jacobian over every expert.
+    """
+    p = model.params
+    logits = tape.y_moe @ p["head.W"].T + p["head.b"]
+    dY = _dlogits(logits, targets, kind) @ p["head.W"]
+    probs = tape.routing.weights
+    if model.routing == "top1":
+        dGl = np.zeros_like(probs)
+        for m, idx in tape.expert_tokens.items():
+            gm = probs[idx, m]
+            dp = np.sum(dY[idx] * tape.expert_out[m], axis=1)
+            coeff = dp * gm
+            dGl[idx] -= coeff[:, None] * probs[idx]
+            dGl[idx, m] += coeff
+    else:
+        dp_all = np.zeros_like(probs)
+        for m in range(model.M):
+            dp_all[:, m] = np.sum(dY * tape.expert_out[m], axis=1)
+        dGl = probs * (dp_all - np.sum(probs * dp_all, axis=1, keepdims=True))
+    return dGl.T @ tape.Z0
 
 
 class TestLoss:
@@ -112,6 +138,30 @@ class TestBackward:
         g2, _ = backward(model, tape, logits - 2 * delta, "mse")
         for name in model.param_names():
             np.testing.assert_allclose(g2.grads[name], 2 * g1.grads[name], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_top1_gate_grad_matches_reference(self, seed):
+        # unified Jacobian form vs the per-expert top1 formula: the two round
+        # differently only in the selected column, so 1e-12 relative (float64)
+        model = small_model(seed=seed, M=4, routing="top1")
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(5, model.dims.d_raw))
+        y = rng.integers(0, model.dims.c, size=5)
+        _, tape = model_forward(model, X)
+        assert len(tape.expert_tokens) < model.M  # some expert receives zero tokens
+        grads, _ = backward(model, tape, y, "ce")
+        ref = reference_gate_grad(model, tape, y)
+        got = grads.grads["gate.W"]
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_dense_gate_grad_equals_reference(self):
+        model = small_model(seed=4, M=3, routing="dense")
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(6, model.dims.d_raw))
+        y = rng.integers(0, model.dims.c, size=6)
+        _, tape = model_forward(model, X)
+        grads, _ = backward(model, tape, y, "ce")
+        np.testing.assert_array_equal(grads.grads["gate.W"], reference_gate_grad(model, tape, y))
 
     def test_stale_tape_rejected(self):
         model = small_model()

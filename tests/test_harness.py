@@ -61,6 +61,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.routing"):
             make_config({"model": {"routing": "topk"}})
 
+    def test_more_clusters_than_classes_rejected(self):
+        with pytest.raises(ConfigError, match=r"task\.K.*model\.c"):
+            make_config({"task": {"K": 6}})
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             make_config({"seeds": []})
@@ -109,13 +113,6 @@ class TestRun:
 
     def test_json_serializable(self):
         json.dumps(run(tiny_config()))
-
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        cfg = tiny_config()
-        serial = run(cfg)
-        monkeypatch.setenv("OMOE_LAB_THREADS", "2")
-        threaded = run(cfg)
-        assert serial["per_seed"] == threaded["per_seed"]
 
     def test_return_models(self):
         report, models = run(tiny_config(), return_models=True)

@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from omoe_lab import (ModelDims, Rng, gate, init_model, load_model, model_forward,
-                      moe_forward, save_model)
+from omoe_lab import ModelDims, Rng, init_model, load_model, model_forward, save_model
 from omoe_lab.errors import ContractViolation
 from omoe_lab.metrics import model_param_variance
-from omoe_lab.model import softmax
+from omoe_lab.model import moe_block_forward, softmax
 
 
 def small_model(seed=0, d_raw=6, d=4, h=5, c=3, M=3, init="independent", routing="top1"):
@@ -46,45 +47,59 @@ class TestInit:
             init_model(Rng(0), ModelDims(4, 4, 4, 2), 2, "banana")
 
 
+def gated_model(Wg, routing):
+    """Model whose gate matrix is Wg (M, d); everything else from small_model."""
+    model = small_model(d=Wg.shape[1], M=Wg.shape[0], routing=routing)
+    model.params["gate.W"] = np.asarray(Wg, dtype=np.float64)
+    return model
+
+
 class TestGate:
     def test_zero_gate_uniform_and_tie_to_lowest(self):
-        rec = gate(np.zeros((4, 3)), np.ones(3), "top1")
+        _, rec, _ = moe_block_forward(gated_model(np.zeros((4, 3)), "top1"), np.ones((1, 3)))
         np.testing.assert_allclose(rec.weights[0], np.full(4, 0.25))
         assert rec.selected[0] == 0
 
     def test_hand_softmax(self):
         # gate logits (3, 1): weights (e^2/(e^2+1), 1/(e^2+1))
-        Wg = np.array([[3.0], [1.0]])
-        rec = gate(Wg, np.array([1.0]), "dense")
+        model = gated_model(np.array([[3.0], [1.0]]), "dense")
+        _, rec, _ = moe_block_forward(model, np.array([[1.0]]))
         e2 = np.exp(2.0)
         np.testing.assert_allclose(rec.weights[0], [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
         np.testing.assert_allclose(rec.weights[0], [0.8808, 0.1192], atol=5e-5)
-        assert rec.selected is None
+        assert rec.mode == "dense" and rec.selected is None
 
     def test_saturation(self):
         Wg = np.zeros((3, 2))
         Wg[1] = [10.0, 10.0]  # large-margin row favoring expert 1
-        rec = gate(Wg, np.ones(2), "top1")
-        assert rec.selected[0] == 1
+        _, rec, _ = moe_block_forward(gated_model(Wg, "top1"), np.ones((1, 2)))
+        assert rec.mode == "top1" and rec.selected[0] == 1
         assert rec.weights[0, 1] >= 0.99
 
-    def test_unknown_mode(self):
-        with pytest.raises(ContractViolation):
-            gate(np.zeros((2, 2)), np.ones(2), "topk")
+    def test_unknown_mode(self, tmp_path):
+        # a checkpoint naming an unknown routing mode must not load (and run dense)
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        doc = json.loads(path.read_text())
+        doc["routing"] = "topk"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation, match="topk"):
+            load_model(path)
 
 
 class TestMoEForward:
     def test_single_expert_full_weight(self):
         model = small_model(M=1)
         x = np.ones(model.dims.d)
-        y, routing, entries = moe_forward(model, x)
+        y, routing, (tokens, _, hidden, _) = moe_block_forward(model, x[None, :])
         assert routing.weights[0, 0] == pytest.approx(1.0)
         # direct expert evaluation
         p = model.params
-        hidden = np.maximum(p["expert0.W1"] @ x + p["expert0.b1"], 0.0)
-        expected = p["expert0.W2"] @ hidden + p["expert0.b2"]
-        np.testing.assert_allclose(y, expected)
-        np.testing.assert_array_equal(entries[0]["layer1_input"], x)
+        expected_hidden = np.maximum(p["expert0.W1"] @ x + p["expert0.b1"], 0.0)
+        expected = p["expert0.W2"] @ expected_hidden + p["expert0.b2"]
+        np.testing.assert_allclose(y[0], expected)
+        np.testing.assert_array_equal(tokens[0], [0])
+        np.testing.assert_allclose(hidden[0][0], expected_hidden)
 
     def test_dense_cancellation(self):
         model = small_model(M=2, routing="dense")
@@ -95,36 +110,36 @@ class TestMoEForward:
         p["expert1.W2"] *= -1.0
         p["expert0.b2"][:] = 0.0
         p["expert1.b2"][:] = 0.0
-        y, _, _ = moe_forward(model, np.ones(model.dims.d) * 0.3)
-        np.testing.assert_allclose(y, np.zeros(model.dims.d), atol=1e-12)
+        y, _, _ = moe_block_forward(model, np.full((1, model.dims.d), 0.3))
+        np.testing.assert_allclose(y[0], np.zeros(model.dims.d), atol=1e-12)
 
     def test_zero_experts_zero_output(self):
         model = small_model(M=3)
         for m in range(3):
             for name in ("W1", "b1", "W2", "b2"):
                 model.params[f"expert{m}.{name}"][:] = 0.0
-        y, _, _ = moe_forward(model, np.ones(model.dims.d))
-        np.testing.assert_array_equal(y, np.zeros(model.dims.d))
+        y, _, _ = moe_block_forward(model, np.ones((1, model.dims.d)))
+        np.testing.assert_array_equal(y[0], np.zeros(model.dims.d))
 
     def test_replicate_invariant_to_selection(self):
         # identical experts + uniform gate: output equal no matter who is chosen
         model = small_model(M=3, init="replicate")
         model.params["gate.W"][:] = 0.0
-        x = np.ones(model.dims.d) * 0.5
-        y_top1, _, _ = moe_forward(model, x)
+        Z0 = np.full((1, model.dims.d), 0.5)
+        y_top1, _, _ = moe_block_forward(model, Z0)
         model.routing = "dense"
-        y_dense, _, _ = moe_forward(model, x)
+        y_dense, _, _ = moe_block_forward(model, Z0)
         np.testing.assert_allclose(y_top1 * 3, y_dense, atol=1e-12)
 
     def test_top1_equals_dense_under_saturation(self):
         model = small_model(M=2, routing="top1")
         model.params["gate.W"][0] = 50.0  # saturate the gate toward expert 0
         model.params["gate.W"][1] = -50.0
-        x = np.ones(model.dims.d)
-        y_top1, routing, _ = moe_forward(model, x)
+        Z0 = np.ones((1, model.dims.d))
+        y_top1, routing, _ = moe_block_forward(model, Z0)
         assert routing.weights[0, routing.selected[0]] >= 1 - 1e-12
         model.routing = "dense"
-        y_dense, _, _ = moe_forward(model, x)
+        y_dense, _, _ = moe_block_forward(model, Z0)
         np.testing.assert_allclose(y_top1, y_dense, atol=1e-9)
 
 
@@ -142,7 +157,10 @@ class TestModelForward:
         logits, _ = model_forward(model, x)
         p = model.params
         z0 = p["input_map.W"] @ x + p["input_map.b"]
-        y, _, _ = moe_forward(model, z0)
+        probs = softmax(p["gate.W"] @ z0)
+        m = int(np.argmax(probs))
+        hidden = np.maximum(p[f"expert{m}.W1"] @ z0 + p[f"expert{m}.b1"], 0.0)
+        y = probs[m] * (p[f"expert{m}.W2"] @ hidden + p[f"expert{m}.b2"])
         np.testing.assert_allclose(logits[0], p["head.W"] @ y + p["head.b"], atol=1e-12)
 
     def test_row_permutation_equivariance(self):
