@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ContractViolation, DataLoadError,
                      SingleExpertError, SingularMatrixError)
-from .linalg import Rng, gaussian_matrix, mat_mul, solve_spd, sym_eigvals
+from .linalg import Rng, gaussian_matrix, solve_spd, sym_eigvals
 from .projector import OrthoProjector, direct_projector, new_projector
 from .model import (MoEModel, ModelDims, RoutingRecord, init_model, load_model,
                     model_forward, save_model)

@@ -33,7 +33,7 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     cfg = make_config(user)
     if args.seeds:
-        cfg["seeds"] = [int(s) for s in args.seeds.split(",")]
+        cfg["seeds"] = args.seeds
     for item in args.override or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
@@ -58,8 +58,17 @@ def _write(out_dir: str | None, name: str, payload: dict) -> None:
         print(text)
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(v) for v in raw.split(",")]
+def _parse_int_lists(args) -> None:
+    """Turn the comma-separated integer flags into lists; a bad entry is a ConfigError."""
+    for dest in ("seeds", "s_values", "m_values"):
+        raw = getattr(args, dest, None)
+        if raw is None:
+            continue
+        try:
+            setattr(args, dest, [int(v) for v in raw.split(",")])
+        except ValueError:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag}: expected comma-separated integers, got {raw!r}") from None
 
 
 def cmd_train(args):
@@ -69,12 +78,12 @@ def cmd_train(args):
 
 def cmd_ablate_skip(args):
     cfg = _load_config(args)
-    _write(args.out, "ablate_skip.json", ablate_skip(cfg, _int_list(args.s_values)))
+    _write(args.out, "ablate_skip.json", ablate_skip(cfg, args.s_values))
 
 
 def cmd_ablate_experts(args):
     cfg = _load_config(args)
-    _write(args.out, "ablate_experts.json", ablate_experts(cfg, _int_list(args.m_values)))
+    _write(args.out, "ablate_experts.json", ablate_experts(cfg, args.m_values))
 
 
 def cmd_compare_optimizers(args):
@@ -150,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _parse_int_lists(args)
         args.func(args)
     except (ConfigError, DataLoadError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)

@@ -8,7 +8,9 @@ numeric payload is byte-reproducible for a given (config, seeds).
 from __future__ import annotations
 
 import copy
+import inspect
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -35,14 +37,16 @@ DEFAULT_CONFIG = {
     "seeds": [0, 1, 2, 3, 4],
 }
 
+# task keys beyond the defaults, required by the kinds that use them
+_TASK_REQUIRED = {"piecewise_regression": ("pieces", "n"),
+                  "csv": ("path", "feature_columns", "target_column")}
+# optimizer keys depend on optimizer.kind and are checked in validate_config
 _ALLOWED_KEYS = {
-    "": {"task", "model", "optimizer", "omoe", "train", "seeds"},
-    "task": {"kind", "K", "d_raw", "subspace_dim", "n_per_cluster", "noise_std",
-             "pieces", "n", "path", "feature_columns", "target_column"},
-    "model": {"d", "h", "M", "c", "routing", "init"},
-    "optimizer": {"kind", "lr", "beta1", "beta2", "eps", "weight_decay", "rho"},
-    "omoe": {"enabled", "s", "alpha0", "lambda", "avg_norm", "o_lr"},
-    "train": {"epochs", "batch_size", "eval_fraction", "loss"},
+    "": set(DEFAULT_CONFIG),
+    "task": set(DEFAULT_CONFIG["task"]).union(*_TASK_REQUIRED.values()),
+    "model": set(DEFAULT_CONFIG["model"]),
+    "omoe": set(DEFAULT_CONFIG["omoe"]),
+    "train": set(DEFAULT_CONFIG["train"]),
 }
 
 
@@ -63,24 +67,58 @@ def _merge(cfg: dict, overrides: dict) -> None:
             cfg[key] = copy.deepcopy(value)
 
 
+def _type_ok(value, default) -> bool:
+    """Whether ``value`` has the type of its default; an int passes for a float."""
+    if isinstance(default, (bool, str, dict)):
+        return isinstance(value, type(default))
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)  # seeds
+
+
+def _check_types(section: str, scope: dict, defaults: dict) -> None:
+    for key, value in scope.items():
+        if key in defaults and not _type_ok(value, defaults[key]):
+            if key == "o_lr" and value is None:  # null: O steps use the base lr
+                continue
+            where = f"{section}.{key}" if section else key
+            raise ConfigError(f"{where}: expected a value like the default "
+                              f"{defaults[key]!r}, got {value!r}")
+
+
 def validate_config(cfg: dict) -> None:
+    _check_types("", cfg, DEFAULT_CONFIG)  # seeds, and every section is a mapping
     for section, allowed in _ALLOWED_KEYS.items():
-        scope = cfg if section == "" else cfg.get(section, {})
-        if not isinstance(scope, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        for key in scope:
+        for key in cfg if section == "" else cfg.get(section, {}):
             if key not in allowed:
                 where = f"{section}.{key}" if section else key
                 raise ConfigError(f"unknown config key: {where}")
+    for section in ("task", "model", "optimizer", "omoe", "train"):
+        _check_types(section, cfg[section], DEFAULT_CONFIG[section])
+    kind = cfg["optimizer"]["kind"]
+    if kind not in OPTIMIZERS:
+        raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
+    # an optimizer takes its constructor's parameters, each typed by its default
+    params = inspect.signature(OPTIMIZERS[kind]).parameters
+    taken = {**{k: p.default for k, p in params.items()}, **DEFAULT_CONFIG["optimizer"]}
+    for key in cfg["optimizer"]:
+        if key not in taken:
+            raise ConfigError(f"optimizer.{key}: not a parameter of optimizer kind {kind!r}")
+    _check_types("optimizer", cfg["optimizer"], taken)
     if cfg["model"]["M"] < 1:
         raise ConfigError("model.M: must be >= 1")
     if cfg["model"]["routing"] not in ROUTING_MODES:
         raise ConfigError(f"model.routing: unknown mode {cfg['model']['routing']!r}")
     task, model = cfg["task"], cfg["model"]
+    for key in _TASK_REQUIRED.get(task["kind"], ()):
+        if key not in task:
+            raise ConfigError(f"task.{key}: required when task.kind is {task['kind']!r}")
     if task["kind"] == "subspace_clusters" and task["K"] > model["c"]:
         raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} classes")
-    if cfg["optimizer"]["kind"] not in OPTIMIZERS:
-        raise ConfigError(f"optimizer.kind: unknown kind {cfg['optimizer']['kind']!r}")
     if cfg["omoe"]["enabled"] and cfg["omoe"]["s"] < 2:
         raise ConfigError("omoe.s: skipping step must be >= 2")
     if cfg["omoe"]["avg_norm"] not in ("paper", "proper"):

@@ -1,14 +1,14 @@
 """Minimal dense linear algebra with deterministic seeded randomness.
 
-Matrices are plain float64 numpy arrays. The RNG algorithm is part of the
-external contract: numpy PCG64, identified as ``pcg64-numpy-v1``; identical
-seeds produce identical streams across runs and platforms.
+Matrices are plain float64 numpy arrays; numpy is the only dependency. The
+RNG algorithm is part of the external contract: numpy PCG64, identified as
+``pcg64-numpy-v1``; identical seeds produce identical streams across runs and
+platforms.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation, SingularMatrixError
 
@@ -42,13 +42,6 @@ def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"dimension mismatch: {a.shape} x {b.shape}")
-    return require_finite(a @ b, "product")
-
-
 def _pivot_of_failure(a: np.ndarray) -> int:
     """Locate the first non-positive pivot with a plain Cholesky sweep."""
     n = a.shape[0]
@@ -64,19 +57,19 @@ def _pivot_of_failure(a: np.ndarray) -> int:
 
 
 def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ X = b for symmetric positive definite a via Cholesky."""
+    """Solve a @ X = b for symmetric positive definite a via Cholesky, a = L L^T."""
     a, b_m = _as_matrix(a), _as_matrix(b)
     if a.shape[0] != a.shape[1]:
         raise ContractViolation(f"solve_spd needs a square matrix, got {a.shape}")
     if a.shape[0] != b_m.shape[0]:
         raise ContractViolation(f"rhs rows {b_m.shape[0]} != system size {a.shape[0]}")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         raise SingularMatrixError(_pivot_of_failure(a)) from None
-    x = scipy.linalg.cho_solve(factor, b_m, check_finite=False)
+    x = np.linalg.solve(low.T, np.linalg.solve(low, b_m))
     x = x if np.asarray(b).ndim > 1 else x[:, 0]
-    return require_finite(np.asarray(x), "solution")
+    return require_finite(x, "solution")
 
 
 def sym_eigvals(a) -> np.ndarray:

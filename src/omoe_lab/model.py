@@ -148,6 +148,8 @@ def expert_forward(params: dict, m: int, Z: np.ndarray):
 
 def moe_block_forward(model: MoEModel, Z0: np.ndarray):
     """Gate + experts on pre-mapped rows Z0; returns (y_moe, routing, caches)."""
+    if model.routing not in ROUTING_MODES:
+        raise ContractViolation(f"unknown routing mode {model.routing!r}")
     p = model.params
     probs = softmax(Z0 @ p["gate.W"].T)
     N = Z0.shape[0]

@@ -124,8 +124,6 @@ def make_optimizer(kind: str, lr: float, **hyper) -> BaseOptimizer:
     kind = kind.lower()
     if kind not in OPTIMIZERS:
         raise ContractViolation(f"unknown optimizer kind {kind!r}")
-    if kind == "sgd":
-        return SGD(lr)
     return OPTIMIZERS[kind](lr=lr, **hyper)
 
 

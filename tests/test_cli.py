@@ -87,6 +87,24 @@ class TestErrorPaths:
         assert err["error"]["type"] == "ConfigError"
         assert "task.K" in err["error"]["message"] and "model.c" in err["error"]["message"]
 
+    @pytest.mark.parametrize("args, field", [
+        (["train", "--override", "model.M=abc"], "model.M"),
+        (["train", "--override", "train.batch_size=2.5"], "train.batch_size"),
+        (["train", "--seeds", "x"], "--seeds"),
+        (["ablate-skip", "--s-values", "2,x"], "--s-values"),
+        (["train", "--override", "task.kind=csv", "--override", "task.path=x.csv"],
+         "task.feature_columns"),
+        (["train", "--override", "optimizer.kind=sgd", "--override", "optimizer.beta1=0.5"],
+         "optimizer.beta1"),
+        (["train", "--override", "optimizer.kind=adagrad",
+          "--override", "optimizer.beta1=0.5"], "optimizer.beta1"),
+    ])
+    def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
+        assert main([*args, "--config", tiny_config_path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert field in err["error"]["message"]
+
     def test_non_finite_report_exit_3(self, tmp_path, capsys):
         # a diverging O-step rate drives the report to inf/nan: no report is written
         out = tmp_path / "out"

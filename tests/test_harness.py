@@ -69,6 +69,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seeds"):
             make_config({"seeds": []})
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"model": {"M": "abc"}}, "model.M"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"seeds": [0, "1"]}, "seeds"),
+        ({"task": {"kind": "csv", "path": "x.csv"}}, "task.feature_columns"),
+        ({"optimizer": {"kind": "sgd", "beta1": 0.5}}, r"optimizer\.beta1.*'sgd'"),
+        ({"optimizer": {"kind": "adagrad", "beta1": 0.5}}, r"optimizer\.beta1.*'adagrad'"),
+        ({"optimizer": {"kind": "adam", "rho": 0.9}}, "optimizer.rho"),
+    ])
+    def test_bad_value_rejected(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            make_config(overrides)
+
+    def test_well_typed_values_accepted(self):
+        # an int passes for a float, o_lr may be null, rmsprop's constructor takes rho
+        cfg = make_config({"optimizer": {"kind": "rmsprop", "lr": 1, "rho": 0.9},
+                           "omoe": {"o_lr": None}})
+        assert cfg["optimizer"] == {"kind": "rmsprop", "lr": 1, "rho": 0.9}
+        assert cfg["omoe"]["o_lr"] is None
+
     def test_defaults_not_mutated_by_make_config(self):
         snapshot = copy.deepcopy(DEFAULT_CONFIG)
         cfg = make_config({"omoe": {"s": 9}})

@@ -86,6 +86,12 @@ class TestGate:
         with pytest.raises(ContractViolation, match="topk"):
             load_model(path)
 
+    def test_unknown_mode_in_memory(self):
+        model = small_model()
+        model.routing = "topk"
+        with pytest.raises(ContractViolation, match="topk"):
+            moe_block_forward(model, np.zeros((2, model.dims.d)))
+
 
 class TestMoEForward:
     def test_single_expert_full_weight(self):
