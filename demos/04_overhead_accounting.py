@@ -16,9 +16,8 @@ from omoe_lab.model import ModelDims
 from omoe_lab.optim import MacCounter, o_step
 
 cfg = make_config()
-est = overhead_report(cfg)
 print("default config, per O step:")
-for key, value in est.to_dict().items():
+for key, value in overhead_report(cfg).items():
     print(f"  {key:>24}: {value}")
 
 # instrument a real O step on the same shapes and compare

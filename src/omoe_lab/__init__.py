@@ -12,11 +12,10 @@ from .grad import Gradients, backward, grad_check, loss
 from .optim import (BaseOptimizer, MacCounter, OMoEState, StepOutcome,
                     average_projector, load_optimizer, make_optimizer,
                     new_omoe_state, o_step, r_step, save_optimizer, step_dispatch)
-from .metrics import (DiversityReport, diverse_degree, diversity_report,
-                      expert_param_variance, load_entropy, model_param_variance,
-                      model_similar_fraction, output_variance, similar_fraction)
+from .metrics import (diverse_degree, diversity_report, expert_param_variance, load_entropy,
+                      model_param_variance, model_similar_fraction, output_variance,
+                      similar_fraction)
 from .tasks import (BatchPlan, Dataset, batches, gen_piecewise_regression,
                     gen_subspace_clusters, load_csv, write_csv)
-from .harness import (DEFAULT_CONFIG, OverheadEstimate, ablate_experts, ablate_skip,
-                      compare_optimizers, make_config, overhead_report,
-                      predict_o_step_macs, run, train_single)
+from .harness import (DEFAULT_CONFIG, ablate_experts, ablate_skip, compare_optimizers,
+                      make_config, overhead_report, predict_o_step_macs, run, train_single)

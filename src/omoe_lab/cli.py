@@ -15,25 +15,28 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataLoadError
-from .harness import (ablate_experts, ablate_skip, apply_override, compare_optimizers,
-                      make_config, overhead_report, run)
+from .harness import (ablate_experts, ablate_skip, compare_optimizers, make_config,
+                      overhead_report, run)
 from .metrics import diversity_report, diverse_degree
 from .model import load_model, model_forward
 
 
 def _load_config(args) -> dict:
-    user = {}
+    """The config file, ``--seeds`` and each ``--override``, in that order, over the defaults."""
+    overrides = {}
     if args.config:
         try:
             with open(args.config) as f:
-                user = json.load(f)
+                overrides = json.load(f)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    cfg = make_config(user)
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config file: top level must be a JSON object, "
+                              f"got {type(overrides).__name__}")
     if args.seeds:
-        cfg["seeds"] = args.seeds
+        overrides["seeds"] = args.seeds
     for item in args.override or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
@@ -42,10 +45,14 @@ def _load_config(args) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        apply_override(cfg, key, value)
-    from .harness import validate_config
-    validate_config(cfg)
-    return cfg
+        *sections, name = key.split(".")
+        node = overrides
+        for section in sections:
+            node = node.setdefault(section, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"unknown config path: {key}")
+        node[name] = value
+    return make_config(overrides)
 
 
 def _write(out_dir: str | None, name: str, payload: dict) -> None:
@@ -94,7 +101,7 @@ def cmd_compare_optimizers(args):
 
 def cmd_overhead(args):
     cfg = _load_config(args)
-    _write(args.out, "overhead.json", overhead_report(cfg).to_dict())
+    _write(args.out, "overhead.json", overhead_report(cfg))
 
 
 def cmd_metrics(args):
@@ -105,7 +112,7 @@ def cmd_metrics(args):
     reports = {}
     for tag, model in (("model_a", model_a), ("model_b", model_b)):
         _, tape = model_forward(model, X)
-        reports[tag] = diversity_report(model, X[0], tape.routing).to_dict()
+        reports[tag] = diversity_report(model, X[0], tape.routing)
     payload = {
         "per_model": reports,
         "diverse_degree_a_over_b": diverse_degree(model_a, model_b),

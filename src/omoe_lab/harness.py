@@ -1,5 +1,9 @@
 """Config-driven experiment runner: training, ablations, overhead accounting.
 
+A config is built along one path: ``make_config`` merges one overrides dict
+(for the CLI: the config file, then ``--seeds``, then each ``--override``)
+into ``DEFAULT_CONFIG`` and validates the final config once.
+
 Reports are plain dicts serialized to JSON with full float round-trip
 precision. Wall-clock times live in a separate ``timing`` section so the
 numeric payload is byte-reproducible for a given (config, seeds).
@@ -17,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SingleExpertError
+from .errors import ConfigError
 from .grad import backward, loss as loss_fn
 from .linalg import Rng
-from .metrics import diversity_report, model_param_variance
+from .metrics import diversity_report
 from .model import ROUTING_MODES, MoEModel, ModelDims, init_model, model_forward
 from .optim import (MacCounter, OPTIMIZERS, average_projector_macs, make_optimizer,
                     new_omoe_state, projection_macs, rls_update_macs, step_dispatch)
@@ -37,16 +41,19 @@ DEFAULT_CONFIG = {
     "seeds": [0, 1, 2, 3, 4],
 }
 
-# task keys beyond the defaults, required by the kinds that use them
-_TASK_REQUIRED = {"piecewise_regression": ("pieces", "n"),
-                  "csv": ("path", "feature_columns", "target_column")}
-# optimizer keys depend on optimizer.kind and are checked in validate_config
-_ALLOWED_KEYS = {
-    "": set(DEFAULT_CONFIG),
-    "task": set(DEFAULT_CONFIG["task"]).union(*_TASK_REQUIRED.values()),
-    "model": set(DEFAULT_CONFIG["model"]),
-    "omoe": set(DEFAULT_CONFIG["omoe"]),
-    "train": set(DEFAULT_CONFIG["train"]),
+# task keys beyond the defaults, required by the kinds that use them; the
+# example values give each key its type
+_TASK_REQUIRED = {"piecewise_regression": {"pieces": 3, "n": 1000},
+                  "csv": {"path": "data.csv", "feature_columns": ["x0"], "target_column": "y"}}
+# the keys each section takes, typed by their values; the optimizer's keys
+# depend on optimizer.kind and are checked in validate_config
+_FIELDS = {
+    "": DEFAULT_CONFIG,
+    "task": {**DEFAULT_CONFIG["task"],
+             **{k: v for fields in _TASK_REQUIRED.values() for k, v in fields.items()}},
+    "model": DEFAULT_CONFIG["model"],
+    "omoe": DEFAULT_CONFIG["omoe"],
+    "train": DEFAULT_CONFIG["train"],
 }
 
 
@@ -91,14 +98,15 @@ def _check_types(section: str, scope: dict, defaults: dict) -> None:
 
 
 def validate_config(cfg: dict) -> None:
-    _check_types("", cfg, DEFAULT_CONFIG)  # seeds, and every section is a mapping
-    for section, allowed in _ALLOWED_KEYS.items():
-        for key in cfg if section == "" else cfg.get(section, {}):
-            if key not in allowed:
+    # "" comes first: it checks that seeds is a list and every section a mapping
+    for section, fields in _FIELDS.items():
+        scope = cfg[section] if section else cfg
+        for key in scope:
+            if key not in fields:
                 where = f"{section}.{key}" if section else key
                 raise ConfigError(f"unknown config key: {where}")
-    for section in ("task", "model", "optimizer", "omoe", "train"):
-        _check_types(section, cfg[section], DEFAULT_CONFIG[section])
+        _check_types(section, scope, fields)
+    _check_types("optimizer", cfg["optimizer"], DEFAULT_CONFIG["optimizer"])  # kind and lr
     kind = cfg["optimizer"]["kind"]
     if kind not in OPTIMIZERS:
         raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
@@ -119,6 +127,14 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"task.{key}: required when task.kind is {task['kind']!r}")
     if task["kind"] == "subspace_clusters" and task["K"] > model["c"]:
         raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} classes")
+    if task["kind"] == "csv" and len(task["feature_columns"]) != task["d_raw"]:
+        raise ConfigError(f"task.feature_columns: {len(task['feature_columns'])} columns "
+                          f"but task.d_raw = {task['d_raw']}")
+    loss = cfg["train"]["loss"]
+    if task["kind"] == "piecewise_regression" and loss != "mse":
+        raise ConfigError(f"train.loss: task.kind 'piecewise_regression' needs 'mse', got {loss!r}")
+    if loss == "mse" and model["c"] != 1:
+        raise ConfigError(f"train.loss: 'mse' needs model.c = 1 output, got {model['c']}")
     if cfg["omoe"]["enabled"] and cfg["omoe"]["s"] < 2:
         raise ConfigError("omoe.s: skipping step must be >= 2")
     if cfg["omoe"]["avg_norm"] not in ("paper", "proper"):
@@ -127,20 +143,6 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("train.epochs and train.batch_size must be positive")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
-
-
-def apply_override(cfg: dict, dotted: str, value) -> None:
-    """Set a dotted-path key (e.g. ``omoe.s``) in a config dict."""
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config path: {dotted}")
-        node = node[part]
-    section = parts[-2] if len(parts) > 1 else ""
-    if parts[-1] not in _ALLOWED_KEYS.get(section, {parts[-1]}):
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[parts[-1]] = value
 
 
 def build_dataset(cfg: dict, rng: Rng) -> Dataset:
@@ -234,8 +236,8 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
         report = diversity_report(model, probe, routing)
         loss_curve.append(float(np.mean(epoch_losses)))
         eval_curve.append(score)
-        diversity_curve.append(report.to_dict())
-        entropy_curve.append(report.load_entropy)
+        diversity_curve.append(report)
+        entropy_curve.append(report["load_entropy"])
 
     record = {
         "seed": seed,
@@ -283,6 +285,19 @@ def run(cfg: dict, return_models: bool = False):
     return report
 
 
+def _variant(cfg: dict, section: str, **values) -> dict:
+    """A deep copy of ``cfg`` with ``values`` replacing keys of its ``section``."""
+    variant = copy.deepcopy(cfg)
+    variant[section].update(values)
+    return variant
+
+
+def _run_pair(cfg: dict) -> dict:
+    """Run reports of ``cfg`` on its plain base optimizer and wrapped in OMoE."""
+    return {"baseline": run(_variant(cfg, "omoe", enabled=False)),
+            "omoe": run(_variant(cfg, "omoe", enabled=True))}
+
+
 def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
     """One run per skipping step; emits raw and normalized variance series."""
     if not s_values:
@@ -291,17 +306,13 @@ def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
         raise ConfigError("duplicate s values rejected")
     if not cfg["omoe"]["enabled"]:
         raise ConfigError("omoe must be enabled for the skip-step ablation")
-    rows = []
-    reports = {}
-    for s in s_values:
-        variant = copy.deepcopy(cfg)
-        variant["omoe"]["s"] = int(s)
-        rep = run(variant)
-        reports[int(s)] = rep
-        rows.append({"s": int(s),
-                     "param_variance": rep["aggregate"]["param_variance_mean"],
-                     "eval_score": rep["aggregate"]["eval_score_mean"]})
-    base_var = rows[int(np.argmin([r["s"] for r in rows]))]["param_variance"]
+    # OMoE only: the baseline does not depend on s
+    reports = {s: run(_variant(cfg, "omoe", s=s)) for s in map(int, s_values)}
+    rows = [{"s": s,
+             "param_variance": rep["aggregate"]["param_variance_mean"],
+             "eval_score": rep["aggregate"]["eval_score_mean"]}
+            for s, rep in reports.items()]
+    base_var = reports[min(reports)]["aggregate"]["param_variance_mean"]
     normalized = [{"s": r["s"],
                    "normalized_variance": r["param_variance"] / base_var if base_var else 1.0}
                   for r in rows]
@@ -314,25 +325,13 @@ def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
         raise ConfigError("m_values must be non-empty")
     if any(m < 2 for m in m_values):
         raise ConfigError("every expert count must be >= 2")
+    reports = {m: _run_pair(_variant(cfg, "model", M=m)) for m in map(int, m_values)}
     rows = []
-    reports = {}
-    for m in m_values:
-        base_cfg = copy.deepcopy(cfg)
-        base_cfg["model"]["M"] = int(m)
-        base_cfg["omoe"]["enabled"] = False
-        omoe_cfg = copy.deepcopy(cfg)
-        omoe_cfg["model"]["M"] = int(m)
-        omoe_cfg["omoe"]["enabled"] = True
-        rep_base = run(base_cfg)
-        rep_omoe = run(omoe_cfg)
-        reports[int(m)] = {"baseline": rep_base, "omoe": rep_omoe}
-        rows.append({
-            "M": int(m),
-            "baseline_score": rep_base["aggregate"]["eval_score_mean"],
-            "omoe_score": rep_omoe["aggregate"]["eval_score_mean"],
-            "improvement": rep_omoe["aggregate"]["eval_score_mean"]
-            - rep_base["aggregate"]["eval_score_mean"],
-        })
+    for m, pair in reports.items():
+        base = pair["baseline"]["aggregate"]["eval_score_mean"]
+        omoe = pair["omoe"]["aggregate"]["eval_score_mean"]
+        rows.append({"M": m, "baseline_score": base, "omoe_score": omoe,
+                     "improvement": omoe - base})
     return {"table": rows, "reports": reports}
 
 
@@ -346,62 +345,21 @@ def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
     unknown = [k for k in kinds if k not in OPTIMIZERS]
     if unknown:
         raise ConfigError(f"optimizer.kind: unknown kind {unknown[0]!r}")
-    rows = []
-    reports = {}
-    for kind in kinds:
-        variant = copy.deepcopy(cfg)
-        variant["optimizer"] = {"kind": kind, "lr": _LR_DEFAULTS[kind]}
-        base_cfg = copy.deepcopy(variant)
-        base_cfg["omoe"]["enabled"] = False
-        omoe_cfg = copy.deepcopy(variant)
-        omoe_cfg["omoe"]["enabled"] = True
-        rep_base = run(base_cfg)
-        rep_omoe = run(omoe_cfg)
-        reports[kind] = {"baseline": rep_base, "omoe": rep_omoe}
-        rows.append({
-            "optimizer": kind,
-            "baseline_score": rep_base["aggregate"]["eval_score_mean"],
-            "omoe_score": rep_omoe["aggregate"]["eval_score_mean"],
-            "per_seed_delta": [
-                o["final_eval_score"] - b["final_eval_score"]
-                for o, b in zip(rep_omoe["per_seed"], rep_base["per_seed"])],
-        })
+    # each kind replaces the whole section: the user's optimizer keys, such as
+    # adamw's weight_decay, are not parameters of every kind
+    reports = {kind: _run_pair({**cfg, "optimizer": {"kind": kind, "lr": _LR_DEFAULTS[kind]}})
+               for kind in kinds}
+    rows = [{"optimizer": kind,
+             "baseline_score": pair["baseline"]["aggregate"]["eval_score_mean"],
+             "omoe_score": pair["omoe"]["aggregate"]["eval_score_mean"],
+             "per_seed_delta": [o["final_eval_score"] - b["final_eval_score"]
+                                for o, b in zip(pair["omoe"]["per_seed"],
+                                                pair["baseline"]["per_seed"])]}
+            for kind, pair in reports.items()]
     return {"table": rows, "reports": reports}
 
 
 # --- overhead accounting -----------------------------------------------------
-
-@dataclass
-class OverheadEstimate:
-    macs_rls: int
-    macs_average: int
-    macs_project: int
-    projector_floats: int
-    base_state_floats: int
-    param_floats: int
-
-    @property
-    def macs_total(self) -> int:
-        return self.macs_rls + self.macs_average + self.macs_project
-
-    @property
-    def optimizer_memory_ratio(self):
-        if self.base_state_floats == 0:
-            return None
-        return (self.base_state_floats + self.projector_floats) / self.base_state_floats
-
-    def to_dict(self) -> dict:
-        return {
-            "macs_rls": self.macs_rls,
-            "macs_average": self.macs_average,
-            "macs_project": self.macs_project,
-            "macs_total": self.macs_total,
-            "projector_floats": self.projector_floats,
-            "base_state_floats": self.base_state_floats,
-            "param_floats": self.param_floats,
-            "optimizer_memory_ratio": self.optimizer_memory_ratio,
-        }
-
 
 def predict_o_step_macs(d: int, h: int, M: int, means_counts: dict) -> MacCounter:
     """Exact extra multiply-accumulate count for one O step.
@@ -422,7 +380,7 @@ def predict_o_step_macs(d: int, h: int, M: int, means_counts: dict) -> MacCounte
     return counter
 
 
-def overhead_report(cfg: dict) -> OverheadEstimate:
+def overhead_report(cfg: dict) -> dict:
     """Closed-form overhead for the configured shapes.
 
     Assumes every expert accumulates one mean per weight layer on each of the
@@ -438,7 +396,16 @@ def overhead_report(cfg: dict) -> OverheadEstimate:
     macs = predict_o_step_macs(d, h, M, means_counts)
     param_floats = (d * d_raw + d) + M * d + M * (h * d + h + d * h + d) + (c * d + c)
     base_state = OPTIMIZERS[cfg["optimizer"]["kind"]].state_floats(param_floats)
-    return OverheadEstimate(
-        macs_rls=macs.rls, macs_average=macs.average, macs_project=macs.project,
-        projector_floats=M * (d * d + h * h),
-        base_state_floats=base_state, param_floats=param_floats)
+    projector_floats = M * (d * d + h * h)
+    return {
+        "macs_rls": macs.rls,
+        "macs_average": macs.average,
+        "macs_project": macs.project,
+        "macs_total": macs.total,
+        "projector_floats": projector_floats,
+        "base_state_floats": base_state,
+        "param_floats": param_floats,
+        # undefined for a stateless base optimizer
+        "optimizer_memory_ratio": (base_state + projector_floats) / base_state
+        if base_state else None,
+    }

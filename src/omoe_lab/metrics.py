@@ -6,7 +6,6 @@ All metrics use population variance and are invariant to expert ordering;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -107,26 +106,10 @@ def load_entropy(routing: list[RoutingRecord] | RoutingRecord) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-@dataclass
-class DiversityReport:
-    param_variance: float
-    similar_fraction: float
-    output_variance: float
-    load_entropy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "param_variance": self.param_variance,
-            "similar_fraction": self.similar_fraction,
-            "output_variance": self.output_variance,
-            "load_entropy": self.load_entropy,
-        }
-
-
-def diversity_report(model: MoEModel, probe_input, routing) -> DiversityReport:
-    return DiversityReport(
-        param_variance=model_param_variance(model),
-        similar_fraction=model_similar_fraction(model),
-        output_variance=output_variance(model, probe_input),
-        load_entropy=load_entropy(routing),
-    )
+def diversity_report(model: MoEModel, probe_input, routing) -> dict:
+    return {
+        "param_variance": model_param_variance(model),
+        "similar_fraction": model_similar_fraction(model),
+        "output_variance": output_variance(model, probe_input),
+        "load_entropy": load_entropy(routing),
+    }

@@ -65,6 +65,14 @@ class TestErrorPaths:
         path.write_text("{not json")
         assert main(["train", "--config", str(path)]) == 2
 
+    def test_non_object_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1]")
+        assert main(["overhead", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "JSON object" in err["error"]["message"]
+
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -98,6 +106,17 @@ class TestErrorPaths:
          "optimizer.beta1"),
         (["train", "--override", "optimizer.kind=adagrad",
           "--override", "optimizer.beta1=0.5"], "optimizer.beta1"),
+        (["train", "--override", "omoe.bogus=1"], "omoe.bogus"),
+        (["train", "--override", "nosection.s=1"], "nosection"),
+        (["train", "--override", "train.loss=mse"], "train.loss"),
+        (["train", "--override", "task.kind=piecewise_regression", "--override", "task.pieces=3",
+          "--override", "task.n=100"], "train.loss"),
+        (["train", "--override", "task.kind=piecewise_regression", "--override", 'task.pieces="a"',
+          "--override", "task.n=100", "--override", "train.loss=mse", "--override", "model.c=1"],
+         "task.pieces"),
+        (["train", "--override", "task.kind=csv", "--override", "task.path=x.csv",
+          "--override", 'task.feature_columns=["f0", "f1"]', "--override", "task.target_column=y"],
+         "task.d_raw"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2

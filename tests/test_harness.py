@@ -7,21 +7,22 @@ import pytest
 from omoe_lab import (DEFAULT_CONFIG, ablate_experts, ablate_skip, compare_optimizers,
                       make_config, overhead_report, predict_o_step_macs, run, train_single)
 from omoe_lab.errors import ConfigError
-from omoe_lab.harness import apply_override, validate_config
+from omoe_lab.harness import validate_config
 from omoe_lab.optim import (average_projector_macs, projection_macs, rls_update_macs)
 
 
 def tiny_config(**over):
-    """Small fast config for harness behavior tests."""
-    cfg = make_config({
+    """Small fast config for harness behavior tests; ``omoe__s=3`` sets omoe.s."""
+    overrides = {
         "task": {"K": 3, "d_raw": 12, "subspace_dim": 3, "n_per_cluster": 40},
         "model": {"d": 8, "h": 8, "M": 3, "c": 3},
         "train": {"epochs": 2, "batch_size": 16},
         "seeds": [0, 1],
-    })
+    }
     for dotted, value in over.items():
-        apply_override(cfg, dotted.replace("__", "."), value)
-    return cfg
+        section, key = dotted.split("__")
+        overrides.setdefault(section, {})[key] = value
+    return make_config(overrides)
 
 
 class TestConfig:
@@ -40,18 +41,6 @@ class TestConfig:
         cfg = make_config({"train": {"epochs": 3}})
         assert cfg["train"]["epochs"] == 3
         assert cfg["train"]["batch_size"] == DEFAULT_CONFIG["train"]["batch_size"]
-
-    def test_override_dotted_path(self):
-        cfg = make_config()
-        apply_override(cfg, "omoe.s", 7)
-        assert cfg["omoe"]["s"] == 7
-
-    def test_override_unknown_path(self):
-        cfg = make_config()
-        with pytest.raises(ConfigError):
-            apply_override(cfg, "omoe.bogus", 1)
-        with pytest.raises(ConfigError):
-            apply_override(cfg, "nosection.s", 1)
 
     def test_bad_s_rejected(self):
         with pytest.raises(ConfigError, match="omoe.s"):
@@ -78,6 +67,16 @@ class TestConfig:
         ({"optimizer": {"kind": "sgd", "beta1": 0.5}}, r"optimizer\.beta1.*'sgd'"),
         ({"optimizer": {"kind": "adagrad", "beta1": 0.5}}, r"optimizer\.beta1.*'adagrad'"),
         ({"optimizer": {"kind": "adam", "rho": 0.9}}, "optimizer.rho"),
+        ({"optimizer": {"kind": ["adam"]}}, "optimizer.kind"),
+        ({"train": {"loss": "mse"}}, r"train\.loss.*model\.c"),
+        ({"task": {"kind": "piecewise_regression", "pieces": 3, "n": 100}},
+         r"train\.loss.*task\.kind"),
+        ({"task": {"kind": "piecewise_regression", "pieces": "a", "n": 100},
+          "train": {"loss": "mse"}, "model": {"c": 1}}, "task.pieces"),
+        ({"task": {"kind": "csv", "path": "x.csv", "feature_columns": "f0",
+                   "target_column": "y"}}, "task.feature_columns"),
+        ({"task": {"kind": "csv", "path": "x.csv", "feature_columns": ["f0", "f1"],
+                   "target_column": "y"}}, r"task\.feature_columns.*task\.d_raw"),
     ])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
@@ -167,11 +166,13 @@ class TestAblations:
             ablate_experts(tiny_config(), [1, 2])
 
     def test_compare_optimizers_rows(self):
-        out = compare_optimizers(tiny_config(), ["sgd"])
+        # each kind gets a fresh optimizer section: adamw's weight_decay does not reach sgd
+        out = compare_optimizers(tiny_config(optimizer__weight_decay=0.1), ["sgd"])
         assert len(out["table"]) == 1
         row = out["table"][0]
         assert row["optimizer"] == "sgd"
         assert len(row["per_seed_delta"]) == 2
+        assert out["reports"]["sgd"]["omoe"]["config"]["optimizer"] == {"kind": "sgd", "lr": 0.1}
 
     def test_compare_optimizers_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,6 +181,22 @@ class TestAblations:
     def test_compare_optimizers_unknown_kind(self):
         with pytest.raises(ConfigError, match="lion"):
             compare_optimizers(tiny_config(), ["lion"])
+
+    def test_report_key_order(self):
+        # the JSON payloads list their keys in this order
+        cfg = tiny_config()
+        skip = ablate_skip(cfg, [2])
+        assert list(skip["table"][0]) == ["s", "param_variance", "eval_score"]
+        assert list(skip["normalized"][0]) == ["s", "normalized_variance"]
+        assert list(ablate_experts(cfg, [2])["table"][0]) == [
+            "M", "baseline_score", "omoe_score", "improvement"]
+        assert list(compare_optimizers(cfg, ["sgd"])["table"][0]) == [
+            "optimizer", "baseline_score", "omoe_score", "per_seed_delta"]
+        assert list(overhead_report(cfg)) == [
+            "macs_rls", "macs_average", "macs_project", "macs_total", "projector_floats",
+            "base_state_floats", "param_floats", "optimizer_memory_ratio"]
+        assert list(train_single(cfg, 0).record["diversity_curve"][0]) == [
+            "param_variance", "similar_fraction", "output_variance", "load_entropy"]
 
 
 class TestOverhead:
@@ -201,8 +218,7 @@ class TestOverhead:
         assert c.average == 0
 
     def test_overhead_report_schema(self):
-        est = overhead_report(make_config())
-        d = est.to_dict()
+        d = overhead_report(make_config())
         assert d["macs_total"] == d["macs_rls"] + d["macs_average"] + d["macs_project"]
         assert d["optimizer_memory_ratio"] > 1.0  # adamw default has moments
         mc = DEFAULT_CONFIG["model"]
@@ -210,5 +226,5 @@ class TestOverhead:
 
     def test_sgd_memory_ratio_undefined(self):
         est = overhead_report(make_config({"optimizer": {"kind": "sgd", "lr": 0.1}}))
-        assert est.optimizer_memory_ratio is None
-        assert est.base_state_floats == 0
+        assert est["optimizer_memory_ratio"] is None
+        assert est["base_state_floats"] == 0

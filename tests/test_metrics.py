@@ -160,12 +160,11 @@ class TestLoadEntropy:
             load_entropy([])
 
 
-class TestDiversityReport:
+class TestDiversityDiagnostics:
     def test_schema_and_values(self):
         model = small_model(M=3, init="independent")
         rec = RoutingRecord("top1", np.ones((6, 3)) / 3, np.array([0, 1, 2, 0, 1, 2]))
-        rep = diversity_report(model, np.ones(model.dims.d_raw), rec)
-        d = rep.to_dict()
+        d = diversity_report(model, np.ones(model.dims.d_raw), rec)
         assert set(d) == {"param_variance", "similar_fraction",
                           "output_variance", "load_entropy"}
         assert d["param_variance"] == model_param_variance(model)
