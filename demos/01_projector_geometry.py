@@ -9,14 +9,14 @@ form alpha * (A A^T + alpha I)^-1, which we verify at the end.
 
 import numpy as np
 
-from omoe_lab import direct_projector, new_projector
+from omoe_lab import OrthoProjector, direct_projector
 from omoe_lab.linalg import sym_eigvals
 
 d = 6
 alpha = 1e-3
 rng = np.random.default_rng(0)
 
-proj = new_projector(d)
+proj = OrthoProjector(d)
 print(f"fresh projector: effective_rank(0.5) = {proj.effective_rank(0.5)} (full capacity)")
 
 directions = rng.normal(size=(d, 3))

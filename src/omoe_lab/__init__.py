@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, ContractViolation, DataLoadError,
                      SingleExpertError, SingularMatrixError)
 from .linalg import Rng, gaussian_matrix, solve_spd, sym_eigvals
-from .projector import OrthoProjector, direct_projector, new_projector
+from .projector import OrthoProjector, direct_projector
 from .model import (MoEModel, ModelDims, RoutingRecord, init_model, load_model,
                     model_forward, save_model)
 from .grad import Gradients, backward, grad_check, loss
@@ -15,7 +15,7 @@ from .optim import (BaseOptimizer, MacCounter, OMoEState, StepOutcome,
 from .metrics import (diverse_degree, diversity_report, expert_param_variance, load_entropy,
                       model_param_variance, model_similar_fraction, output_variance,
                       similar_fraction)
-from .tasks import (BatchPlan, Dataset, batches, gen_piecewise_regression,
+from .tasks import (Dataset, batches, gen_piecewise_regression,
                     gen_subspace_clusters, load_csv, write_csv)
 from .harness import (DEFAULT_CONFIG, ablate_experts, ablate_skip, compare_optimizers,
                       make_config, overhead_report, predict_o_step_macs, run, train_single)

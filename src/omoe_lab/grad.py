@@ -27,8 +27,13 @@ class Gradients:
 ExpertInputMeans = dict
 
 
-def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
-    """Mean batch loss: cross-entropy over class indices or 0.5 squared error."""
+LOSS_KINDS = ("ce", "mse")  # cross-entropy over class indices, 0.5 squared error
+
+
+def _loss_with_grad(logits: np.ndarray, targets, kind: str):
+    """(mean batch loss, its gradient with respect to the logits)."""
+    if kind not in LOSS_KINDS:
+        raise ContractViolation(f"unknown loss kind {kind!r}")
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.shape[0]
     if kind == "ce":
@@ -36,28 +41,22 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
         if targets.shape[0] != n:
             raise ContractViolation("target count does not match batch size")
         probs = softmax(logits)
-        return float(-np.mean(np.log(probs[np.arange(n), targets])))
-    if kind == "mse":
-        t = np.asarray(targets, dtype=np.float64)
-        if t.ndim == 1:
-            t = t[:, None]
-        if t.shape != logits.shape:
-            raise ContractViolation(f"target shape {t.shape} != logits shape {logits.shape}")
-        return float(np.mean(0.5 * np.sum((logits - t) ** 2, axis=1)))
-    raise ContractViolation(f"unknown loss kind {kind!r}")
-
-
-def _dlogits(logits: np.ndarray, targets, kind: str) -> np.ndarray:
-    n = logits.shape[0]
-    if kind == "ce":
-        targets = np.asarray(targets, dtype=np.int64).ravel()
-        d = softmax(logits)
-        d[np.arange(n), targets] -= 1.0
-        return d / n
+        rows = np.arange(n)
+        value = float(-np.mean(np.log(probs[rows, targets])))
+        probs[rows, targets] -= 1.0
+        return value, probs / n
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t[:, None]
-    return (logits - t) / n
+    if t.shape != logits.shape:
+        raise ContractViolation(f"target shape {t.shape} != logits shape {logits.shape}")
+    residual = logits - t
+    return float(np.mean(0.5 * np.sum(residual ** 2, axis=1))), residual / n
+
+
+def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
+    """Mean batch loss: cross-entropy over class indices or 0.5 squared error."""
+    return _loss_with_grad(logits, targets, kind)[0]
 
 
 def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
@@ -65,9 +64,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     if tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params
-    logits = tape.y_moe @ p["head.W"].T + p["head.b"]
-    loss_value = loss(logits, targets, kind)
-    dlog = _dlogits(logits, targets, kind)
+    loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
 
     g = {name: np.zeros_like(p[name]) for name in model.param_names()}
     g["head.W"] = dlog.T @ tape.y_moe

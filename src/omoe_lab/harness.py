@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .grad import backward, loss as loss_fn
+from .grad import LOSS_KINDS, backward, loss as loss_fn
 from .linalg import Rng
 from .metrics import diversity_report
-from .model import ROUTING_MODES, MoEModel, ModelDims, init_model, model_forward
-from .optim import (MacCounter, OPTIMIZERS, average_projector_macs, make_optimizer,
+from .model import INIT_MODES, ROUTING_MODES, MoEModel, ModelDims, init_model, model_forward
+from .optim import (AVG_NORMS, MacCounter, OPTIMIZERS, average_projector_macs, make_optimizer,
                     new_omoe_state, projection_macs, rls_update_macs, step_dispatch)
-from .tasks import BatchPlan, Dataset, batches, gen_piecewise_regression, gen_subspace_clusters
+from .tasks import Dataset, batches, gen_piecewise_regression, gen_subspace_clusters
 
 DEFAULT_CONFIG = {
     "task": {"kind": "subspace_clusters", "K": 4, "d_raw": 32, "subspace_dim": 6,
@@ -117,30 +117,48 @@ def validate_config(cfg: dict) -> None:
         if key not in taken:
             raise ConfigError(f"optimizer.{key}: not a parameter of optimizer kind {kind!r}")
     _check_types("optimizer", cfg["optimizer"], taken)
-    if cfg["model"]["M"] < 1:
-        raise ConfigError("model.M: must be >= 1")
-    if cfg["model"]["routing"] not in ROUTING_MODES:
-        raise ConfigError(f"model.routing: unknown mode {cfg['model']['routing']!r}")
-    task, model = cfg["task"], cfg["model"]
+    task, model, omoe, train = cfg["task"], cfg["model"], cfg["omoe"], cfg["train"]
+    for field, value, choices in (("model.routing", model["routing"], ROUTING_MODES),
+                                  ("model.init", model["init"], INIT_MODES),
+                                  ("train.loss", train["loss"], LOSS_KINDS),
+                                  ("omoe.avg_norm", omoe["avg_norm"], AVG_NORMS)):
+        if value not in choices:
+            raise ConfigError(f"{field}: unknown value {value!r}, expected one of {choices}")
     for key in _TASK_REQUIRED.get(task["kind"], ()):
         if key not in task:
             raise ConfigError(f"task.{key}: required when task.kind is {task['kind']!r}")
+    minima = {"model.d": 1, "model.h": 1, "model.c": 1, "model.M": 1, "task.d_raw": 1,
+              "train.epochs": 1, "train.batch_size": 1}
+    if task["kind"] == "subspace_clusters":
+        minima.update({"task.K": 2, "task.n_per_cluster": 1, "task.subspace_dim": 1})
+    if task["kind"] == "piecewise_regression":
+        minima.update({"task.pieces": 2, "task.n": 1})
+    if omoe["enabled"]:
+        minima["omoe.s"] = 2
+    for field, low in minima.items():
+        section, key = field.split(".")
+        if cfg[section][key] < low:
+            raise ConfigError(f"{field}: must be >= {low}, got {cfg[section][key]!r}")
+    if not omoe["alpha0"] > 0:
+        raise ConfigError(f"omoe.alpha0: must be > 0, got {omoe['alpha0']!r}")
+    if not 0 < omoe["lambda"] <= 1:
+        raise ConfigError(f"omoe.lambda: must lie in (0, 1], got {omoe['lambda']!r}")
+    if not 0 < train["eval_fraction"] < 1:
+        raise ConfigError(f"train.eval_fraction: must lie in (0, 1), "
+                          f"got {train['eval_fraction']!r}")
+    if task["kind"] == "subspace_clusters" and task["subspace_dim"] > task["d_raw"]:
+        raise ConfigError(f"task.subspace_dim: {task['subspace_dim']} exceeds "
+                          f"task.d_raw = {task['d_raw']}")
     if task["kind"] == "subspace_clusters" and task["K"] > model["c"]:
         raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} classes")
     if task["kind"] == "csv" and len(task["feature_columns"]) != task["d_raw"]:
         raise ConfigError(f"task.feature_columns: {len(task['feature_columns'])} columns "
                           f"but task.d_raw = {task['d_raw']}")
-    loss = cfg["train"]["loss"]
+    loss = train["loss"]
     if task["kind"] == "piecewise_regression" and loss != "mse":
         raise ConfigError(f"train.loss: task.kind 'piecewise_regression' needs 'mse', got {loss!r}")
     if loss == "mse" and model["c"] != 1:
         raise ConfigError(f"train.loss: 'mse' needs model.c = 1 output, got {model['c']}")
-    if cfg["omoe"]["enabled"] and cfg["omoe"]["s"] < 2:
-        raise ConfigError("omoe.s: skipping step must be >= 2")
-    if cfg["omoe"]["avg_norm"] not in ("paper", "proper"):
-        raise ConfigError(f"omoe.avg_norm: unknown mode {cfg['omoe']['avg_norm']!r}")
-    if cfg["train"]["epochs"] < 1 or cfg["train"]["batch_size"] < 1:
-        raise ConfigError("train.epochs and train.batch_size must be positive")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
 
@@ -156,7 +174,8 @@ def build_dataset(cfg: dict, rng: Rng) -> Dataset:
                                         task["n"], task.get("noise_std", 0.0))
     if task["kind"] == "csv":
         from .tasks import load_csv
-        return load_csv(task["path"], task["feature_columns"], task["target_column"])
+        kind = "regression" if cfg["train"]["loss"] == "mse" else "classification"
+        return load_csv(task["path"], task["feature_columns"], task["target_column"], kind)
     raise ConfigError(f"task.kind: unknown kind {task['kind']!r}")
 
 
@@ -204,8 +223,7 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
 
     base = _optimizer_from_config(cfg)
     epochs, bs = cfg["train"]["epochs"], cfg["train"]["batch_size"]
-    steps_per_epoch = math.ceil(train_ds.n / bs)
-    n_total = epochs * steps_per_epoch
+    n_total = epochs * math.ceil(train_ds.n / bs)
     omoe_cfg = cfg["omoe"]
     state = None
     if omoe_cfg["enabled"]:
@@ -213,15 +231,12 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
                                omoe_cfg["alpha0"], omoe_cfg["lambda"],
                                omoe_cfg["avg_norm"], omoe_cfg.get("o_lr"))
 
-    plan = BatchPlan(seed=seed, batch_size=bs, epochs=epochs)
-    batch_iter = batches(train_ds, plan)
     probe = X_eval[0]
     loss_curve, eval_curve, diversity_curve, entropy_curve = [], [], [], []
     step_counts = {"R": 0, "O": 0}
-    for _epoch in range(epochs):
+    for epoch in range(epochs):
         epoch_losses = []
-        for _ in range(steps_per_epoch):
-            Xb, yb = next(batch_iter)
+        for Xb, yb in batches(train_ds, seed, epoch, bs):
             if state is not None:
                 outcome = step_dispatch(state, model, Xb, yb, loss_kind)
                 step_counts[outcome.kind] += 1
@@ -292,10 +307,15 @@ def _variant(cfg: dict, section: str, **values) -> dict:
     return variant
 
 
-def _run_pair(cfg: dict) -> dict:
-    """Run reports of ``cfg`` on its plain base optimizer and wrapped in OMoE."""
-    return {"baseline": run(_variant(cfg, "omoe", enabled=False)),
-            "omoe": run(_variant(cfg, "omoe", enabled=True))}
+def _run_pairs(variants: dict) -> dict:
+    """Run reports of each variant config on its plain base optimizer and wrapped
+    in OMoE, keyed as ``variants``; every config is validated before any trains."""
+    pairs = {key: {"baseline": _variant(v, "omoe", enabled=False),
+                   "omoe": _variant(v, "omoe", enabled=True)} for key, v in variants.items()}
+    for pair in pairs.values():
+        for v in pair.values():
+            validate_config(v)
+    return {key: {side: run(v) for side, v in pair.items()} for key, pair in pairs.items()}
 
 
 def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
@@ -307,7 +327,10 @@ def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
     if not cfg["omoe"]["enabled"]:
         raise ConfigError("omoe must be enabled for the skip-step ablation")
     # OMoE only: the baseline does not depend on s
-    reports = {s: run(_variant(cfg, "omoe", s=s)) for s in map(int, s_values)}
+    variants = {s: _variant(cfg, "omoe", s=s) for s in map(int, s_values)}
+    for variant in variants.values():  # every variant is checked before any trains
+        validate_config(variant)
+    reports = {s: run(v) for s, v in variants.items()}
     rows = [{"s": s,
              "param_variance": rep["aggregate"]["param_variance_mean"],
              "eval_score": rep["aggregate"]["eval_score_mean"]}
@@ -325,7 +348,7 @@ def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
         raise ConfigError("m_values must be non-empty")
     if any(m < 2 for m in m_values):
         raise ConfigError("every expert count must be >= 2")
-    reports = {m: _run_pair(_variant(cfg, "model", M=m)) for m in map(int, m_values)}
+    reports = _run_pairs({m: _variant(cfg, "model", M=m) for m in map(int, m_values)})
     rows = []
     for m, pair in reports.items():
         base = pair["baseline"]["aggregate"]["eval_score_mean"]
@@ -347,8 +370,8 @@ def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
         raise ConfigError(f"optimizer.kind: unknown kind {unknown[0]!r}")
     # each kind replaces the whole section: the user's optimizer keys, such as
     # adamw's weight_decay, are not parameters of every kind
-    reports = {kind: _run_pair({**cfg, "optimizer": {"kind": kind, "lr": _LR_DEFAULTS[kind]}})
-               for kind in kinds}
+    reports = _run_pairs({kind: {**cfg, "optimizer": {"kind": kind, "lr": _LR_DEFAULTS[kind]}}
+                          for kind in kinds})
     rows = [{"optimizer": kind,
              "baseline_score": pair["baseline"]["aggregate"]["eval_score_mean"],
              "omoe_score": pair["omoe"]["aggregate"]["eval_score_mean"],

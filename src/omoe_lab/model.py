@@ -65,6 +65,7 @@ class BatchTape:
     expert_pre1: dict              # m -> (n_m, h) pre-activation of layer 1
     expert_out: dict               # m -> (n_m, d) expert outputs
     y_moe: np.ndarray              # (N, d) combined MoE output
+    logits: np.ndarray             # (N, c) head output
     fingerprint: float             # stale-tape guard
 
 
@@ -183,7 +184,7 @@ def model_forward(model: MoEModel, X: np.ndarray):
     logits = y_moe @ p["head.W"].T + p["head.b"]
     tape = BatchTape(X=X, Z0=Z0, routing=routing, expert_tokens=tokens,
                      expert_hidden=hidden, expert_pre1=pre1, expert_out=out,
-                     y_moe=y_moe, fingerprint=model.fingerprint())
+                     y_moe=y_moe, logits=logits, fingerprint=model.fingerprint())
     return logits, tape
 
 

@@ -22,6 +22,9 @@ from .grad import ExpertInputMeans, Gradients, backward
 from .model import MoEModel, model_forward
 from .projector import OrthoProjector
 
+AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
+
+
 class BaseOptimizer:
     """Per-parameter moment buffers keyed by parameter name."""
 
@@ -168,29 +171,43 @@ class OMoEState:
     n_total: int
     alpha0: float = 1e-3
     lam: float = 0.9
-    avg_norm: str = "paper"  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
+    avg_norm: str = "paper"  # one of AVG_NORMS
     o_lr: float | None = None  # O-step learning rate; None -> base.lr
     e: int = 1
     projectors: dict = field(default_factory=dict)  # (m, layer) -> OrthoProjector
     buffers: dict = field(default_factory=dict)     # (m, layer) -> [(batch index, xbar)]
     means_produced: int = 0
     means_consumed: int = 0
-    mac_counter: MacCounter | None = None
+    mac_counter: MacCounter = field(default_factory=MacCounter)
+
+    def __post_init__(self):
+        if self.s < 2:
+            raise ContractViolation("skipping step s must be >= 2")
+        if self.n_total < 1:
+            raise ContractViolation("n_total must be >= 1 for the decay schedule")
+        if self.alpha0 <= 0:
+            raise ContractViolation("alpha0 must be positive")
+        if not (0 < self.lam <= 1):
+            raise ContractViolation("lambda must lie in (0, 1]")
+        if self.avg_norm not in AVG_NORMS:
+            raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
+
+    def alpha_at(self, i: int) -> float:
+        """Decayed regularizer alpha0 * lam^(i / n_total) for batch index i."""
+        if not (0 <= i <= self.n_total):
+            raise ContractViolation(f"batch index {i} outside [0, {self.n_total}]")
+        return self.alpha0 * self.lam ** (i / self.n_total)
 
 
 def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int,
                    alpha0: float = 1e-3, lam: float = 0.9,
                    avg_norm: str = "paper", o_lr: float | None = None) -> OMoEState:
-    if s < 2:
-        raise ContractViolation("skipping step s must be >= 2")
-    if avg_norm not in ("paper", "proper"):
-        raise ContractViolation(f"unknown avg_norm {avg_norm!r}")
     layer_dims = {1: model.dims.d, 2: model.dims.h}
     state = OMoEState(base=base, M=model.M, s=s, n_total=n_total,
                       alpha0=alpha0, lam=lam, avg_norm=avg_norm, o_lr=o_lr)
     for m in range(model.M):
         for layer, dim in layer_dims.items():
-            state.projectors[(m, layer)] = OrthoProjector(dim, alpha0, lam, n_total)
+            state.projectors[(m, layer)] = OrthoProjector(dim)
             state.buffers[(m, layer)] = []
     return state
 
@@ -212,8 +229,7 @@ def average_projector(state: OMoEState, m: int, layer: int) -> np.ndarray:
         raise SingleExpertError("average projector needs M >= 2 experts")
     total = sum(state.projectors[(j, layer)].P for j in range(state.M) if j != m)
     norm = state.M if state.avg_norm == "paper" else state.M - 1
-    if state.mac_counter is not None:
-        state.mac_counter.average += average_projector_macs(state.projectors[(m, layer)].d, state.M)
+    state.mac_counter.average += average_projector_macs(state.projectors[(m, layer)].d, state.M)
     return total / norm
 
 
@@ -221,10 +237,9 @@ def _drain_buffers(state: OMoEState) -> None:
     for key, entries in state.buffers.items():
         proj = state.projectors[key]
         for batch_idx, xbar in entries:
-            proj.rls_update(xbar, proj.alpha_at(batch_idx))
+            proj.rls_update(xbar, state.alpha_at(batch_idx))
             state.means_consumed += 1
-            if state.mac_counter is not None:
-                state.mac_counter.rls += rls_update_macs(proj.d)
+            state.mac_counter.rls += rls_update_macs(proj.d)
         entries.clear()
 
 
@@ -248,8 +263,7 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
             w_name = f"expert{m}.W{layer}"
             b_name = f"expert{m}.b{layer}"
             G = grads.grads[w_name]
-            if state.mac_counter is not None:
-                state.mac_counter.project += projection_macs(G.shape[0], G.shape[1])
+            state.mac_counter.project += projection_macs(G.shape[0], G.shape[1])
             delta = G @ pbar
             model.params[w_name] -= lr * delta
             model.params[b_name] -= lr * grads.grads[b_name]
@@ -275,6 +289,9 @@ def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
 # --- optimizer checkpoint io (same JSON container idiom as model checkpoints) ---
 
 OPTIMIZER_CHECKPOINT_FORMAT = "omoe-lab-optimizer-v1"
+# the state's scalar fields, in the order a checkpoint lists them
+_STATE_SCALARS = ("M", "s", "n_total", "alpha0", "lam", "avg_norm", "o_lr", "e",
+                  "means_produced", "means_consumed")
 
 
 def _base_to_doc(base: BaseOptimizer) -> dict:
@@ -306,11 +323,7 @@ def save_optimizer(state: OMoEState, path) -> None:
     doc = {
         "format": OPTIMIZER_CHECKPOINT_FORMAT,
         "base": _base_to_doc(state.base),
-        "M": state.M, "s": state.s, "n_total": state.n_total,
-        "alpha0": state.alpha0, "lam": state.lam, "avg_norm": state.avg_norm,
-        "o_lr": state.o_lr, "e": state.e,
-        "means_produced": state.means_produced,
-        "means_consumed": state.means_consumed,
+        **{key: getattr(state, key) for key in _STATE_SCALARS},
         "projectors": [
             {"m": m, "layer": layer, "d": proj.d,
              "updates_applied": proj.updates_applied, "P": _encode(proj.P)}
@@ -334,14 +347,10 @@ def load_optimizer(path) -> OMoEState:
         doc = json.load(f)
     if doc.get("format") != OPTIMIZER_CHECKPOINT_FORMAT:
         raise ContractViolation(f"unknown checkpoint format {doc.get('format')!r}")
-    state = OMoEState(base=_base_from_doc(doc["base"]), M=int(doc["M"]), s=int(doc["s"]),
-                      n_total=int(doc["n_total"]), alpha0=doc["alpha0"], lam=doc["lam"],
-                      avg_norm=doc["avg_norm"], o_lr=doc.get("o_lr"), e=int(doc["e"]),
-                      means_produced=int(doc["means_produced"]),
-                      means_consumed=int(doc["means_consumed"]))
+    state = OMoEState(base=_base_from_doc(doc["base"]),
+                      **{key: doc[key] for key in _STATE_SCALARS})
     for item in doc["projectors"]:
-        proj = OrthoProjector(int(item["d"]), doc["alpha0"], doc["lam"], int(doc["n_total"]),
-                              _decode(item["P"]), int(item["updates_applied"]))
+        proj = OrthoProjector(int(item["d"]), _decode(item["P"]), int(item["updates_applied"]))
         state.projectors[(int(item["m"]), int(item["layer"]))] = proj
     for item in doc["buffers"]:
         state.buffers[(int(item["m"]), int(item["layer"]))] = [

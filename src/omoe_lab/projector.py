@@ -21,29 +21,14 @@ from .linalg import require_finite, solve_spd, sym_eigvals
 @dataclass
 class OrthoProjector:
     d: int
-    alpha0: float = 1e-3
-    lam: float = 0.9
-    n_total: int = 1
     P: np.ndarray = field(default=None)  # type: ignore[assignment]
     updates_applied: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ContractViolation("projector dimension must be >= 1")
-        if self.alpha0 <= 0:
-            raise ContractViolation("alpha0 must be positive")
-        if not (0 < self.lam <= 1):
-            raise ContractViolation("lambda must lie in (0, 1]")
         if self.P is None:
             self.P = np.eye(self.d)
-
-    def alpha_at(self, i: int) -> float:
-        """Decayed regularizer alpha0 * lam^(i / n_total) for batch index i."""
-        if self.n_total == 0:
-            raise ContractViolation("n_total must be nonzero for the decay schedule")
-        if not (0 <= i <= self.n_total):
-            raise ContractViolation(f"batch index {i} outside [0, {self.n_total}]")
-        return self.alpha0 * self.lam ** (i / self.n_total)
 
     def rls_update(self, xbar: np.ndarray, alpha: float) -> None:
         """Rank-one shrink: P <- P - (P x)(x^T P) / (alpha + x^T P x).
@@ -69,12 +54,7 @@ class OrthoProjector:
         return int(np.sum(sym_eigvals(self.P) > tau))
 
     def copy(self) -> "OrthoProjector":
-        return OrthoProjector(self.d, self.alpha0, self.lam, self.n_total,
-                              self.P.copy(), self.updates_applied)
-
-
-def new_projector(d: int, alpha0: float = 1e-3, lam: float = 0.9, n_total: int = 1) -> OrthoProjector:
-    return OrthoProjector(d=d, alpha0=alpha0, lam=lam, n_total=n_total)
+        return OrthoProjector(self.d, self.P.copy(), self.updates_applied)
 
 
 def direct_projector(a: np.ndarray, alpha: float) -> np.ndarray:

@@ -40,14 +40,6 @@ class Dataset:
         return self.X.shape[0]
 
 
-@dataclass
-class BatchPlan:
-    seed: int
-    batch_size: int
-    epochs: int = 1
-    shuffle: bool = True
-
-
 def gen_subspace_clusters(rng: Rng, K: int, d_raw: int, n_per_cluster: int,
                           subspace_dim: int, noise_std: float = 0.0) -> Dataset:
     """K classes, class k living in its own ``subspace_dim``-dim subspace.
@@ -167,15 +159,12 @@ def _is_float(s: str) -> bool:
         return False
 
 
-def batches(dataset: Dataset, plan: BatchPlan):
-    """Deterministic per-epoch shuffled mini-batches; final partial batch kept."""
-    if plan.batch_size > dataset.n:
+def batches(dataset: Dataset, seed: int, epoch: int, batch_size: int):
+    """One epoch of mini-batches, shuffled deterministically in (seed, epoch);
+    the final partial batch is kept."""
+    if batch_size > dataset.n:
         raise ContractViolation("batch_size cannot exceed dataset size")
-    for epoch in range(plan.epochs):
-        if plan.shuffle:
-            perm = np.random.default_rng([plan.seed, epoch]).permutation(dataset.n)
-        else:
-            perm = np.arange(dataset.n)
-        for start in range(0, dataset.n, plan.batch_size):
-            idx = perm[start:start + plan.batch_size]
-            yield dataset.X[idx], dataset.y[idx]
+    perm = np.random.default_rng([seed, epoch]).permutation(dataset.n)
+    for start in range(0, dataset.n, batch_size):
+        idx = perm[start:start + batch_size]
+        yield dataset.X[idx], dataset.y[idx]

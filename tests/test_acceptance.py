@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from omoe_lab import (Rng, compare_optimizers, diverse_degree, direct_projector,
-                      grad_check, init_model, make_config, model_forward, make_optimizer,
-                      new_omoe_state, new_projector, predict_o_step_macs, run,
-                      step_dispatch)
+from omoe_lab import (OrthoProjector, Rng, compare_optimizers, diverse_degree,
+                      direct_projector, grad_check, init_model, make_config, model_forward,
+                      make_optimizer, new_omoe_state, predict_o_step_macs, run, step_dispatch)
 from omoe_lab.cli import main as cli_main
 from omoe_lab.harness import ablate_skip
 from omoe_lab.linalg import sym_eigvals
@@ -48,7 +47,7 @@ def test_criterion_01_woodbury_equivalence():
         alpha = float(rng.choice([1.0, 1e-2, 1e-4]))
         cols = rng.normal(size=(d, m))
         cols *= rng.uniform(0.1, 10.0, size=m) / np.linalg.norm(cols, axis=0)
-        proj = new_projector(d)
+        proj = OrthoProjector(d)
         for j in range(m):
             proj.rls_update(cols[:, j], alpha)
         oracle = direct_projector(cols, alpha)
@@ -71,7 +70,7 @@ def test_criterion_02_projector_invariants():
         alpha = float(10.0 ** rng.uniform(-4, np.log10(1e-3)))  # <= 1e-3
         cols = rng.normal(size=(d, m))
         cols /= np.linalg.norm(cols, axis=0)
-        proj = new_projector(d)
+        proj = OrthoProjector(d)
         prev_rank = proj.effective_rank(0.5)
         for j in range(m):
             proj.rls_update(cols[:, j], alpha)

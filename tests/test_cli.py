@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from omoe_lab import Rng, init_model, save_model
+from omoe_lab import Rng, gen_piecewise_regression, init_model, save_model, write_csv
 from omoe_lab.cli import main
 from omoe_lab.model import ModelDims
 
@@ -13,6 +14,12 @@ TINY = {
     "train": {"epochs": 1, "batch_size": 16},
     "seeds": [0],
 }
+
+
+# a tiny piecewise-regression task; later overrides of the same key win
+REGRESSION = ["--override", "task.kind=piecewise_regression", "--override", "task.pieces=3",
+              "--override", "task.n=100", "--override", "train.loss=mse",
+              "--override", "model.c=1"]
 
 
 @pytest.fixture
@@ -117,6 +124,22 @@ class TestErrorPaths:
         (["train", "--override", "task.kind=csv", "--override", "task.path=x.csv",
           "--override", 'task.feature_columns=["f0", "f1"]', "--override", "task.target_column=y"],
          "task.d_raw"),
+        (["train", "--override", "train.loss=xyz"], "train.loss"),
+        (["train", "--override", "model.init=foo"], "model.init"),
+        (["train", "--override", "model.d=0"], "model.d"),
+        (["train", "--override", "model.h=0"], "model.h"),
+        (["train", "--override", "model.c=0"], "model.c: must be"),
+        (["train", "--override", "task.d_raw=0"], "task.d_raw"),
+        (["train", "--override", "omoe.alpha0=0"], "omoe.alpha0"),
+        (["train", "--override", "omoe.lambda=0"], "omoe.lambda"),
+        (["train", "--override", "omoe.lambda=1.5"], "omoe.lambda"),
+        (["train", *REGRESSION, "--override", "task.n=0"], "task.n"),
+        (["train", "--override", "task.n_per_cluster=0"], "task.n_per_cluster"),
+        (["train", *REGRESSION, "--override", "task.pieces=1"], "task.pieces"),
+        (["train", "--override", "task.K=1"], "task.K"),
+        (["train", "--override", "task.subspace_dim=13"], "task.subspace_dim"),
+        (["train", "--override", "train.eval_fraction=-1"], "train.eval_fraction"),
+        (["train", "--override", "train.eval_fraction=1.0"], "train.eval_fraction"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2
@@ -144,6 +167,36 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "SingleExpertError"
         assert "M >= 2" in err["error"]["message"]
+
+
+class TestRegression:
+    @staticmethod
+    def check(report, n_rows, s):
+        """A finite report whose step counts follow the s-schedule and whose
+        eval score, the negated mean squared error, is at most 0."""
+        rec = report["per_seed"][0]
+        n_train = n_rows - max(1, int(n_rows * report["config"]["train"]["eval_fraction"]))
+        steps = math.ceil(n_train / report["config"]["train"]["batch_size"])
+        assert rec["step_counts"] == {"R": steps - steps // s, "O": steps // s}
+        assert rec["final_eval_score"] <= 0
+        assert all(math.isfinite(v) for v in rec["loss_curve"] + rec["eval_curve"])
+
+    def test_piecewise_mse(self, tiny_config_path, capsys):
+        assert main(["train", "--config", tiny_config_path, *REGRESSION,
+                     "--override", "omoe.s=2"]) == 0
+        self.check(json.loads(capsys.readouterr().out), 100, 2)
+
+    def test_csv_real_targets(self, tiny_config_path, tmp_path, capsys):
+        # a CSV task's targets are parsed as reals when train.loss is mse
+        path = tmp_path / "regression.csv"
+        write_csv(gen_piecewise_regression(Rng(0), 3, 12, 100), path)
+        columns = json.dumps([f"f{i}" for i in range(12)])
+        assert main(["train", "--config", tiny_config_path, "--override", "task.kind=csv",
+                     "--override", f"task.path={path}",
+                     "--override", f"task.feature_columns={columns}",
+                     "--override", "task.target_column=target", "--override", "train.loss=mse",
+                     "--override", "model.c=1", "--override", "omoe.s=2"]) == 0
+        self.check(json.loads(capsys.readouterr().out), 100, 2)
 
 
 class TestOtherSubcommands:

@@ -1,0 +1,22 @@
+"""The demos import only names that omoe_lab has; no demo is run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_imports_exist(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "omoe_lab"]
+    assert imports, "a demo imports from omoe_lab"
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module} has no {alias.name}"

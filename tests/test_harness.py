@@ -7,6 +7,7 @@ import pytest
 from omoe_lab import (DEFAULT_CONFIG, ablate_experts, ablate_skip, compare_optimizers,
                       make_config, overhead_report, predict_o_step_macs, run, train_single)
 from omoe_lab.errors import ConfigError
+from omoe_lab import harness
 from omoe_lab.harness import validate_config
 from omoe_lab.optim import (average_projector_macs, projection_macs, rls_update_macs)
 
@@ -77,6 +78,24 @@ class TestConfig:
                    "target_column": "y"}}, "task.feature_columns"),
         ({"task": {"kind": "csv", "path": "x.csv", "feature_columns": ["f0", "f1"],
                    "target_column": "y"}}, r"task\.feature_columns.*task\.d_raw"),
+        ({"train": {"loss": "xyz"}}, "train.loss"),
+        ({"model": {"init": "foo"}}, "model.init"),
+        ({"model": {"d": 0}}, "model.d"),
+        ({"model": {"h": 0}}, "model.h"),
+        ({"model": {"c": 0}}, r"model\.c: must be"),
+        ({"task": {"d_raw": 0}}, "task.d_raw"),
+        ({"omoe": {"alpha0": 0}}, "omoe.alpha0"),
+        ({"omoe": {"lambda": 0}}, "omoe.lambda"),
+        ({"omoe": {"lambda": 1.5}}, "omoe.lambda"),
+        ({"task": {"n_per_cluster": 0}}, "task.n_per_cluster"),
+        ({"task": {"kind": "piecewise_regression", "pieces": 3, "n": 0},
+          "train": {"loss": "mse"}, "model": {"c": 1}}, "task.n"),
+        ({"task": {"kind": "piecewise_regression", "pieces": 1, "n": 100},
+          "train": {"loss": "mse"}, "model": {"c": 1}}, "task.pieces"),
+        ({"task": {"K": 1}}, "task.K"),
+        ({"task": {"subspace_dim": 33}}, r"task\.subspace_dim.*task\.d_raw"),
+        ({"train": {"eval_fraction": -1}}, "train.eval_fraction"),
+        ({"train": {"eval_fraction": 1.0}}, "train.eval_fraction"),
     ])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
@@ -145,6 +164,20 @@ class TestAblations:
         out = ablate_skip(tiny_config(), [2, 4])
         assert [row["s"] for row in out["table"]] == [2, 4]
         assert out["normalized"][0]["normalized_variance"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("sweep, over", [
+        (lambda cfg: ablate_skip(cfg, [5, 1]), {}),
+        # omoe disabled makes s=1 valid for the baseline side only
+        (lambda cfg: ablate_experts(cfg, [2, 3]), {"omoe__enabled": False, "omoe__s": 1}),
+        (lambda cfg: compare_optimizers(cfg, ["sgd", "adam"]),
+         {"omoe__enabled": False, "omoe__s": 1}),
+    ], ids=["ablate_skip", "ablate_experts", "compare_optimizers"])
+    def test_bad_variant_rejected_before_training(self, monkeypatch, sweep, over):
+        def never(cfg, seed):
+            raise AssertionError("a variant trained before every variant was validated")
+        monkeypatch.setattr(harness, "train_single", never)
+        with pytest.raises(ConfigError, match="omoe.s"):
+            sweep(tiny_config(**over))
 
     def test_ablate_skip_duplicates_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

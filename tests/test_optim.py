@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,17 @@ class TestOptimizerCheckpoint:
             step_dispatch(resumed_state, resumed_model, X, y)
         for name in model.param_names():
             np.testing.assert_array_equal(model.params[name], resumed_model.params[name])
+
+    @pytest.mark.parametrize("key, bad", [("alpha0", 0.0), ("lam", 0.0), ("lam", 1.5),
+                                          ("n_total", 0)])
+    def test_bad_schedule_rejected(self, tmp_path, key, bad):
+        path = tmp_path / "opt.json"
+        save_optimizer(make_state(small_model(M=2)), path)
+        doc = json.loads(path.read_text())
+        doc[key] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation):
+            load_optimizer(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

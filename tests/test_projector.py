@@ -1,67 +1,73 @@
 import numpy as np
 import pytest
 
-from omoe_lab import OrthoProjector, direct_projector, new_projector
+from omoe_lab import (OMoEState, OrthoProjector, direct_projector, make_optimizer,
+                      new_omoe_state)
 from omoe_lab.errors import ContractViolation
 from omoe_lab.linalg import sym_eigvals
+from tests.test_model import small_model
 
 
 class TestConstruction:
     def test_starts_at_identity(self):
-        p = new_projector(3)
+        p = OrthoProjector(3)
         np.testing.assert_array_equal(p.P, np.eye(3))
 
     def test_identity_spectrum(self):
-        np.testing.assert_allclose(sym_eigvals(new_projector(3).P), np.ones(3))
+        np.testing.assert_allclose(sym_eigvals(OrthoProjector(3).P), np.ones(3))
 
     def test_fresh_effective_rank(self):
-        assert new_projector(3).effective_rank(0.5) == 3
+        assert OrthoProjector(3).effective_rank(0.5) == 3
 
     def test_bad_dimension(self):
         with pytest.raises(ContractViolation):
-            new_projector(0)
+            OrthoProjector(0)
 
     def test_bad_alpha0(self):
-        with pytest.raises(ContractViolation):
-            OrthoProjector(3, alpha0=0.0)
+        with pytest.raises(ContractViolation, match="alpha0"):
+            new_omoe_state(make_optimizer("sgd", 0.1), small_model(M=2), s=2, n_total=10,
+                           alpha0=0.0)
 
     def test_bad_lambda(self):
-        with pytest.raises(ContractViolation):
-            OrthoProjector(3, lam=1.5)
+        with pytest.raises(ContractViolation, match="lambda"):
+            new_omoe_state(make_optimizer("sgd", 0.1), small_model(M=2), s=2, n_total=10,
+                           lam=1.5)
+
+
+def decay_state(n_total=10, **schedule):
+    """An OMoE state holding only the alpha schedule: alpha0 and lam given by ``schedule``."""
+    return OMoEState(base=make_optimizer("sgd", 0.1), M=2, s=2, n_total=n_total, **schedule)
 
 
 class TestAlphaDecay:
     def test_at_zero(self):
-        p = OrthoProjector(2, alpha0=1e-3, lam=0.5, n_total=10)
-        assert p.alpha_at(0) == 1e-3
+        assert decay_state(alpha0=1e-3, lam=0.5).alpha_at(0) == 1e-3
 
     def test_at_end(self):
-        p = OrthoProjector(2, alpha0=1e-3, lam=0.5, n_total=10)
-        assert p.alpha_at(10) == pytest.approx(1e-3 * 0.5)
+        assert decay_state(alpha0=1e-3, lam=0.5).alpha_at(10) == pytest.approx(1e-3 * 0.5)
 
     def test_halfway(self):
-        p = OrthoProjector(2, alpha0=1e-3, lam=0.5, n_total=10)
-        assert p.alpha_at(5) == pytest.approx(1e-3 * np.sqrt(0.5), rel=1e-12)
+        assert decay_state(alpha0=1e-3, lam=0.5).alpha_at(5) == \
+            pytest.approx(1e-3 * np.sqrt(0.5), rel=1e-12)
 
     def test_out_of_range(self):
-        p = OrthoProjector(2, n_total=10)
         with pytest.raises(ContractViolation):
-            p.alpha_at(11)
+            decay_state().alpha_at(11)
 
 
 class TestRlsUpdate:
     def test_zero_input_noop(self):
-        p = new_projector(3)
+        p = OrthoProjector(3)
         p.rls_update(np.zeros(3), alpha=1.0)
         np.testing.assert_array_equal(p.P, np.eye(3))
 
     def test_hand_single_axis(self):
-        p = new_projector(2)
+        p = OrthoProjector(2)
         p.rls_update(np.array([1.0, 0.0]), alpha=1.0)
         np.testing.assert_allclose(p.P, np.array([[0.5, 0.0], [0.0, 1.0]]))
 
     def test_hand_both_axes_matches_oracle(self):
-        p = new_projector(2)
+        p = OrthoProjector(2)
         p.rls_update(np.array([1.0, 0.0]), alpha=1.0)
         p.rls_update(np.array([0.0, 1.0]), alpha=1.0)
         np.testing.assert_allclose(p.P, 0.5 * np.eye(2))
@@ -69,14 +75,14 @@ class TestRlsUpdate:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ContractViolation):
-            new_projector(2).rls_update(np.ones(2), alpha=0.0)
+            OrthoProjector(2).rls_update(np.ones(2), alpha=0.0)
 
     def test_rejects_wrong_dim(self):
         with pytest.raises(ContractViolation):
-            new_projector(2).rls_update(np.ones(3), alpha=1.0)
+            OrthoProjector(2).rls_update(np.ones(3), alpha=1.0)
 
     def test_updates_counted(self):
-        p = new_projector(2)
+        p = OrthoProjector(2)
         p.rls_update(np.ones(2), 1.0)
         p.rls_update(np.ones(2), 1.0)
         assert p.updates_applied == 2
@@ -104,7 +110,7 @@ class TestDirectProjector:
     def test_matches_recursion(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(6, 3))
-        p = new_projector(6)
+        p = OrthoProjector(6)
         for j in range(3):
             p.rls_update(a[:, j], alpha=1e-2)
         expected = direct_projector(a, 1e-2)
@@ -124,7 +130,7 @@ class TestInvariants:
     def test_symmetry_and_spectrum(self):
         for seed in range(20):
             d, alpha, cols = self._random_sequence(seed)
-            p = new_projector(d)
+            p = OrthoProjector(d)
             for j in range(cols.shape[1]):
                 p.rls_update(cols[:, j], alpha)
                 assert np.max(np.abs(p.P - p.P.T)) <= 1e-10
@@ -134,7 +140,7 @@ class TestInvariants:
     def test_effective_rank_non_increasing(self):
         for seed in range(10):
             d, _alpha, cols = self._random_sequence(seed)
-            p = new_projector(d)
+            p = OrthoProjector(d)
             prev = p.effective_rank(0.5)
             for j in range(cols.shape[1]):
                 p.rls_update(cols[:, j], 1e-3)
@@ -150,7 +156,7 @@ class TestInvariants:
             alpha = float(10.0 ** rng.uniform(-4, -1))
             a = rng.normal(size=(d, m))
             a /= np.linalg.norm(a, axis=0)
-            p = new_projector(d)
+            p = OrthoProjector(d)
             for j in range(m):
                 p.rls_update(a[:, j], alpha)
             sigma_min = np.linalg.svd(a, compute_uv=False).min()
@@ -160,7 +166,7 @@ class TestInvariants:
                 assert np.linalg.norm(p.P @ col) <= bound * np.linalg.norm(col) + 1e-9
 
     def test_copy_is_independent(self):
-        p = new_projector(3)
+        p = OrthoProjector(3)
         q = p.copy()
         q.rls_update(np.ones(3), 1.0)
         np.testing.assert_array_equal(p.P, np.eye(3))

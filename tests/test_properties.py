@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omoe_lab import direct_projector, new_projector, similar_fraction
+from omoe_lab import OrthoProjector, direct_projector, similar_fraction
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.metrics import expert_param_variance
 
@@ -15,7 +15,7 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 @given(st.integers(2, 8), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=8),
        st.floats(min_value=1e-4, max_value=1.0))
 def test_projector_symmetry_and_spectrum(d, seeds, alpha):
-    proj = new_projector(d)
+    proj = OrthoProjector(d)
     for s in seeds:
         x = np.random.default_rng(s).normal(size=d)
         proj.rls_update(x, alpha)
@@ -29,7 +29,7 @@ def test_projector_symmetry_and_spectrum(d, seeds, alpha):
        st.floats(min_value=1e-3, max_value=1.0))
 def test_recursion_matches_direct_oracle(d, m, seed, alpha):
     cols = np.random.default_rng(seed).normal(size=(d, m))
-    proj = new_projector(d)
+    proj = OrthoProjector(d)
     for j in range(m):
         proj.rls_update(cols[:, j], alpha)
     oracle = direct_projector(cols, alpha)

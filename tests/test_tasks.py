@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omoe_lab import (BatchPlan, Dataset, Rng, batches, gen_piecewise_regression,
+from omoe_lab import (Dataset, Rng, batches, gen_piecewise_regression,
                       gen_subspace_clusters, load_csv, write_csv)
 from omoe_lab.errors import ContractViolation, DataLoadError
 
@@ -133,7 +133,7 @@ def toy_dataset(n=10, d=3):
 class TestBatches:
     def test_full_batch_is_permutation(self):
         ds = toy_dataset(n=10)
-        out = list(batches(ds, BatchPlan(seed=0, batch_size=10, epochs=1)))
+        out = list(batches(ds, seed=0, epoch=0, batch_size=10))
         assert len(out) == 1
         Xb, yb = out[0]
         order = np.lexsort(Xb.T)
@@ -142,33 +142,29 @@ class TestBatches:
 
     def test_replay_determinism(self):
         ds = toy_dataset()
-        a = list(batches(ds, BatchPlan(seed=3, batch_size=4, epochs=2)))
-        b = list(batches(ds, BatchPlan(seed=3, batch_size=4, epochs=2)))
+        def two_epochs():
+            return [batch for epoch in range(2)
+                    for batch in batches(ds, seed=3, epoch=epoch, batch_size=4)]
+        a, b = two_epochs(), two_epochs()
         for (xa, ya), (xb, yb) in zip(a, b):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
 
     def test_partial_final_batch_sizes(self):
         ds = toy_dataset(n=10)
-        sizes = [xb.shape[0] for xb, _ in batches(ds, BatchPlan(seed=0, batch_size=4))]
+        sizes = [xb.shape[0] for xb, _ in batches(ds, seed=0, epoch=0, batch_size=4)]
         assert sizes == [4, 4, 2]
 
     def test_epoch_covers_every_row_once(self):
         ds = toy_dataset(n=10)
-        seen = np.concatenate([yb for _, yb in batches(ds, BatchPlan(seed=1, batch_size=3))])
+        seen = np.concatenate([yb for _, yb in batches(ds, seed=1, epoch=0, batch_size=3)])
         assert seen.shape[0] == 10
         np.testing.assert_array_equal(np.sort(seen), np.sort(ds.y))
 
     def test_oversized_batch_rejected(self):
         ds = toy_dataset(n=5)
         with pytest.raises(ContractViolation):
-            list(batches(ds, BatchPlan(seed=0, batch_size=6)))
-
-    def test_no_shuffle_preserves_order(self):
-        ds = toy_dataset(n=6)
-        out = list(batches(ds, BatchPlan(seed=0, batch_size=3, shuffle=False)))
-        np.testing.assert_array_equal(out[0][0], ds.X[:3])
-        np.testing.assert_array_equal(out[1][0], ds.X[3:])
+            list(batches(ds, seed=0, epoch=0, batch_size=6))
 
 
 class TestDatasetValidation:
