@@ -61,12 +61,13 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
 
 def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     """Analytic gradients of the mean loss plus per-expert input means."""
-    if tape.fingerprint != model.fingerprint():
+    if tape.fingerprint is not None and tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params
     loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
 
-    g = {name: np.zeros_like(p[name]) for name in model.param_names()}
+    g = {name: np.zeros_like(p[name]) for m in range(model.M) if m not in tape.expert_tokens
+         for name in model.expert_names(m)}  # idle experts; every other entry is set below
     g["head.W"] = dlog.T @ tape.y_moe
     g["head.b"] = dlog.sum(axis=0)
     dY = dlog @ p["head.W"]

@@ -128,7 +128,7 @@ def validate_config(cfg: dict) -> None:
         if key not in task:
             raise ConfigError(f"task.{key}: required when task.kind is {task['kind']!r}")
     minima = {"model.d": 1, "model.h": 1, "model.c": 1, "model.M": 1, "task.d_raw": 1,
-              "train.epochs": 1, "train.batch_size": 1}
+              "train.epochs": 1, "train.batch_size": 1, "task.noise_std": 0}
     if task["kind"] == "subspace_clusters":
         minima.update({"task.K": 2, "task.n_per_cluster": 1, "task.subspace_dim": 1})
     if task["kind"] == "piecewise_regression":
@@ -146,6 +146,10 @@ def validate_config(cfg: dict) -> None:
     if not 0 < train["eval_fraction"] < 1:
         raise ConfigError(f"train.eval_fraction: must lie in (0, 1), "
                           f"got {train['eval_fraction']!r}")
+    if task["kind"] in ("subspace_clusters", "piecewise_regression"):  # CSV rows: counted on read
+        n = task["K"] * task["n_per_cluster"] if task["kind"] == "subspace_clusters" else task["n"]
+        if (n_train := n - max(1, int(n * train["eval_fraction"]))) < train["batch_size"]:
+            raise ConfigError(f"train.batch_size: {train['batch_size']} > {n_train} training rows")
     if task["kind"] == "subspace_clusters" and task["subspace_dim"] > task["d_raw"]:
         raise ConfigError(f"task.subspace_dim: {task['subspace_dim']} exceeds "
                           f"task.d_raw = {task['d_raw']}")
@@ -187,7 +191,7 @@ def _optimizer_from_config(cfg: dict):
 
 
 def _eval_score(model: MoEModel, X, y, loss_kind: str):
-    logits, tape = model_forward(model, X)
+    logits, tape = model_forward(model, X, guard=False)
     if loss_kind == "ce":
         score = float(np.mean(np.argmax(logits, axis=1) == y))
     else:
@@ -242,7 +246,7 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
                 step_counts[outcome.kind] += 1
                 epoch_losses.append(outcome.loss)
             else:
-                _, tape = model_forward(model, Xb)
+                _, tape = model_forward(model, Xb, guard=False)
                 grads, _means = backward(model, tape, yb, loss_kind)
                 base.step(model.params, grads.grads)
                 step_counts["R"] += 1

@@ -66,7 +66,7 @@ class BatchTape:
     expert_out: dict               # m -> (n_m, d) expert outputs
     y_moe: np.ndarray              # (N, d) combined MoE output
     logits: np.ndarray             # (N, c) head output
-    fingerprint: float             # stale-tape guard
+    fingerprint: float | None      # stale-tape guard; None if backward runs at once or never
 
 
 @dataclass
@@ -171,8 +171,8 @@ def moe_block_forward(model: MoEModel, Z0: np.ndarray):
     return y_moe, routing, (expert_tokens, expert_pre1, expert_hidden, expert_out)
 
 
-def model_forward(model: MoEModel, X: np.ndarray):
-    """Full forward over a raw batch; returns (logits, BatchTape)."""
+def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
+    """Full forward over a raw batch; returns (logits, BatchTape), fingerprinted if ``guard``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -182,9 +182,9 @@ def model_forward(model: MoEModel, X: np.ndarray):
     Z0 = X @ p["input_map.W"].T + p["input_map.b"]
     y_moe, routing, (tokens, pre1, hidden, out) = moe_block_forward(model, Z0)
     logits = y_moe @ p["head.W"].T + p["head.b"]
-    tape = BatchTape(X=X, Z0=Z0, routing=routing, expert_tokens=tokens,
-                     expert_hidden=hidden, expert_pre1=pre1, expert_out=out,
-                     y_moe=y_moe, logits=logits, fingerprint=model.fingerprint())
+    tape = BatchTape(X=X, Z0=Z0, routing=routing, expert_tokens=tokens, expert_hidden=hidden,
+                     expert_pre1=pre1, expert_out=out, y_moe=y_moe, logits=logits,
+                     fingerprint=model.fingerprint() if guard else None)
     return logits, tape
 
 

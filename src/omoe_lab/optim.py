@@ -72,8 +72,10 @@ class Adam(BaseOptimizer):
 
     def _update(self, name, p, g):
         st = self._buf(name, p)
-        st["m"] = self.beta1 * st["m"] + (1 - self.beta1) * g
-        st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * g * g
+        st["m"] *= self.beta1
+        st["m"] += (1 - self.beta1) * g
+        st["v"] *= self.beta2
+        st["v"] += (1 - self.beta2) * g * g
         mhat = st["m"] / (1 - self.beta1 ** self.t)
         vhat = st["v"] / (1 - self.beta2 ** self.t)
         p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
@@ -87,7 +89,7 @@ class AdamW(Adam):
         self.weight_decay = weight_decay
 
     def _update(self, name, p, g):
-        decay = self.lr * self.weight_decay * p.copy()
+        decay = self.lr * self.weight_decay * p  # a new array, taken before p moves
         super()._update(name, p, g)
         p -= decay
 
@@ -102,7 +104,8 @@ class RMSProp(BaseOptimizer):
 
     def _update(self, name, p, g):
         st = self._buf(name, p)
-        st["v"] = self.rho * st["v"] + (1 - self.rho) * g * g
+        st["v"] *= self.rho
+        st["v"] += (1 - self.rho) * g * g
         p -= self.lr * g / (np.sqrt(st["v"]) + self.eps)
 
 
@@ -160,7 +163,6 @@ class MacCounter:
 class StepOutcome:
     kind: str  # "R" or "O"
     loss: float
-    projected_norms: dict = field(default_factory=dict)  # (m, layer) -> |delta|_F, O only
 
 
 @dataclass
@@ -256,7 +258,6 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
             "set omoe.enabled=false or use M >= 2")
     _drain_buffers(state)
     lr = state.o_lr if state.o_lr is not None else state.base.lr
-    norms = {}
     for m in range(state.M):
         for layer in (1, 2):
             pbar = average_projector(state, m, layer)
@@ -267,9 +268,8 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
             delta = G @ pbar
             model.params[w_name] -= lr * delta
             model.params[b_name] -= lr * grads.grads[b_name]
-            norms[(m, layer)] = float(np.linalg.norm(lr * delta))
     state.e += 1
-    return StepOutcome("O", grads.loss, norms)
+    return StepOutcome("O", grads.loss)
 
 
 def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
@@ -279,7 +279,7 @@ def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
     O steps use the current batch's gradients but do not accumulate its
     input means.
     """
-    _, tape = model_forward(model, X)
+    _, tape = model_forward(model, X, guard=False)
     grads, means = backward(model, tape, targets, loss_kind)
     if state.e % state.s == 0:
         return o_step(state, model, grads)

@@ -140,6 +140,9 @@ class TestErrorPaths:
         (["train", "--override", "task.subspace_dim=13"], "task.subspace_dim"),
         (["train", "--override", "train.eval_fraction=-1"], "train.eval_fraction"),
         (["train", "--override", "train.eval_fraction=1.0"], "train.eval_fraction"),
+        (["train", "--override", "task.noise_std=-1"], "task.noise_std"),
+        (["train", "--override", "train.batch_size=5000"], "train.batch_size"),
+        (["train", *REGRESSION, "--override", "task.n=1"], "train.batch_size"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2

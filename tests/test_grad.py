@@ -90,6 +90,7 @@ class TestBackward:
         X = np.random.default_rng(0).normal(size=(6, model.dims.d_raw))
         _, tape = model_forward(model, X)
         grads, means = backward(model, tape, [0, 1, 2, 0, 1, 2], "ce")
+        assert set(grads.grads) == set(model.param_names())
         for m in (1, 2):
             for suffix in ("W1", "b1", "W2", "b2"):
                 np.testing.assert_array_equal(grads.grads[f"expert{m}.{suffix}"], 0.0)

@@ -96,6 +96,10 @@ class TestConfig:
         ({"task": {"subspace_dim": 33}}, r"task\.subspace_dim.*task\.d_raw"),
         ({"train": {"eval_fraction": -1}}, "train.eval_fraction"),
         ({"train": {"eval_fraction": 1.0}}, "train.eval_fraction"),
+        ({"task": {"noise_std": -1}}, "task.noise_std"),
+        ({"train": {"batch_size": 5000}}, r"train\.batch_size.*training rows"),
+        ({"task": {"kind": "piecewise_regression", "pieces": 3, "n": 1},
+          "train": {"loss": "mse"}, "model": {"c": 1}}, r"train\.batch_size.*training rows"),
     ])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):

@@ -7,7 +7,9 @@ from omoe_lab import (Rng, average_projector, load_optimizer, make_optimizer, mo
                       new_omoe_state, o_step, r_step, save_optimizer, step_dispatch)
 from omoe_lab.errors import ContractViolation, SingleExpertError
 from omoe_lab.grad import Gradients, backward
+from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
+from omoe_lab.model import MoEModel
 from omoe_lab.optim import MacCounter
 from tests.test_model import small_model
 
@@ -45,6 +47,39 @@ class TestBaseOptimizers:
         got = scalar_step("adagrad", 0.1, 1.0, 3.0)
         expected = 1.0 - 0.1 * 3.0 / (3.0 + 1e-10)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["adam", "adamw", "rmsprop", "adagrad"])
+    def test_multi_step_matches_out_of_place_formulas(self, kind):
+        # the reference rebuilds every moment as a new array at each step;
+        # the optimizer's in-place buffers must give the same bits
+        lr, b1, b2, eps, wd, rho, ada_eps = 0.05, 0.9, 0.999, 1e-8, 0.01, 0.99, 1e-10
+        rng = np.random.default_rng(11)
+        p_ref = rng.normal(size=(3, 4))
+        params = {"w": p_ref.copy()}
+        ref = {k: np.zeros((3, 4)) for k in ("m", "v", "G")}
+        opt = make_optimizer(kind, lr)
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 4))
+            opt.step(params, {"w": g})
+            if kind in ("adam", "adamw"):
+                decay = lr * wd * p_ref.copy()
+                ref["m"] = b1 * ref["m"] + (1 - b1) * g
+                ref["v"] = b2 * ref["v"] + (1 - b2) * g * g
+                mhat = ref["m"] / (1 - b1 ** t)
+                vhat = ref["v"] / (1 - b2 ** t)
+                p_ref = p_ref - lr * mhat / (np.sqrt(vhat) + eps)
+                if kind == "adamw":
+                    p_ref = p_ref - decay
+            elif kind == "rmsprop":
+                ref["v"] = rho * ref["v"] + (1 - rho) * g * g
+                p_ref = p_ref - lr * g / (np.sqrt(ref["v"]) + eps)
+            else:
+                ref["G"] = ref["G"] + g * g
+                p_ref = p_ref - lr * g / (np.sqrt(ref["G"]) + ada_eps)
+            np.testing.assert_array_equal(params["w"], p_ref)
+            assert set(opt.state["w"]) == set(opt.moments)
+            for k, buf in opt.state["w"].items():
+                np.testing.assert_array_equal(buf, ref[k])
 
     def test_unknown_kind(self):
         with pytest.raises(ContractViolation):
@@ -286,6 +321,24 @@ class TestDispatchSchedule:
             base_b.step(model_b.params, grads.grads)
         for name in model_a.param_names():
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
+
+    def test_training_paths_skip_fingerprint(self, monkeypatch):
+        # their tapes never leave the call, so no stale-tape guard is computed
+        model = small_model(M=2, routing="dense")
+        state = make_state(model, s=2)
+        rng = np.random.default_rng(4)
+        X, y = rng.normal(size=(4, model.dims.d_raw)), np.array([0, 1, 2, 0])
+
+        def refuse(self):
+            raise AssertionError("fingerprint computed")
+        monkeypatch.setattr(MoEModel, "fingerprint", refuse)
+        assert [step_dispatch(state, model, X, y).kind for _ in range(2)] == ["R", "O"]
+        _eval_score(model, X, y, "ce")
+        # the baseline branch of train_single runs its own forward and backward
+        cfg = make_config({"task": {"K": 2, "d_raw": 4, "subspace_dim": 2, "n_per_cluster": 10},
+                           "model": {"d": 4, "h": 4, "M": 2, "c": 2},
+                           "omoe": {"enabled": False}, "train": {"epochs": 1, "batch_size": 8}})
+        assert train_single(cfg, 0).record["step_counts"]["R"] == 2
 
 
 class TestOptimizerCheckpoint:
