@@ -14,10 +14,7 @@ class SingularMatrixError(ContractViolation):
 
 
 class SingleExpertError(RuntimeError):
-    """Orthogonal steps need at least two experts.
-
-    Remediation: set omoe.enabled=false or use a model with M >= 2.
-    """
+    """Orthogonal steps need at least two experts."""
 
 
 class ConfigError(ValueError):

@@ -83,7 +83,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
         dP[rows, m] = np.sum(dY_m * tape.expert_out[m], axis=1)
         g[f"expert{m}.W2"] = dOut.T @ hidden
         g[f"expert{m}.b2"] = dOut.sum(axis=0)
-        dPre1 = (dOut @ p[f"expert{m}.W2"]) * (tape.expert_pre1[m] > 0)
+        dPre1 = (dOut @ p[f"expert{m}.W2"]) * (hidden > 0)
         g[f"expert{m}.W1"] = dPre1.T @ Z_m
         g[f"expert{m}.b1"] = dPre1.sum(axis=0)
         dZ0[rows] += dPre1 @ p[f"expert{m}.W1"]

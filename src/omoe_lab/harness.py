@@ -25,10 +25,11 @@ from .errors import ConfigError
 from .grad import LOSS_KINDS, backward, loss as loss_fn
 from .linalg import Rng
 from .metrics import diversity_report
-from .model import INIT_MODES, ROUTING_MODES, MoEModel, ModelDims, init_model, model_forward
-from .optim import (AVG_NORMS, MacCounter, OPTIMIZERS, average_projector_macs, make_optimizer,
-                    new_omoe_state, projection_macs, rls_update_macs, step_dispatch)
-from .tasks import Dataset, batches, gen_piecewise_regression, gen_subspace_clusters
+from .model import (INIT_MODES, ROUTING_MODES, MoEModel, ModelDims, init_model, layer_widths,
+                    model_forward, param_shapes)
+from .optim import (AVG_NORMS, OPTIMIZERS, make_optimizer, new_omoe_state, predict_o_step_macs,
+                    step_dispatch)
+from .tasks import Dataset, batches, gen_piecewise_regression, gen_subspace_clusters, load_csv
 
 DEFAULT_CONFIG = {
     "task": {"kind": "subspace_clusters", "K": 4, "d_raw": 32, "subspace_dim": 6,
@@ -41,6 +42,7 @@ DEFAULT_CONFIG = {
     "seeds": [0, 1, 2, 3, 4],
 }
 
+TASK_KINDS = ("subspace_clusters", "piecewise_regression", "csv")
 # task keys beyond the defaults, required by the kinds that use them; the
 # example values give each key its type
 _TASK_REQUIRED = {"piecewise_regression": {"pieces": 3, "n": 1000},
@@ -118,7 +120,8 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"optimizer.{key}: not a parameter of optimizer kind {kind!r}")
     _check_types("optimizer", cfg["optimizer"], taken)
     task, model, omoe, train = cfg["task"], cfg["model"], cfg["omoe"], cfg["train"]
-    for field, value, choices in (("model.routing", model["routing"], ROUTING_MODES),
+    for field, value, choices in (("task.kind", task["kind"], TASK_KINDS),
+                                  ("model.routing", model["routing"], ROUTING_MODES),
                                   ("model.init", model["init"], INIT_MODES),
                                   ("train.loss", train["loss"], LOSS_KINDS),
                                   ("omoe.avg_norm", omoe["avg_norm"], AVG_NORMS)):
@@ -127,7 +130,7 @@ def validate_config(cfg: dict) -> None:
     for key in _TASK_REQUIRED.get(task["kind"], ()):
         if key not in task:
             raise ConfigError(f"task.{key}: required when task.kind is {task['kind']!r}")
-    minima = {"model.d": 1, "model.h": 1, "model.c": 1, "model.M": 1, "task.d_raw": 1,
+    minima = {"model.d": 1, "model.h": 1, "model.c": 1, "model.M": 2, "task.d_raw": 1,
               "train.epochs": 1, "train.batch_size": 1, "task.noise_std": 0}
     if task["kind"] == "subspace_clusters":
         minima.update({"task.K": 2, "task.n_per_cluster": 1, "task.subspace_dim": 1})
@@ -177,17 +180,13 @@ def build_dataset(cfg: dict, rng: Rng) -> Dataset:
         return gen_piecewise_regression(rng, task["pieces"], task["d_raw"],
                                         task["n"], task.get("noise_std", 0.0))
     if task["kind"] == "csv":
-        from .tasks import load_csv
         kind = "regression" if cfg["train"]["loss"] == "mse" else "classification"
         return load_csv(task["path"], task["feature_columns"], task["target_column"], kind)
     raise ConfigError(f"task.kind: unknown kind {task['kind']!r}")
 
 
 def _optimizer_from_config(cfg: dict):
-    opt = dict(cfg["optimizer"])
-    kind = opt.pop("kind")
-    lr = opt.pop("lr")
-    return make_optimizer(kind, lr, **opt)
+    return make_optimizer(**cfg["optimizer"])
 
 
 def _eval_score(model: MoEModel, X, y, loss_kind: str):
@@ -350,8 +349,6 @@ def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
     """Baseline + OMoE run per expert count; emits the improvement table."""
     if not m_values:
         raise ConfigError("m_values must be non-empty")
-    if any(m < 2 for m in m_values):
-        raise ConfigError("every expert count must be >= 2")
     reports = _run_pairs({m: _variant(cfg, "model", M=m) for m in map(int, m_values)})
     rows = []
     for m, pair in reports.items():
@@ -388,25 +385,6 @@ def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
 
 # --- overhead accounting -----------------------------------------------------
 
-def predict_o_step_macs(d: int, h: int, M: int, means_counts: dict) -> MacCounter:
-    """Exact extra multiply-accumulate count for one O step.
-
-    ``means_counts`` maps (expert, layer) to the number of buffered means
-    that step will consume. Layer 1 has input width d and output width h;
-    layer 2 the reverse.
-    """
-    layer_in = {1: d, 2: h}
-    layer_out = {1: h, 2: d}
-    counter = MacCounter()
-    for (_m, layer), n in means_counts.items():
-        counter.rls += n * rls_update_macs(layer_in[layer])
-    for _m in range(M):
-        for layer in (1, 2):
-            counter.average += average_projector_macs(layer_in[layer], M)
-            counter.project += projection_macs(layer_out[layer], layer_in[layer])
-    return counter
-
-
 def overhead_report(cfg: dict) -> dict:
     """Closed-form overhead for the configured shapes.
 
@@ -417,13 +395,14 @@ def overhead_report(cfg: dict) -> dict:
     validate_config(cfg)
     mc = cfg["model"]
     d, h, M, c = mc["d"], mc["h"], mc["M"], mc["c"]
-    d_raw = cfg["task"]["d_raw"]
+    dims = ModelDims(cfg["task"]["d_raw"], d, h, c)
     s = cfg["omoe"]["s"]
-    means_counts = {(m, layer): s - 1 for m in range(M) for layer in (1, 2)}
+    widths = layer_widths(d, h)
+    means_counts = {(m, layer): s - 1 for m in range(M) for layer in widths}
     macs = predict_o_step_macs(d, h, M, means_counts)
-    param_floats = (d * d_raw + d) + M * d + M * (h * d + h + d * h + d) + (c * d + c)
+    param_floats = sum(math.prod(shape) for shape in param_shapes(dims, M).values())
     base_state = OPTIMIZERS[cfg["optimizer"]["kind"]].state_floats(param_floats)
-    projector_floats = M * (d * d + h * h)
+    projector_floats = M * sum(d_in * d_in for d_in, _d_out in widths.values())
     return {
         "macs_rls": macs.rls,
         "macs_average": macs.average,

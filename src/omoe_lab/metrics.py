@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ContractViolation
-from .model import MoEModel, RoutingRecord
+from .model import MoEModel, RoutingRecord, expert_forward, param_shapes
 
 SIMILARITY_THRESHOLD = 1e-3
 
@@ -60,8 +60,7 @@ def model_similar_fraction(model: MoEModel, threshold: float = SIMILARITY_THRESH
 def diverse_degree(model_a: MoEModel, model_b: MoEModel) -> float:
     """Fraction of (expert pair, position) entries where the cross-expert
     difference is strictly larger in model_a than in model_b."""
-    if model_a.M != model_b.M or any(
-            model_a.params[n].shape != model_b.params[n].shape for n in model_a.param_names()):
+    if param_shapes(model_a.dims, model_a.M) != param_shapes(model_b.dims, model_b.M):
         raise ContractViolation("models have mismatched architecture")
     vecs_a = [_expert_vector(model_a, m) for m in range(model_a.M)]
     vecs_b = [_expert_vector(model_b, m) for m in range(model_b.M)]
@@ -77,12 +76,11 @@ def diverse_degree(model_a: MoEModel, model_b: MoEModel) -> float:
 
 def output_variance(model: MoEModel, x) -> float:
     """Variance across experts of their outputs on one raw input sample."""
-    from .model import expert_forward
     if model.M < 2:
         raise ContractViolation("need at least two experts")
     x = np.asarray(x, dtype=np.float64).ravel()
     z0 = model.params["input_map.W"] @ x + model.params["input_map.b"]
-    outs = np.stack([expert_forward(model.params, m, z0[None, :])[2][0]
+    outs = np.stack([expert_forward(model.params, m, z0[None, :])[1][0]
                      for m in range(model.M)])
     return float(np.mean(np.var(outs, axis=0)))
 

@@ -7,21 +7,15 @@ highest-probability expert (ties broken toward the lowest index), ``dense``
 sends every row to every expert. Each expert's output is scaled by its gate
 probability and summed into the rows it received.
 
-Parameters live in a flat name -> float64 array dict:
-
-    input_map.W (d, d_raw)   input_map.b (d,)
-    gate.W      (M, d)
-    expert{m}.W1 (h, d)  expert{m}.b1 (h,)  expert{m}.W2 (d, h)  expert{m}.b2 (d,)
-    head.W      (c, d)   head.b (c,)
-
-Expert parameters are "theta"; everything else is "phi".
+Parameters live in a flat name -> float64 array dict; ``param_shapes`` gives
+each name's shape. Expert parameters are "theta"; everything else is "phi".
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,6 +41,32 @@ class ModelDims:
                 raise ContractViolation(f"dimension {name} must be positive")
 
 
+def layer_widths(d: int, h: int) -> dict[int, tuple[int, int]]:
+    """(input width, output width) of each expert weight layer, keyed by layer."""
+    return {1: (d, h), 2: (h, d)}
+
+
+def param_shapes(dims: ModelDims, M: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter of an M-expert model with ``dims``."""
+    d, c = dims.d, dims.c
+    shapes = {"input_map.W": (d, dims.d_raw), "input_map.b": (d,), "gate.W": (M, d),
+              "head.W": (c, d), "head.b": (c,)}
+    for m in range(M):
+        for layer, (d_in, d_out) in layer_widths(d, dims.h).items():
+            shapes[f"expert{m}.W{layer}"] = (d_out, d_in)
+            shapes[f"expert{m}.b{layer}"] = (d_out,)
+    return shapes
+
+
+def require_shapes(path, what: str, found: dict, shapes: dict) -> None:
+    """Require ``found`` to hold exactly the keys of ``shapes``, each value of that shape."""
+    for key in [*shapes, *found]:
+        got = f"shape {np.shape(found[key])}" if key in found else "no entry"
+        want = f"shape {shapes[key]}" if key in shapes else "no entry"
+        if got != want:
+            raise ContractViolation(f"{path}: {what} {key}: found {got}, expected {want}")
+
+
 @dataclass
 class RoutingRecord:
     mode: str
@@ -62,7 +82,6 @@ class BatchTape:
     routing: RoutingRecord
     expert_tokens: dict            # m -> rows routed to m: index array (top1), slice(None) (dense)
     expert_hidden: dict            # m -> (n_m, h) post-ReLU hidden activations
-    expert_pre1: dict              # m -> (n_m, h) pre-activation of layer 1
     expert_out: dict               # m -> (n_m, d) expert outputs
     y_moe: np.ndarray              # (N, d) combined MoE output
     logits: np.ndarray             # (N, c) head output
@@ -140,11 +159,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def expert_forward(params: dict, m: int, Z: np.ndarray):
-    """Run expert m on rows of Z; returns (pre1, hidden, out)."""
-    pre1 = Z @ params[f"expert{m}.W1"].T + params[f"expert{m}.b1"]
-    hidden = np.maximum(pre1, 0.0)
+    """Run expert m on rows of Z; returns (hidden, out)."""
+    hidden = np.maximum(Z @ params[f"expert{m}.W1"].T + params[f"expert{m}.b1"], 0.0)
     out = hidden @ params[f"expert{m}.W2"].T + params[f"expert{m}.b2"]
-    return pre1, hidden, out
+    return hidden, out
 
 
 def moe_block_forward(model: MoEModel, Z0: np.ndarray):
@@ -156,19 +174,19 @@ def moe_block_forward(model: MoEModel, Z0: np.ndarray):
     N = Z0.shape[0]
     selected = np.argmax(probs, axis=1) if model.routing == "top1" else None
     y_moe = np.zeros((N, model.dims.d))
-    expert_tokens, expert_hidden, expert_pre1, expert_out = {}, {}, {}, {}
+    expert_tokens, expert_hidden, expert_out = {}, {}, {}
     for m in range(model.M):
         # dense rows are a slice, so experts work on views of the batch, not copies
         rows = slice(None) if selected is None else np.flatnonzero(selected == m)
         Z_m = Z0[rows]
         if Z_m.shape[0] == 0:
             continue
-        pre1, hidden, out = expert_forward(p, m, Z_m)
+        hidden, out = expert_forward(p, m, Z_m)
         y_moe[rows] += probs[rows, m][:, None] * out
         expert_tokens[m] = rows
-        expert_pre1[m], expert_hidden[m], expert_out[m] = pre1, hidden, out
+        expert_hidden[m], expert_out[m] = hidden, out
     routing = RoutingRecord(model.routing, probs, selected)
-    return y_moe, routing, (expert_tokens, expert_pre1, expert_hidden, expert_out)
+    return y_moe, routing, (expert_tokens, expert_hidden, expert_out)
 
 
 def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
@@ -180,46 +198,57 @@ def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
         raise ContractViolation("batch must contain at least one row")
     p = model.params
     Z0 = X @ p["input_map.W"].T + p["input_map.b"]
-    y_moe, routing, (tokens, pre1, hidden, out) = moe_block_forward(model, Z0)
+    y_moe, routing, (tokens, hidden, out) = moe_block_forward(model, Z0)
     logits = y_moe @ p["head.W"].T + p["head.b"]
     tape = BatchTape(X=X, Z0=Z0, routing=routing, expert_tokens=tokens, expert_hidden=hidden,
-                     expert_pre1=pre1, expert_out=out, y_moe=y_moe, logits=logits,
+                     expert_out=out, y_moe=y_moe, logits=logits,
                      fingerprint=model.fingerprint() if guard else None)
     return logits, tape
 
 
-# --- checkpoint io: JSON with base64 float64 payloads, bit-exact round trip ---
+# --- checkpoint codec: JSON with base64 float64 payloads, bit-exact round trip ---
 
 def _encode(arr: np.ndarray) -> dict:
+    """``json.dump`` hook: an array as its shape and base64 float64 payload."""
     a = np.ascontiguousarray(arr, dtype=np.float64)
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode(obj: dict) -> np.ndarray:
+def _decode(obj: dict):
+    """``json.load`` hook: the inverse of ``_encode``; any other object stays as it is."""
+    if obj.keys() != {"shape", "data"}:
+        return obj
     raw = base64.b64decode(obj["data"])
     return np.frombuffer(raw, dtype=np.float64).reshape(obj["shape"]).copy()
 
 
-def save_model(model: MoEModel, path) -> None:
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "dims": {"d_raw": model.dims.d_raw, "d": model.dims.d,
-                 "h": model.dims.h, "c": model.dims.c},
-        "M": model.M,
-        "routing": model.routing,
-        "params": {k: _encode(v) for k, v in model.params.items()},
-    }
+def write_checkpoint(path, fmt: str, body: dict) -> None:
+    """Write ``body``, a nest of dicts, lists, scalars and arrays, tagged with format ``fmt``."""
     with open(path, "w") as f:
-        json.dump(doc, f)
+        json.dump({"format": fmt, **body}, f, default=_encode)
+
+
+def read_checkpoint(path, fmt: str) -> dict:
+    """A checkpoint written by ``write_checkpoint`` with format ``fmt``, arrays decoded."""
+    with open(path) as f:
+        try:
+            doc = json.load(f, object_hook=_decode)
+        except ValueError as exc:  # bad JSON, text or payload
+            raise ContractViolation(f"{path}: unreadable checkpoint: {exc}") from None
+    if doc.get("format") != fmt:
+        raise ContractViolation(f"{path}: unknown checkpoint format {doc.get('format')!r}")
+    return doc
+
+
+def save_model(model: MoEModel, path) -> None:
+    write_checkpoint(path, CHECKPOINT_FORMAT, asdict(model))  # dims, M, routing, params
 
 
 def load_model(path) -> MoEModel:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ContractViolation(f"unknown checkpoint format {doc.get('format')!r}")
+    doc = read_checkpoint(path, CHECKPOINT_FORMAT)
     if doc["routing"] not in ROUTING_MODES:
         raise ContractViolation(f"unknown routing mode {doc['routing']!r}")
     dims = ModelDims(**doc["dims"])
-    params = {k: _decode(v) for k, v in doc["params"].items()}
-    return MoEModel(dims, int(doc["M"]), doc["routing"], params)
+    dims.validate()
+    require_shapes(path, "parameter", doc["params"], param_shapes(dims, doc["M"]))
+    return MoEModel(dims, doc["M"], doc["routing"], doc["params"])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ContractViolation, SingleExpertError
 from .grad import ExpertInputMeans, Gradients, backward
-from .model import MoEModel, model_forward
+from .model import (MoEModel, layer_widths, model_forward, read_checkpoint, require_shapes,
+                    write_checkpoint)
 from .projector import OrthoProjector
 
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
@@ -159,6 +160,19 @@ class MacCounter:
         return self.rls + self.average + self.project
 
 
+def predict_o_step_macs(d: int, h: int, M: int, means_counts: dict) -> MacCounter:
+    """Exact extra multiply-accumulate count for one O step.
+
+    ``means_counts`` maps (expert, layer) to the number of buffered means
+    that step will consume.
+    """
+    widths = layer_widths(d, h)
+    return MacCounter(
+        rls=sum(n * rls_update_macs(widths[layer][0]) for (_m, layer), n in means_counts.items()),
+        average=M * sum(average_projector_macs(d_in, M) for d_in, _d_out in widths.values()),
+        project=M * sum(projection_macs(d_out, d_in) for d_in, d_out in widths.values()))
+
+
 @dataclass
 class StepOutcome:
     kind: str  # "R" or "O"
@@ -204,12 +218,11 @@ class OMoEState:
 def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int,
                    alpha0: float = 1e-3, lam: float = 0.9,
                    avg_norm: str = "paper", o_lr: float | None = None) -> OMoEState:
-    layer_dims = {1: model.dims.d, 2: model.dims.h}
     state = OMoEState(base=base, M=model.M, s=s, n_total=n_total,
                       alpha0=alpha0, lam=lam, avg_norm=avg_norm, o_lr=o_lr)
     for m in range(model.M):
-        for layer, dim in layer_dims.items():
-            state.projectors[(m, layer)] = OrthoProjector(dim)
+        for layer, (d_in, _d_out) in layer_widths(model.dims.d, model.dims.h).items():
+            state.projectors[(m, layer)] = OrthoProjector(d_in)
             state.buffers[(m, layer)] = []
     return state
 
@@ -253,20 +266,17 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
     optimizer's moment buffers are not advanced.
     """
     if state.M < 2:
-        raise SingleExpertError(
-            "orthogonal step impossible with a single expert; "
-            "set omoe.enabled=false or use M >= 2")
+        raise SingleExpertError("orthogonal step impossible with a single expert: use M >= 2")
     _drain_buffers(state)
     lr = state.o_lr if state.o_lr is not None else state.base.lr
     for m in range(state.M):
-        for layer in (1, 2):
+        for layer in layer_widths(model.dims.d, model.dims.h):
             pbar = average_projector(state, m, layer)
             w_name = f"expert{m}.W{layer}"
             b_name = f"expert{m}.b{layer}"
             G = grads.grads[w_name]
-            state.mac_counter.project += projection_macs(G.shape[0], G.shape[1])
-            delta = G @ pbar
-            model.params[w_name] -= lr * delta
+            state.mac_counter.project += projection_macs(*G.shape)
+            model.params[w_name] -= lr * (G @ pbar)
             model.params[b_name] -= lr * grads.grads[b_name]
     state.e += 1
     return StepOutcome("O", grads.loss)
@@ -286,7 +296,7 @@ def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
     return r_step(state, model, grads, means)
 
 
-# --- optimizer checkpoint io (same JSON container idiom as model checkpoints) ---
+# --- optimizer checkpoint io (the model checkpoint's codec) ---
 
 OPTIMIZER_CHECKPOINT_FORMAT = "omoe-lab-optimizer-v1"
 # the state's scalar fields, in the order a checkpoint lists them
@@ -294,65 +304,49 @@ _STATE_SCALARS = ("M", "s", "n_total", "alpha0", "lam", "avg_norm", "o_lr", "e",
                   "means_produced", "means_consumed")
 
 
-def _base_to_doc(base: BaseOptimizer) -> dict:
-    from .model import _encode
+def save_optimizer(state: OMoEState, path) -> None:
+    base = state.base
     hyper = {k: v for k, v in base.__dict__.items()
              if k not in ("state", "t") and np.isscalar(v)}
-    return {
-        "kind": base.kind,
-        "t": base.t,
-        "hyper": hyper,
-        "state": {name: {k: _encode(v) for k, v in bufs.items()}
-                  for name, bufs in base.state.items()},
-    }
-
-
-def _base_from_doc(doc: dict) -> BaseOptimizer:
-    from .model import _decode
-    base = make_optimizer(doc["kind"], **doc["hyper"])
-    base.t = int(doc["t"])
-    base.state = {name: {k: _decode(v) for k, v in bufs.items()}
-                  for name, bufs in doc["state"].items()}
-    return base
-
-
-def save_optimizer(state: OMoEState, path) -> None:
-    import json
-
-    from .model import _encode
-    doc = {
-        "format": OPTIMIZER_CHECKPOINT_FORMAT,
-        "base": _base_to_doc(state.base),
+    write_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT, {
+        "base": {"kind": base.kind, "t": base.t, "hyper": hyper, "state": base.state},
         **{key: getattr(state, key) for key in _STATE_SCALARS},
         "projectors": [
             {"m": m, "layer": layer, "d": proj.d,
-             "updates_applied": proj.updates_applied, "P": _encode(proj.P)}
+             "updates_applied": proj.updates_applied, "P": proj.P}
             for (m, layer), proj in state.projectors.items()
         ],
         "buffers": [
             {"m": m, "layer": layer,
-             "entries": [{"i": i, "xbar": _encode(x)} for i, x in entries]}
+             "entries": [{"i": i, "xbar": x} for i, x in entries]}
             for (m, layer), entries in state.buffers.items()
         ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    })
 
 
 def load_optimizer(path) -> OMoEState:
-    import json
-
-    from .model import _decode
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != OPTIMIZER_CHECKPOINT_FORMAT:
-        raise ContractViolation(f"unknown checkpoint format {doc.get('format')!r}")
-    state = OMoEState(base=_base_from_doc(doc["base"]),
-                      **{key: doc[key] for key in _STATE_SCALARS})
+    doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT)
+    base = make_optimizer(doc["base"]["kind"], **doc["base"]["hyper"])
+    base.t = int(doc["base"]["t"])
+    base.state = doc["base"]["state"]
+    state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS})
     for item in doc["projectors"]:
-        proj = OrthoProjector(int(item["d"]), _decode(item["P"]), int(item["updates_applied"]))
+        proj = OrthoProjector(int(item["d"]), item["P"], int(item["updates_applied"]))
         state.projectors[(int(item["m"]), int(item["layer"]))] = proj
     for item in doc["buffers"]:
         state.buffers[(int(item["m"]), int(item["layer"]))] = [
-            (int(e["i"]), _decode(e["xbar"]).ravel()) for e in item["entries"]]
+            (int(e["i"]), e["xbar"]) for e in item["entries"]]
+    # each layer is as wide as the lowest-numbered expert's projector for it says
+    seen = {layer: proj.d for (_m, layer), proj in sorted(state.projectors.items(), reverse=True)}
+    widths = layer_widths(seen.get(1), seen.get(2))
+    require_shapes(path, "projector", {key: proj.P for key, proj in state.projectors.items()},
+                   {(m, layer): (d_in, d_in) for m in range(state.M)
+                    for layer, (d_in, _d_out) in widths.items()})
+    if state.buffers.keys() != state.projectors.keys():
+        raise ContractViolation(f"{path}: buffers and projectors differ in (expert, layer) keys")
+    for key, entries in state.buffers.items():
+        for i, xbar in entries:
+            if np.shape(xbar) != (state.projectors[key].d,):
+                raise ContractViolation(f"{path}: mean {i} buffered for {key} has shape "
+                                        f"{np.shape(xbar)}, not ({state.projectors[key].d},)")
     return state

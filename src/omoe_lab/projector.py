@@ -29,6 +29,8 @@ class OrthoProjector:
             raise ContractViolation("projector dimension must be >= 1")
         if self.P is None:
             self.P = np.eye(self.d)
+        if np.shape(self.P) != (self.d, self.d):
+            raise ContractViolation(f"P of shape {np.shape(self.P)} does not fit dimension {self.d}")
 
     def rls_update(self, xbar: np.ndarray, alpha: float) -> None:
         """Rank-one shrink: P <- P - (P x)(x^T P) / (alpha + x^T P x).

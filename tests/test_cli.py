@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from omoe_lab import Rng, gen_piecewise_regression, init_model, save_model, write_csv
+from omoe_lab import (Rng, gen_piecewise_regression, gen_subspace_clusters, init_model,
+                      save_model, write_csv)
 from omoe_lab.cli import main
 from omoe_lab.model import ModelDims
 
@@ -143,6 +144,9 @@ class TestErrorPaths:
         (["train", "--override", "task.noise_std=-1"], "task.noise_std"),
         (["train", "--override", "train.batch_size=5000"], "train.batch_size"),
         (["train", *REGRESSION, "--override", "task.n=1"], "train.batch_size"),
+        (["train", "--override", "model.M=1"], "model.M"),
+        (["ablate-skip", "--s-values", "2", "--override", "model.M=1"], "model.M"),
+        (["overhead", "--override", "task.kind=bogus"], "task.kind"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2
@@ -161,15 +165,28 @@ class TestErrorPaths:
         assert not (out / "run_report.json").exists()
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
-        # M=1 with omoe enabled hits SingleExpertError mid-run: a runtime failure
+        # a CSV task's rows are counted only once the file is read, so fewer
+        # training rows than train.batch_size is a runtime failure
+        data = tmp_path / "small.csv"
+        write_csv(gen_subspace_clusters(Rng(0), 3, 12, 3, 3), data)  # 9 rows, 8 to train
         cfg = json.loads(json.dumps(TINY))
-        cfg["model"]["M"] = 1
+        cfg["task"].update(kind="csv", path=str(data), target_column="target",
+                           feature_columns=[f"f{i}" for i in range(12)])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 3
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "SingleExpertError"
-        assert "M >= 2" in err["error"]["message"]
+        assert err["error"]["type"] == "ContractViolation"
+        assert "batch_size" in err["error"]["message"]
+
+    def test_truncated_model_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        save_model(init_model(Rng(1), ModelDims(6, 4, 4, 3), 3), path)
+        path.write_text(path.read_text()[:200])
+        assert main(["metrics", "--model-a", str(path), "--model-b", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ContractViolation"
+        assert "a.json" in err["error"]["message"]
 
 
 class TestRegression:

@@ -100,6 +100,8 @@ class TestConfig:
         ({"train": {"batch_size": 5000}}, r"train\.batch_size.*training rows"),
         ({"task": {"kind": "piecewise_regression", "pieces": 3, "n": 1},
           "train": {"loss": "mse"}, "model": {"c": 1}}, r"train\.batch_size.*training rows"),
+        ({"model": {"M": 1}}, r"model\.M: must be >= 2"),
+        ({"task": {"kind": "bogus"}}, "task.kind"),
     ])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):

@@ -97,7 +97,7 @@ class TestMoEForward:
     def test_single_expert_full_weight(self):
         model = small_model(M=1)
         x = np.ones(model.dims.d)
-        y, routing, (tokens, _, hidden, _) = moe_block_forward(model, x[None, :])
+        y, routing, (tokens, hidden, _) = moe_block_forward(model, x[None, :])
         assert routing.weights[0, 0] == pytest.approx(1.0)
         # direct expert evaluation
         p = model.params
@@ -204,4 +204,41 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ContractViolation):
+            load_model(path)
+
+    def test_file_layout(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        assert list(json.loads(path.read_text())) == ["format", "dims", "M", "routing", "params"]
+
+    def test_load_then_save_reproduces_file(self, tmp_path):
+        model = small_model(seed=3, M=2, routing="dense")
+        save_model(model, tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        path.write_text(path.read_text()[:300])
+        with pytest.raises(ContractViolation, match="model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["params"].pop("expert2.W2"), "expert2.W2: found no entry"),
+        (lambda doc: doc["params"].update(extra=doc["params"]["head.b"]), "extra"),
+        (lambda doc: doc["params"]["head.b"].update(shape=[1, 3]),
+         r"head\.b: found shape \(1, 3\)"),
+        (lambda doc: doc.update(M=5), r"gate\.W.*expected shape \(5, 4\)"),
+        (lambda doc: doc["dims"].update(h=6), "expert0.W1"),
+        (lambda doc: doc["dims"].update(d=0), "dimension d"),
+    ], ids=["missing", "unexpected", "wrong_shape", "wrong_M", "wrong_dims", "zero_dim"])
+    def test_bad_parameters_named(self, tmp_path, edit, field):
+        # small_model: d_raw=6, d=4, h=5, c=3, M=3
+        path = tmp_path / "model.json"
+        save_model(small_model(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation, match=field):
             load_model(path)

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from omoe_lab.grad import Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.model import MoEModel
-from omoe_lab.optim import MacCounter
+from omoe_lab.optim import _STATE_SCALARS, MacCounter
 from tests.test_model import small_model
 
 
@@ -341,6 +342,11 @@ class TestDispatchSchedule:
         assert train_single(cfg, 0).record["step_counts"]["R"] == 2
 
 
+def payload(arr):
+    """An array as a checkpoint file stores it."""
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
 class TestOptimizerCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = small_model(M=2, routing="dense")
@@ -403,6 +409,55 @@ class TestOptimizerCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "nope"}')
         with pytest.raises(ContractViolation):
+            load_optimizer(path)
+
+    @staticmethod
+    def buffered_state():
+        """A dense M=2 state (d=4, h=5) two R steps in, so every buffer holds two means."""
+        model = small_model(M=2, routing="dense")
+        state = make_state(model, s=3, base_kind="adamw", lr=1e-3, alpha0=0.7, lam=0.8)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            step_dispatch(state, model, rng.normal(size=(4, model.dims.d_raw)), [0, 1, 2, 0])
+        assert all(len(entries) == 2 for entries in state.buffers.values())
+        return state
+
+    def test_file_layout(self, tmp_path):
+        path = tmp_path / "opt.json"
+        save_optimizer(self.buffered_state(), path)
+        assert list(json.loads(path.read_text())) == \
+            ["format", "base", *_STATE_SCALARS, "projectors", "buffers"]
+
+    def test_load_then_save_reproduces_file(self, tmp_path):
+        save_optimizer(self.buffered_state(), tmp_path / "a.json")
+        save_optimizer(load_optimizer(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "opt.json"
+        save_optimizer(self.buffered_state(), path)
+        path.write_text(path.read_text()[:-10])
+        with pytest.raises(ContractViolation, match="opt.json"):
+            load_optimizer(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["projectors"].pop(3), r"projector \(1, 2\): found no entry"),
+        (lambda doc: doc.update(M=3), r"projector \(2, 1\): found no entry"),
+        (lambda doc: doc["projectors"][3].update(d=6, P=payload(np.eye(6))),
+         r"projector \(1, 2\): found shape \(6, 6\), expected shape \(5, 5\)"),
+        (lambda doc: doc["projectors"][1]["P"].update(shape=[1, 25]), "does not fit dimension 5"),
+        (lambda doc: doc["buffers"].pop(0), "buffers and projectors"),
+        (lambda doc: doc["buffers"][2]["entries"][1]["xbar"].update(shape=[2, 2]),
+         r"mean 2 buffered for \(1, 1\) has shape \(2, 2\), not \(4,\)"),
+    ], ids=["missing_projector", "wrong_M", "wrong_projector_size", "projector_not_square",
+            "missing_buffer", "wrong_mean_length"])
+    def test_bad_layout_named(self, tmp_path, edit, field):
+        path = tmp_path / "opt.json"
+        save_optimizer(self.buffered_state(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation, match=field):
             load_optimizer(path)
 
 
