@@ -65,43 +65,38 @@ def _write(out_dir: str | None, name: str, payload: dict) -> None:
         print(text)
 
 
-def _parse_int_lists(args) -> None:
-    """Turn the comma-separated integer flags into lists; a bad entry is a ConfigError."""
-    for dest in ("seeds", "s_values", "m_values"):
-        raw = getattr(args, dest, None)
-        if raw is None:
-            continue
-        try:
-            setattr(args, dest, [int(v) for v in raw.split(",")])
-        except ValueError:
-            flag = "--" + dest.replace("_", "-")
-            raise ConfigError(f"{flag}: expected comma-separated integers, got {raw!r}") from None
+def _parse_list(flag: str, raw: str, parse) -> list:
+    """The comma-separated entries of ``flag``'s value; a bad entry is a ConfigError."""
+    try:
+        return [parse(v) for v in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated integers, got {raw!r}") from None
 
 
-def cmd_train(args):
-    cfg = _load_config(args)
-    _write(args.out, "run_report.json", run(cfg))
+# config subcommand -> (help, report file, harness function, (flag, entry type, help) or None)
+COMMANDS = {
+    "train": ("train per the config and emit a run report", "run_report.json", run, None),
+    "ablate-skip": ("sweep the skipping step s", "ablate_skip.json", ablate_skip,
+                    ("--s-values", int, "comma-separated s values")),
+    "ablate-experts": ("sweep the expert count M", "ablate_experts.json", ablate_experts,
+                       ("--m-values", int, "comma-separated expert counts")),
+    "compare-optimizers": ("paired baseline/OMoE runs per optimizer", "compare_optimizers.json",
+                           compare_optimizers, ("--kinds", str, "comma-separated optimizer kinds")),
+    "overhead": ("closed-form O-step cost and memory accounting", "overhead.json",
+                 overhead_report, None),
+}
 
 
-def cmd_ablate_skip(args):
-    cfg = _load_config(args)
-    _write(args.out, "ablate_skip.json", ablate_skip(cfg, args.s_values))
-
-
-def cmd_ablate_experts(args):
-    cfg = _load_config(args)
-    _write(args.out, "ablate_experts.json", ablate_experts(cfg, args.m_values))
-
-
-def cmd_compare_optimizers(args):
-    cfg = _load_config(args)
-    _write(args.out, "compare_optimizers.json",
-           compare_optimizers(cfg, args.kinds.split(",")))
-
-
-def cmd_overhead(args):
-    cfg = _load_config(args)
-    _write(args.out, "overhead.json", overhead_report(cfg))
+def cmd_config(args):
+    """Run a config-driven subcommand; its list flags are parsed before the config is loaded."""
+    _help, report, make_report, list_flag = COMMANDS[args.command]
+    if args.seeds is not None:
+        args.seeds = _parse_list("--seeds", args.seeds, int)
+    values = []
+    if list_flag:
+        flag, parse, _flag_help = list_flag
+        values.append(_parse_list(flag, getattr(args, flag[2:].replace("-", "_")), parse))
+    _write(args.out, report, make_report(_load_config(args), *values))
 
 
 def cmd_metrics(args):
@@ -124,35 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omoe-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, (help_text, _report, _make_report, list_flag) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
         p.add_argument("--out", help="output directory (prints to stdout when omitted)")
         p.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument("--override", action="append",
                        help="dotted-path override, e.g. omoe.s=10")
-
-    p = sub.add_parser("train", help="train per the config and emit a run report")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("ablate-skip", help="sweep the skipping step s")
-    common(p)
-    p.add_argument("--s-values", required=True, help="comma-separated s values")
-    p.set_defaults(func=cmd_ablate_skip)
-
-    p = sub.add_parser("ablate-experts", help="sweep the expert count M")
-    common(p)
-    p.add_argument("--m-values", required=True, help="comma-separated expert counts")
-    p.set_defaults(func=cmd_ablate_experts)
-
-    p = sub.add_parser("compare-optimizers", help="paired baseline/OMoE runs per optimizer")
-    common(p)
-    p.add_argument("--kinds", required=True, help="comma-separated optimizer kinds")
-    p.set_defaults(func=cmd_compare_optimizers)
-
-    p = sub.add_parser("overhead", help="closed-form O-step cost and memory accounting")
-    common(p)
-    p.set_defaults(func=cmd_overhead)
+        if list_flag:
+            flag, _parse, flag_help = list_flag
+            p.add_argument(flag, required=True, help=flag_help)
+        p.set_defaults(func=cmd_config)
 
     p = sub.add_parser("metrics", help="diversity report from two model checkpoints")
     p.add_argument("--model-a", required=True)
@@ -166,16 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _parse_int_lists(args)
         args.func(args)
-    except (ConfigError, DataLoadError) as exc:
+    except Exception as exc:  # config and data errors exit 2, any other failure 3
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except Exception as exc:  # runtime failures -> exit 3, still machine-readable
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(exc, (ConfigError, DataLoadError)) else 3
     return 0
 
 

@@ -321,12 +321,16 @@ def _run_pairs(variants: dict) -> dict:
     return {key: {side: run(v) for side, v in pair.items()} for key, pair in pairs.items()}
 
 
+def _require_distinct(name: str, values: list) -> None:
+    if not values:
+        raise ConfigError(f"{name} must be non-empty")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate {name} rejected: {values!r}")
+
+
 def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
     """One run per skipping step; emits raw and normalized variance series."""
-    if not s_values:
-        raise ConfigError("s_values must be non-empty")
-    if len(set(s_values)) != len(s_values):
-        raise ConfigError("duplicate s values rejected")
+    _require_distinct("s_values", s_values)
     if not cfg["omoe"]["enabled"]:
         raise ConfigError("omoe must be enabled for the skip-step ablation")
     # OMoE only: the baseline does not depend on s
@@ -347,8 +351,7 @@ def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
 
 def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
     """Baseline + OMoE run per expert count; emits the improvement table."""
-    if not m_values:
-        raise ConfigError("m_values must be non-empty")
+    _require_distinct("m_values", m_values)
     reports = _run_pairs({m: _variant(cfg, "model", M=m) for m in map(int, m_values)})
     rows = []
     for m, pair in reports.items():
@@ -364,8 +367,7 @@ _LR_DEFAULTS = {"sgd": 0.1, "adam": 1e-3, "adamw": 1e-3, "rmsprop": 1e-3, "adagr
 
 def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
     """Paired baseline / OMoE-wrapped scores for each base optimizer kind."""
-    if not kinds:
-        raise ConfigError("kinds must be non-empty")
+    _require_distinct("kinds", kinds)
     unknown = [k for k in kinds if k not in OPTIMIZERS]
     if unknown:
         raise ConfigError(f"optimizer.kind: unknown kind {unknown[0]!r}")

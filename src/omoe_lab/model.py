@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,6 +56,16 @@ def param_shapes(dims: ModelDims, M: int) -> dict[str, tuple[int, ...]]:
             shapes[f"expert{m}.W{layer}"] = (d_out, d_in)
             shapes[f"expert{m}.b{layer}"] = (d_out,)
     return shapes
+
+
+def require_keys(path, what: str, found, keys) -> None:
+    """Require ``found`` to be a dict holding exactly the keys ``keys``."""
+    if not isinstance(found, dict):
+        raise ContractViolation(f"{path}: {what}: not a JSON object")
+    for key in [*keys, *found]:
+        if (key in keys) != (key in found):
+            raise ContractViolation(f"{path}: {what}: "
+                                    f"{'missing' if key in keys else 'unexpected'} key {key!r}")
 
 
 def require_shapes(path, what: str, found: dict, shapes: dict) -> None:
@@ -228,15 +238,17 @@ def write_checkpoint(path, fmt: str, body: dict) -> None:
         json.dump({"format": fmt, **body}, f, default=_encode)
 
 
-def read_checkpoint(path, fmt: str) -> dict:
-    """A checkpoint written by ``write_checkpoint`` with format ``fmt``, arrays decoded."""
+def read_checkpoint(path, fmt: str, keys) -> dict:
+    """A checkpoint written by ``write_checkpoint`` with format ``fmt`` and body ``keys``."""
     with open(path) as f:
         try:
             doc = json.load(f, object_hook=_decode)
-        except ValueError as exc:  # bad JSON, text or payload
+        except (TypeError, ValueError) as exc:  # bad JSON, text or payload
             raise ContractViolation(f"{path}: unreadable checkpoint: {exc}") from None
-    if doc.get("format") != fmt:
-        raise ContractViolation(f"{path}: unknown checkpoint format {doc.get('format')!r}")
+    tag = doc.get("format") if isinstance(doc, dict) else None
+    if tag != fmt:  # checked before the keys: it tells a wrong kind of file apart
+        raise ContractViolation(f"{path}: unknown checkpoint format {tag!r}")
+    require_keys(path, "checkpoint", doc, ("format", *keys))
     return doc
 
 
@@ -245,9 +257,13 @@ def save_model(model: MoEModel, path) -> None:
 
 
 def load_model(path) -> MoEModel:
-    doc = read_checkpoint(path, CHECKPOINT_FORMAT)
+    doc = read_checkpoint(path, CHECKPOINT_FORMAT, ("dims", "M", "routing", "params"))
     if doc["routing"] not in ROUTING_MODES:
-        raise ContractViolation(f"unknown routing mode {doc['routing']!r}")
+        raise ContractViolation(f"{path}: unknown routing mode {doc['routing']!r}")
+    require_keys(path, "dims", doc["dims"], [f.name for f in fields(ModelDims)])
+    for name, value in {"M": doc["M"], **doc["dims"]}.items():
+        if type(value) is not int:  # a JSON true is a bool, not an int
+            raise ContractViolation(f"{path}: {name}: expected an integer, got {value!r}")
     dims = ModelDims(**doc["dims"])
     dims.validate()
     require_shapes(path, "parameter", doc["params"], param_shapes(dims, doc["M"]))

@@ -13,14 +13,15 @@ OMoE alternates two kinds of steps over mini-batches (counter ``e`` starts at
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolation, SingleExpertError
 from .grad import ExpertInputMeans, Gradients, backward
-from .model import (MoEModel, layer_widths, model_forward, read_checkpoint, require_shapes,
-                    write_checkpoint)
+from .model import (ModelDims, MoEModel, layer_widths, model_forward, param_shapes,
+                    read_checkpoint, require_keys, require_shapes, write_checkpoint)
 from .projector import OrthoProjector
 
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
@@ -325,8 +326,14 @@ def save_optimizer(state: OMoEState, path) -> None:
 
 
 def load_optimizer(path) -> OMoEState:
-    doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT)
-    base = make_optimizer(doc["base"]["kind"], **doc["base"]["hyper"])
+    doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT,
+                          ("base", *_STATE_SCALARS, "projectors", "buffers"))
+    require_keys(path, "base", doc["base"], ("kind", "t", "hyper", "state"))
+    kind, hyper = doc["base"]["kind"], doc["base"]["hyper"]
+    if kind not in OPTIMIZERS:
+        raise ContractViolation(f"{path}: base.kind: unknown optimizer kind {kind!r}")
+    require_keys(path, "base.hyper", hyper, inspect.signature(OPTIMIZERS[kind]).parameters)
+    base = make_optimizer(kind, **hyper)
     base.t = int(doc["base"]["t"])
     base.state = doc["base"]["state"]
     state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS})
@@ -342,6 +349,18 @@ def load_optimizer(path) -> OMoEState:
     require_shapes(path, "projector", {key: proj.P for key, proj in state.projectors.items()},
                    {(m, layer): (d_in, d_in) for m in range(state.M)
                     for layer, (d_in, _d_out) in widths.items()})
+    if base.state:  # empty before the first base step, and always for SGD
+        try:  # d_raw and c: the widths of the input map's and the head's first moments
+            d_raw = np.shape(base.state["input_map.W"][base.moments[0]])[1]
+            c = np.shape(base.state["head.W"][base.moments[0]])[0]
+        except (IndexError, KeyError, TypeError):
+            raise ContractViolation(f"{path}: base.state: no {base.kind} moments of rank 2 "
+                                    "for input_map.W and head.W") from None
+        shapes = param_shapes(ModelDims(d_raw, seen.get(1), seen.get(2), c), state.M)
+        require_keys(path, "base.state", base.state, shapes)
+        for name, moments in base.state.items():
+            require_shapes(path, f"base.state {name} moment", moments,
+                           dict.fromkeys(base.moments, shapes[name]))
     if state.buffers.keys() != state.projectors.keys():
         raise ContractViolation(f"{path}: buffers and projectors differ in (expert, layer) keys")
     for key, entries in state.buffers.items():

@@ -118,30 +118,21 @@ def load_csv(path, feature_columns: list[str], target_column: str,
         for col in feature_columns + [target_column]:
             if col not in header:
                 raise DataLoadError(f"missing column {col!r}")
-        fidx = [header.index(c) for c in feature_columns]
-        tidx = header.index(target_column)
+        # (column index, parser) per cell read: float features, then the target
+        cells = [(header.index(c), float) for c in feature_columns]
+        cells.append((header.index(target_column), int if kind == "classification" else float))
         xs, ys = [], []
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataLoadError(f"row {rownum}: expected {len(header)} cells, got {len(row)}")
             try:
-                xs.append([float(row[i]) for i in fidx])
+                values = [parse(row[i]) for i, parse in cells]
             except ValueError:
-                bad = next(i for i in fidx if not _is_float(row[i]))
+                bad = next(i for i, parse in cells if not _parses(row[i], parse))
                 raise DataLoadError(
                     f"row {rownum}, column {header[bad]!r}: unparsable cell {row[bad]!r}") from None
-            cell = row[tidx]
-            if kind == "classification":
-                try:
-                    ys.append(int(cell))
-                except ValueError:
-                    raise DataLoadError(
-                        f"row {rownum}, column {target_column!r}: unparsable cell {cell!r}") from None
-            else:
-                if not _is_float(cell):
-                    raise DataLoadError(
-                        f"row {rownum}, column {target_column!r}: unparsable cell {cell!r}")
-                ys.append(float(cell))
+            ys.append(values.pop())  # the target's cell is the last
+            xs.append(values)
     if not xs:
         raise DataLoadError("no data rows")
     X = np.asarray(xs, dtype=np.float64)
@@ -151,9 +142,9 @@ def load_csv(path, feature_columns: list[str], target_column: str,
     return Dataset(X, np.asarray(ys, dtype=np.float64), "regression")
 
 
-def _is_float(s: str) -> bool:
+def _parses(cell: str, parse) -> bool:
     try:
-        float(s)
+        parse(cell)
         return True
     except ValueError:
         return False

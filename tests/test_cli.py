@@ -147,6 +147,12 @@ class TestErrorPaths:
         (["train", "--override", "model.M=1"], "model.M"),
         (["ablate-skip", "--s-values", "2", "--override", "model.M=1"], "model.M"),
         (["overhead", "--override", "task.kind=bogus"], "task.kind"),
+        (["ablate-experts", "--m-values", "2,x"], "--m-values"),
+        (["compare-optimizers", "--kinds", "sgd,lion"], "lion"),
+        # list flags are parsed before the config is loaded
+        (["ablate-skip", "--s-values", "2,x", "--override", "model.M=1"], "--s-values"),
+        (["ablate-experts", "--m-values", "2,2"], "duplicate m_values"),
+        (["compare-optimizers", "--kinds", "sgd,sgd"], "duplicate kinds"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2

@@ -189,6 +189,20 @@ class TestAblations:
         with pytest.raises(ConfigError, match="duplicate"):
             ablate_skip(tiny_config(), [2, 2])
 
+    @pytest.mark.parametrize("sweep, message", [
+        (lambda cfg: ablate_skip(cfg, []), "s_values must be non-empty"),
+        (lambda cfg: ablate_experts(cfg, []), "m_values must be non-empty"),
+        (lambda cfg: ablate_experts(cfg, [2, 2]), "duplicate m_values"),
+        (lambda cfg: compare_optimizers(cfg, ["sgd", "sgd"]), "duplicate kinds"),
+    ], ids=["ablate_skip_empty", "ablate_experts_empty", "ablate_experts_repeated",
+            "compare_optimizers_repeated"])
+    def test_empty_or_repeated_values_rejected(self, monkeypatch, sweep, message):
+        def never(cfg, seed):
+            raise AssertionError("a sweep trained on an empty or repeated value list")
+        monkeypatch.setattr(harness, "train_single", never)
+        with pytest.raises(ConfigError, match=message):
+            sweep(tiny_config())
+
     def test_ablate_skip_requires_omoe(self):
         with pytest.raises(ConfigError):
             ablate_skip(tiny_config(omoe__enabled=False), [2])

@@ -232,7 +232,16 @@ class TestCheckpoint:
         (lambda doc: doc.update(M=5), r"gate\.W.*expected shape \(5, 4\)"),
         (lambda doc: doc["dims"].update(h=6), "expert0.W1"),
         (lambda doc: doc["dims"].update(d=0), "dimension d"),
-    ], ids=["missing", "unexpected", "wrong_shape", "wrong_M", "wrong_dims", "zero_dim"])
+        (lambda doc: doc["dims"].update(w=1), "dims: unexpected key 'w'"),
+        (lambda doc: doc.pop("routing"), "checkpoint: missing key 'routing'"),
+        (lambda doc: doc.update(M="2"), "M: expected an integer, got '2'"),
+        (lambda doc: doc["dims"].update(h=5.0), r"model\.json: h: expected an integer, got 5\.0"),
+        # the format tag is checked before the keys
+        (lambda doc: doc.update(format="omoe-lab-optimizer-v1"), "unknown checkpoint format"),
+        (lambda doc: doc["params"]["head.b"].update(shape="x"), "unreadable checkpoint"),
+    ], ids=["missing", "unexpected", "wrong_shape", "wrong_M", "wrong_dims", "zero_dim",
+            "extra_dim", "missing_routing", "string_M", "float_dim", "wrong_format",
+            "payload_shape_not_a_list"])
     def test_bad_parameters_named(self, tmp_path, edit, field):
         # small_model: d_raw=6, d=4, h=5, c=3, M=3
         path = tmp_path / "model.json"
@@ -241,4 +250,10 @@ class TestCheckpoint:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolation, match=field):
+            load_model(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ContractViolation, match="model.json: unknown checkpoint format None"):
             load_model(path)

@@ -449,8 +449,21 @@ class TestOptimizerCheckpoint:
         (lambda doc: doc["buffers"].pop(0), "buffers and projectors"),
         (lambda doc: doc["buffers"][2]["entries"][1]["xbar"].update(shape=[2, 2]),
          r"mean 2 buffered for \(1, 1\) has shape \(2, 2\), not \(4,\)"),
+        (lambda doc: doc.pop("s"), "checkpoint: missing key 's'"),
+        (lambda doc: doc["base"].pop("t"), "base: missing key 't'"),
+        (lambda doc: doc["base"]["hyper"].update(momentum=0.9), "base.hyper: unexpected key"),
+        (lambda doc: doc["base"]["state"]["expert0.W1"]["m"].update(shape=[1, 20]),
+         r"base\.state expert0\.W1 moment m: found shape \(1, 20\), expected shape \(5, 4\)"),
+        (lambda doc: doc["base"]["state"].pop("expert0.W1"),
+         "base.state: missing key 'expert0.W1'"),
+        (lambda doc: doc["base"]["state"]["expert1.b2"].pop("v"),
+         r"base\.state expert1\.b2 moment v: found no entry, expected shape \(4,\)"),
+        (lambda doc: doc["base"]["state"]["input_map.W"]["m"].update(shape=[2, 12]),
+         r"input_map\.W moment m: found shape \(2, 12\), expected shape \(4, 12\)"),
     ], ids=["missing_projector", "wrong_M", "wrong_projector_size", "projector_not_square",
-            "missing_buffer", "wrong_mean_length"])
+            "missing_buffer", "wrong_mean_length", "missing_scalar", "missing_base_field",
+            "unknown_hyper", "misshapen_moment", "missing_moments", "missing_moment",
+            "misshapen_input_moment"])
     def test_bad_layout_named(self, tmp_path, edit, field):
         path = tmp_path / "opt.json"
         save_optimizer(self.buffered_state(), path)

@@ -92,13 +92,18 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded.X, ds.X)
         np.testing.assert_array_equal(loaded.y, ds.y)
 
-    def test_bad_cell_cites_row_and_column(self, tmp_path):
+    @pytest.mark.parametrize("bad_row, kind, column", [
+        ("7.0,oops,0", "classification", "f1"),
+        ("7.0,7.5,1.5", "classification", "target"),
+        ("7.0,7.5,x", "regression", "target"),
+    ], ids=["feature", "class_target", "real_target"])
+    def test_bad_cell_cites_row_and_column(self, tmp_path, bad_row, kind, column):
         path = tmp_path / "bad.csv"
         rows = ["f0,f1,target"] + [f"{i}.0,{i}.5,0" for i in range(1, 10)]
-        rows[7] = "7.0,oops,0"  # data row 7
+        rows[7] = bad_row  # data row 7
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(DataLoadError, match="row 7.*'f1'"):
-            load_csv(path, ["f0", "f1"], "target")
+        with pytest.raises(DataLoadError, match=f"row 7.*'{column}'"):
+            load_csv(path, ["f0", "f1"], "target", kind)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
