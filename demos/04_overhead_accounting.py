@@ -1,9 +1,10 @@
 """What does an O step cost? Closed-form prediction vs an instrumented run.
 
 The extra work per orthogonal step is (a) rank-one RLS updates for the
-buffered means, (b) averaging the peer projectors, and (c) the projected
-gradient products -- all counted in multiply-accumulates. The prediction is
-exact: an instrumented O step reproduces it to the MAC.
+buffered means, (b) averaging the peer projectors (each layer's projectors
+are summed once and each expert's own is subtracted from the sum), and (c) the
+projected gradient products -- all counted in multiply-accumulates. The
+prediction is exact: an instrumented O step reproduces it to the MAC.
 """
 
 import numpy as np

@@ -68,9 +68,32 @@ def require_keys(path, what: str, found, keys) -> None:
                                     f"{'missing' if key in keys else 'unexpected'} key {key!r}")
 
 
-def require_shapes(path, what: str, found: dict, shapes: dict) -> None:
-    """Require ``found`` to hold exactly the keys of ``shapes``, each value of that shape."""
+# what a checkpoint field may hold, by exact type: a JSON true is a bool, not an integer
+JSON_KINDS = {"an integer": (int,), "a number": (int, float),
+              "a number or null": (int, float, type(None)), "a string": (str,),
+              "a list": (list,), "an object": (dict,), "an array": (np.ndarray,)}
+
+
+def require_kind(path, what: str, value, kind: str) -> None:
+    """Require ``value`` to be ``kind``, one of the keys of ``JSON_KINDS``."""
+    if type(value) not in JSON_KINDS[kind]:
+        raise ContractViolation(f"{path}: {what}: expected {kind}, got {value!r:.60}")
+
+
+def require_fields(path, what: str, found, kinds: dict) -> None:
+    """Require ``found`` to be a dict holding exactly the keys of ``kinds``, each of its kind."""
+    require_keys(path, what, found, kinds)
+    for key, kind in kinds.items():
+        require_kind(path, f"{what}.{key}", found[key], kind)
+
+
+def require_shapes(path, what: str, found, shapes: dict) -> None:
+    """Require ``found`` to map exactly the keys of ``shapes`` to arrays of those shapes."""
+    if not isinstance(found, dict):
+        raise ContractViolation(f"{path}: {what}: not a JSON object")
     for key in [*shapes, *found]:
+        if key in found:
+            require_kind(path, f"{what} {key}", found[key], "an array")
         got = f"shape {np.shape(found[key])}" if key in found else "no entry"
         want = f"shape {shapes[key]}" if key in shapes else "no entry"
         if got != want:
@@ -262,9 +285,8 @@ def load_model(path) -> MoEModel:
         raise ContractViolation(f"{path}: unknown routing mode {doc['routing']!r}")
     require_keys(path, "dims", doc["dims"], [f.name for f in fields(ModelDims)])
     for name, value in {"M": doc["M"], **doc["dims"]}.items():
-        if type(value) is not int:  # a JSON true is a bool, not an int
-            raise ContractViolation(f"{path}: {name}: expected an integer, got {value!r}")
+        require_kind(path, name, value, "an integer")
     dims = ModelDims(**doc["dims"])
     dims.validate()
-    require_shapes(path, "parameter", doc["params"], param_shapes(dims, doc["M"]))
+    require_shapes(path, "params", doc["params"], param_shapes(dims, doc["M"]))
     return MoEModel(dims, doc["M"], doc["routing"], doc["params"])

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ContractViolation, SingleExpertError
 from .grad import ExpertInputMeans, Gradients, backward
 from .model import (ModelDims, MoEModel, layer_widths, model_forward, param_shapes,
-                    read_checkpoint, require_keys, require_shapes, write_checkpoint)
+                    read_checkpoint, require_fields, require_keys, require_kind, require_shapes,
+                    write_checkpoint)
 from .projector import OrthoProjector
 
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
@@ -143,7 +144,9 @@ def rls_update_macs(d: int) -> int:
 
 
 def average_projector_macs(d: int, M: int) -> int:
-    return (M - 1) * d * d
+    # one layer per O step: M - 1 additions form the sum of the M projectors, then
+    # each expert's own is subtracted from it; a single expert takes no O step
+    return (2 * M - 1) * d * d if M > 1 else 0
 
 
 def projection_macs(d_out: int, d_in: int) -> int:
@@ -170,7 +173,7 @@ def predict_o_step_macs(d: int, h: int, M: int, means_counts: dict) -> MacCounte
     widths = layer_widths(d, h)
     return MacCounter(
         rls=sum(n * rls_update_macs(widths[layer][0]) for (_m, layer), n in means_counts.items()),
-        average=M * sum(average_projector_macs(d_in, M) for d_in, _d_out in widths.values()),
+        average=sum(average_projector_macs(d_in, M) for d_in, _d_out in widths.values()),
         project=M * sum(projection_macs(d_out, d_in) for d_in, d_out in widths.values()))
 
 
@@ -239,14 +242,20 @@ def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
     return StepOutcome("R", grads.loss)
 
 
-def average_projector(state: OMoEState, m: int, layer: int) -> np.ndarray:
-    """Combine all projectors except expert m's own for one weight layer."""
+def average_projector(state: OMoEState, layer: int) -> tuple[np.ndarray, int]:
+    """Sum S of all experts' projectors for one weight layer, and the averaging norm.
+
+    Expert m's averaged projector is (S - P_m) / norm, the other experts'
+    projectors combined. The MAC counter is charged for the whole layer: the
+    sum and the M subtractions ``o_step`` makes from it.
+    """
     if state.M < 2:
         raise SingleExpertError("average projector needs M >= 2 experts")
-    total = sum(state.projectors[(j, layer)].P for j in range(state.M) if j != m)
-    norm = state.M if state.avg_norm == "paper" else state.M - 1
-    state.mac_counter.average += average_projector_macs(state.projectors[(m, layer)].d, state.M)
-    return total / norm
+    total = state.projectors[(0, layer)].P.copy()
+    for j in range(1, state.M):
+        total += state.projectors[(j, layer)].P
+    state.mac_counter.average += average_projector_macs(total.shape[0], state.M)
+    return total, (state.M if state.avg_norm == "paper" else state.M - 1)
 
 
 def _drain_buffers(state: OMoEState) -> None:
@@ -270,15 +279,18 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
         raise SingleExpertError("orthogonal step impossible with a single expert: use M >= 2")
     _drain_buffers(state)
     lr = state.o_lr if state.o_lr is not None else state.base.lr
-    for m in range(state.M):
-        for layer in layer_widths(model.dims.d, model.dims.h):
-            pbar = average_projector(state, m, layer)
-            w_name = f"expert{m}.W{layer}"
-            b_name = f"expert{m}.b{layer}"
-            G = grads.grads[w_name]
+    for layer in layer_widths(model.dims.d, model.dims.h):
+        total, norm = average_projector(state, layer)
+        others = np.empty_like(total)  # reused by every expert of the layer
+        step = np.empty_like(model.params[f"expert0.W{layer}"])
+        for m in range(state.M):
+            np.subtract(total, state.projectors[(m, layer)].P, out=others)
+            G = grads.grads[f"expert{m}.W{layer}"]
+            np.matmul(G, others, out=step)
+            step *= lr / norm
             state.mac_counter.project += projection_macs(*G.shape)
-            model.params[w_name] -= lr * (G @ pbar)
-            model.params[b_name] -= lr * grads.grads[b_name]
+            model.params[f"expert{m}.W{layer}"] -= step
+            model.params[f"expert{m}.b{layer}"] -= lr * grads.grads[f"expert{m}.b{layer}"]
     state.e += 1
     return StepOutcome("O", grads.loss)
 
@@ -300,9 +312,18 @@ def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
 # --- optimizer checkpoint io (the model checkpoint's codec) ---
 
 OPTIMIZER_CHECKPOINT_FORMAT = "omoe-lab-optimizer-v1"
-# the state's scalar fields, in the order a checkpoint lists them
-_STATE_SCALARS = ("M", "s", "n_total", "alpha0", "lam", "avg_norm", "o_lr", "e",
-                  "means_produced", "means_consumed")
+# the state's scalar fields, in the order a checkpoint lists them, with what each holds
+_STATE_SCALARS = {"M": "an integer", "s": "an integer", "n_total": "an integer",
+                  "alpha0": "a number", "lam": "a number", "avg_norm": "a string",
+                  "o_lr": "a number or null", "e": "an integer",
+                  "means_produced": "an integer", "means_consumed": "an integer"}
+_CHECKPOINT_FIELDS = {"base": "an object", **_STATE_SCALARS,
+                      "projectors": "a list", "buffers": "a list"}
+_BASE_FIELDS = {"kind": "a string", "t": "an integer", "hyper": "an object", "state": "an object"}
+_PROJECTOR_FIELDS = {"m": "an integer", "layer": "an integer", "d": "an integer",
+                     "updates_applied": "an integer", "P": "an array"}
+_BUFFER_FIELDS = {"m": "an integer", "layer": "an integer", "entries": "a list"}
+_ENTRY_FIELDS = {"i": "an integer", "xbar": "an array"}
 
 
 def save_optimizer(state: OMoEState, path) -> None:
@@ -326,23 +347,29 @@ def save_optimizer(state: OMoEState, path) -> None:
 
 
 def load_optimizer(path) -> OMoEState:
-    doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT,
-                          ("base", *_STATE_SCALARS, "projectors", "buffers"))
-    require_keys(path, "base", doc["base"], ("kind", "t", "hyper", "state"))
+    doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT, _CHECKPOINT_FIELDS)
+    for key, kind in _CHECKPOINT_FIELDS.items():
+        require_kind(path, key, doc[key], kind)
+    require_fields(path, "base", doc["base"], _BASE_FIELDS)
     kind, hyper = doc["base"]["kind"], doc["base"]["hyper"]
     if kind not in OPTIMIZERS:
         raise ContractViolation(f"{path}: base.kind: unknown optimizer kind {kind!r}")
-    require_keys(path, "base.hyper", hyper, inspect.signature(OPTIMIZERS[kind]).parameters)
+    require_fields(path, "base.hyper", hyper,
+                   dict.fromkeys(inspect.signature(OPTIMIZERS[kind]).parameters, "a number"))
     base = make_optimizer(kind, **hyper)
-    base.t = int(doc["base"]["t"])
+    base.t = doc["base"]["t"]
     base.state = doc["base"]["state"]
     state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS})
-    for item in doc["projectors"]:
-        proj = OrthoProjector(int(item["d"]), item["P"], int(item["updates_applied"]))
-        state.projectors[(int(item["m"]), int(item["layer"]))] = proj
-    for item in doc["buffers"]:
-        state.buffers[(int(item["m"]), int(item["layer"]))] = [
-            (int(e["i"]), e["xbar"]) for e in item["entries"]]
+    for n, item in enumerate(doc["projectors"]):
+        require_fields(path, f"projectors[{n}]", item, _PROJECTOR_FIELDS)
+        state.projectors[(item["m"], item["layer"])] = OrthoProjector(
+            item["d"], item["P"], item["updates_applied"])
+    for n, item in enumerate(doc["buffers"]):
+        require_fields(path, f"buffers[{n}]", item, _BUFFER_FIELDS)
+        for k, entry in enumerate(item["entries"]):
+            require_fields(path, f"buffers[{n}].entries[{k}]", entry, _ENTRY_FIELDS)
+        state.buffers[(item["m"], item["layer"])] = [
+            (entry["i"], entry["xbar"]) for entry in item["entries"]]
     # each layer is as wide as the lowest-numbered expert's projector for it says
     seen = {layer: proj.d for (_m, layer), proj in sorted(state.projectors.items(), reverse=True)}
     widths = layer_widths(seen.get(1), seen.get(2))

@@ -35,8 +35,8 @@ class OrthoProjector:
     def rls_update(self, xbar: np.ndarray, alpha: float) -> None:
         """Rank-one shrink: P <- P - (P x)(x^T P) / (alpha + x^T P x).
 
-        A zero input is a no-op (zero gain). Symmetry is preserved by
-        construction since the subtracted term is v v^T / denom with v = P x.
+        A zero input is a no-op (zero gain). Symmetry holds up to rounding: the
+        subtracted term is v (v / denom)^T with v = P x, formed in one temporary.
         """
         if alpha <= 0:
             raise ContractViolation("alpha must be positive")
@@ -46,7 +46,7 @@ class OrthoProjector:
         require_finite(x, "projector input")
         v = self.P @ x
         denom = alpha + float(x @ v)
-        self.P -= np.outer(v, v) / denom
+        self.P -= np.outer(v, v / denom)
         self.updates_applied += 1
 
     def effective_rank(self, tau: float) -> int:

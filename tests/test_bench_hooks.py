@@ -13,13 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from omoe_lab import harness
+from omoe_lab import harness, optim
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from checks import BufferedMeans, MacCheck  # noqa: E402
-from spans import NAME, Tracer  # noqa: E402
+from spans import NAME, Tracer, patch  # noqa: E402
 
 # two seeds of a tiny dense task; s=2 gives O steps that drain buffered means
 TINY = {
@@ -50,6 +50,29 @@ def test_trace_and_checks_cover_a_run():
     for rec in report["per_seed"]:
         left = buffered.left[("adamw", True, rec["seed"])]
         assert rec["means_produced"] - rec["means_consumed"] == left
+
+
+def test_mac_check_on_top1_with_several_means_and_idle_experts():
+    # top-1 with s=5: an O step drains up to four means per (expert, layer), and
+    # with six experts and four-row batches some expert gets no rows in those R steps
+    cfg = harness.make_config({**TINY, "model": {**TINY["model"], "M": 6, "routing": "top1"},
+                               "omoe": {"s": 5}, "train": {"epochs": 1, "batch_size": 4},
+                               "seeds": [0]})
+    counts, macs = [], MacCheck()
+
+    def counting(o_step):
+        def wrapped(state, model, grads):
+            counts.append([len(entries) for entries in state.buffers.values()])
+            return o_step(state, model, grads)
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        macs.install(stack)
+        patch(stack, optim, "o_step", counting)
+        harness.run(cfg)
+    assert macs.take()["mismatches"] == []
+    assert macs.steps == len(counts) > 0
+    assert any(max(c) > 1 for c in counts) and any(min(c) == 0 for c in counts)
 
 
 def test_setup_probe_runs():

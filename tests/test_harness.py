@@ -263,7 +263,9 @@ class TestOverhead:
         means = {(m, layer): 2 for m in range(M) for layer in (1, 2)}
         c = predict_o_step_macs(d, h, M, means)
         assert c.rls == M * 2 * (rls_update_macs(d) + rls_update_macs(h))
-        assert c.average == M * (average_projector_macs(d, M) + average_projector_macs(h, M))
+        # one sum per layer, then one subtraction per expert
+        assert c.average == average_projector_macs(d, M) + average_projector_macs(h, M) \
+            == (2 * M - 1) * (d * d + h * h)
         assert c.project == M * (projection_macs(h, d) + projection_macs(d, h))
 
     def test_m1_average_cost_zero(self):

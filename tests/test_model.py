@@ -239,9 +239,12 @@ class TestCheckpoint:
         # the format tag is checked before the keys
         (lambda doc: doc.update(format="omoe-lab-optimizer-v1"), "unknown checkpoint format"),
         (lambda doc: doc["params"]["head.b"].update(shape="x"), "unreadable checkpoint"),
+        (lambda doc: doc.update(params=5), r"model\.json: params: not a JSON object"),
+        (lambda doc: doc["params"].update({"head.b": [0.0, 0.0, 0.0]}),
+         r"model\.json: params head\.b: expected an array"),
     ], ids=["missing", "unexpected", "wrong_shape", "wrong_M", "wrong_dims", "zero_dim",
             "extra_dim", "missing_routing", "string_M", "float_dim", "wrong_format",
-            "payload_shape_not_a_list"])
+            "payload_shape_not_a_list", "params_not_an_object", "param_not_an_array"])
     def test_bad_parameters_named(self, tmp_path, edit, field):
         # small_model: d_raw=6, d=4, h=5, c=3, M=3
         path = tmp_path / "model.json"

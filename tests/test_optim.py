@@ -141,17 +141,28 @@ class TestRStep:
             np.testing.assert_array_equal(proj.P, np.eye(proj.d))
 
 
+def averaged(state, m, layer):
+    """Expert m's averaged projector, from the layer's sum as ``o_step`` forms it."""
+    total, norm = average_projector(state, layer)
+    return (total - state.projectors[(m, layer)].P) / norm
+
+
+def random_projector(rng, d):
+    """A random symmetric positive definite matrix with eigenvalues in (0, 1]."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (q * rng.uniform(0.05, 1.0, size=d)) @ q.T
+
+
 class TestAverageProjector:
     def test_paper_literal_identities(self):
         model = small_model(M=4)
         state = make_state(model, avg_norm="paper")
-        np.testing.assert_allclose(average_projector(state, 0, 1),
-                                   0.75 * np.eye(model.dims.d))
+        np.testing.assert_allclose(averaged(state, 0, 1), 0.75 * np.eye(model.dims.d))
 
     def test_proper_mean_identities(self):
         model = small_model(M=4)
         state = make_state(model, avg_norm="proper")
-        np.testing.assert_allclose(average_projector(state, 0, 1), np.eye(model.dims.d))
+        np.testing.assert_allclose(averaged(state, 0, 1), np.eye(model.dims.d))
 
     def test_two_experts_paper_halves(self):
         model = small_model(M=2)
@@ -159,14 +170,27 @@ class TestAverageProjector:
         other = np.random.default_rng(0).normal(size=(model.dims.d, model.dims.d))
         other = (other + other.T) / 2
         state.projectors[(1, 1)].P = other
-        np.testing.assert_allclose(average_projector(state, 0, 1), 0.5 * other)
+        np.testing.assert_allclose(averaged(state, 0, 1), 0.5 * other)
+
+    def test_sum_leaves_projectors_untouched(self):
+        model = small_model(M=3)
+        state = make_state(model)
+        rng = np.random.default_rng(1)
+        for proj in state.projectors.values():
+            proj.P = random_projector(rng, proj.d)
+        before = {key: proj.P.copy() for key, proj in state.projectors.items()}
+        total, norm = average_projector(state, 2)
+        assert norm == 3
+        np.testing.assert_allclose(total, sum(before[(m, 2)] for m in range(3)), rtol=1e-15)
+        for key, proj in state.projectors.items():
+            np.testing.assert_array_equal(proj.P, before[key])
 
     def test_single_expert_rejected(self):
         model = small_model(M=1)
         state = make_state(model)
         state.M = 1
         with pytest.raises(SingleExpertError):
-            average_projector(state, 0, 1)
+            average_projector(state, 1)
 
     def test_bad_avg_norm_rejected(self):
         model = small_model(M=2)
@@ -250,12 +274,37 @@ class TestOStep:
         o_step(state, model, grads)
         for m in range(2):
             for layer in (1, 2):
-                pbar = average_projector(state, m, layer)
+                pbar = averaged(state, m, layer)
                 pinv = np.linalg.pinv(pbar)
                 name = f"expert{m}.W{layer}"
                 delta = model.params[name] - before[name]
                 resid = delta @ (np.eye(pbar.shape[0]) - pinv @ pbar)
                 assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(delta), 1e-30)
+
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("avg_norm", ["paper", "proper"])
+    def test_matches_per_expert_average(self, M, avg_norm):
+        # reference: each expert's average summed from the other experts' projectors
+        model = small_model(seed=M, M=M, routing="dense")
+        twin = model.clone()
+        state = make_state(model, avg_norm=avg_norm, lr=0.1)
+        rng = np.random.default_rng(M)
+        for proj in state.projectors.values():
+            proj.P = random_projector(rng, proj.d)
+        grads = Gradients({n: rng.normal(size=p.shape) for n, p in model.params.items()}, 0.0)
+        o_step(state, model, grads)
+        norm = M if avg_norm == "paper" else M - 1
+        for m in range(M):
+            for layer in (1, 2):
+                pbar = sum(state.projectors[(j, layer)].P for j in range(M) if j != m) / norm
+                w, b = f"expert{m}.W{layer}", f"expert{m}.b{layer}"
+                want = -0.1 * (grads.grads[w] @ pbar)
+                got = model.params[w] - twin.params[w]
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+                np.testing.assert_array_equal(model.params[b],
+                                              twin.params[b] - 0.1 * grads.grads[b])
+        for name in model.phi_names():
+            np.testing.assert_array_equal(model.params[name], twin.params[name])
 
     def test_attenuation_transfer(self):
         # all other projectors built from direction u: the update barely moves along u
@@ -460,10 +509,21 @@ class TestOptimizerCheckpoint:
          r"base\.state expert1\.b2 moment v: found no entry, expected shape \(4,\)"),
         (lambda doc: doc["base"]["state"]["input_map.W"]["m"].update(shape=[2, 12]),
          r"input_map\.W moment m: found shape \(2, 12\), expected shape \(4, 12\)"),
+        (lambda doc: doc.update(M="2"), r"opt\.json: M: expected an integer, got '2'"),
+        (lambda doc: doc.update(s="3"), r"opt\.json: s: expected an integer, got '3'"),
+        (lambda doc: doc["base"].update(t="x"), r"opt\.json: base\.t: expected an integer"),
+        (lambda doc: doc["base"]["hyper"].update(lr="x"),
+         r"opt\.json: base\.hyper\.lr: expected a number"),
+        (lambda doc: doc["projectors"][3].pop("P"), r"opt\.json: projectors\[3\]: missing key 'P'"),
+        (lambda doc: doc["projectors"][0].update(P=np.eye(4).tolist()),
+         r"opt\.json: projectors\[0\]\.P: expected an array"),
+        (lambda doc: doc["buffers"][2]["entries"][1].pop("xbar"),
+         r"opt\.json: buffers\[2\]\.entries\[1\]: missing key 'xbar'"),
     ], ids=["missing_projector", "wrong_M", "wrong_projector_size", "projector_not_square",
             "missing_buffer", "wrong_mean_length", "missing_scalar", "missing_base_field",
             "unknown_hyper", "misshapen_moment", "missing_moments", "missing_moment",
-            "misshapen_input_moment"])
+            "misshapen_input_moment", "string_M", "string_s", "string_t", "string_hyper",
+            "missing_P", "P_not_an_array", "missing_xbar"])
     def test_bad_layout_named(self, tmp_path, edit, field):
         path = tmp_path / "opt.json"
         save_optimizer(self.buffered_state(), path)
