@@ -22,8 +22,8 @@ class Gradients:
     loss: float
 
 
-# ExpertInputMeans: (expert, layer) -> (mean input vector, routed token count);
-# entries exist only for experts that received at least one token.
+# ExpertInputMeans: (expert, layer) -> mean input vector; entries exist only
+# for experts that received at least one token.
 ExpertInputMeans = dict
 
 
@@ -66,8 +66,9 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     p = model.params
     loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
 
-    g = {name: np.zeros_like(p[name]) for m in range(model.M) if m not in tape.expert_tokens
-         for name in model.expert_names(m)}  # idle experts; every other entry is set below
+    idle = tuple(f"expert{m}." for m in range(model.M) if m not in tape.expert_tokens)
+    g = {name: np.zeros_like(v) for name, v in p.items()
+         if name.startswith(idle)}  # idle experts; every other entry is set below
     g["head.W"] = dlog.T @ tape.y_moe
     g["head.b"] = dlog.sum(axis=0)
     dY = dlog @ p["head.W"]
@@ -87,8 +88,8 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
         g[f"expert{m}.W1"] = dPre1.T @ Z_m
         g[f"expert{m}.b1"] = dPre1.sum(axis=0)
         dZ0[rows] += dPre1 @ p[f"expert{m}.W1"]
-        means[(m, 1)] = (Z_m.mean(axis=0), len(Z_m))
-        means[(m, 2)] = (hidden.mean(axis=0), len(Z_m))
+        means[(m, 1)] = Z_m.mean(axis=0)
+        means[(m, 2)] = hidden.mean(axis=0)
     # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
     dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
 

@@ -142,13 +142,18 @@ def validate_config(cfg: dict) -> None:
         section, key = field.split(".")
         if cfg[section][key] < low:
             raise ConfigError(f"{field}: must be >= {low}, got {cfg[section][key]!r}")
-    if not omoe["alpha0"] > 0:
-        raise ConfigError(f"omoe.alpha0: must be > 0, got {omoe['alpha0']!r}")
-    if not 0 < omoe["lambda"] <= 1:
-        raise ConfigError(f"omoe.lambda: must lie in (0, 1], got {omoe['lambda']!r}")
-    if not 0 < train["eval_fraction"] < 1:
-        raise ConfigError(f"train.eval_fraction: must lie in (0, 1), "
-                          f"got {train['eval_fraction']!r}")
+    positive, unit = (lambda v: v > 0, "be > 0"), (lambda v: 0 <= v < 1, "lie in [0, 1)")
+    ranges = {"optimizer.lr": positive, "optimizer.eps": positive, "optimizer.beta1": unit,
+              "optimizer.beta2": unit, "optimizer.rho": unit,
+              "optimizer.weight_decay": (lambda v: v >= 0, "be >= 0"),
+              "omoe.alpha0": positive, "omoe.o_lr": positive,
+              "omoe.lambda": (lambda v: 0 < v <= 1, "lie in (0, 1]"),
+              "train.eval_fraction": (lambda v: 0 < v < 1, "lie in (0, 1)")}
+    for field, (ok, want) in ranges.items():  # written so that NaN fails too
+        section, key = field.split(".")
+        value = cfg[section].get(key)  # None: a key the optimizer kind lacks, or a null o_lr
+        if value is not None and not ok(value):
+            raise ConfigError(f"{field}: must {want}, got {value!r}")
     if task["kind"] in ("subspace_clusters", "piecewise_regression"):  # CSV rows: counted on read
         n = task["K"] * task["n_per_cluster"] if task["kind"] == "subspace_clusters" else task["n"]
         if (n_train := n - max(1, int(n * train["eval_fraction"]))) < train["batch_size"]:

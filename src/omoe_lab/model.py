@@ -47,15 +47,15 @@ def layer_widths(d: int, h: int) -> dict[int, tuple[int, int]]:
 
 
 def param_shapes(dims: ModelDims, M: int) -> dict[str, tuple[int, ...]]:
-    """The shape of each parameter of an M-expert model with ``dims``."""
-    d, c = dims.d, dims.c
-    shapes = {"input_map.W": (d, dims.d_raw), "input_map.b": (d,), "gate.W": (M, d),
-              "head.W": (c, d), "head.b": (c,)}
+    """Each parameter's shape for an M-expert model with ``dims``, in forward order: the one
+    statement of the layout that init, the name helpers and both checkpoint loaders read."""
+    d = dims.d
+    shapes = {"input_map.W": (d, dims.d_raw), "input_map.b": (d,), "gate.W": (M, d)}
     for m in range(M):
         for layer, (d_in, d_out) in layer_widths(d, dims.h).items():
             shapes[f"expert{m}.W{layer}"] = (d_out, d_in)
             shapes[f"expert{m}.b{layer}"] = (d_out,)
-    return shapes
+    return {**shapes, "head.W": (dims.c, d), "head.b": (dims.c,)}
 
 
 def require_keys(path, what: str, found, keys) -> None:
@@ -128,17 +128,17 @@ class MoEModel:
     routing: str
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def param_names(self) -> list[str]:
+        return list(param_shapes(self.dims, self.M))
+
     def expert_names(self, m: int) -> list[str]:
-        return [f"expert{m}.W1", f"expert{m}.b1", f"expert{m}.W2", f"expert{m}.b2"]
+        return [n for n in self.param_names() if n.startswith(f"expert{m}.")]
 
     def theta_names(self) -> list[str]:
-        return [n for m in range(self.M) for n in self.expert_names(m)]
+        return [n for n in self.param_names() if n.startswith("expert")]
 
     def phi_names(self) -> list[str]:
-        return ["input_map.W", "input_map.b", "gate.W", "head.W", "head.b"]
-
-    def param_names(self) -> list[str]:
-        return self.phi_names() + self.theta_names()
+        return [n for n in self.param_names() if not n.startswith("expert")]
 
     def fingerprint(self) -> float:
         return float(sum(float(np.abs(v).sum()) for v in self.params.values()))
@@ -155,31 +155,18 @@ def init_model(rng: Rng, dims: ModelDims, M: int, init_mode: str = "replicate") 
         raise ContractViolation("expert count M must be >= 1")
     if init_mode not in INIT_MODES:
         raise ContractViolation(f"unknown init mode {init_mode!r}")
-    d_raw, d, h, c = dims.d_raw, dims.d, dims.h, dims.c
     p: dict[str, np.ndarray] = {}
-    p["input_map.W"] = gaussian_matrix(rng, d, d_raw, 0.0, 1.0 / np.sqrt(d_raw))
-    p["input_map.b"] = np.zeros(d)
-    p["gate.W"] = gaussian_matrix(rng, M, d, 0.0, 1.0 / np.sqrt(d))
-
-    def sample_expert():
-        return {
-            "W1": gaussian_matrix(rng, h, d, 0.0, np.sqrt(2.0 / d)),
-            "b1": np.zeros(h),
-            "W2": gaussian_matrix(rng, d, h, 0.0, np.sqrt(2.0 / h)),
-            "b2": np.zeros(d),
-        }
-
-    if init_mode == "replicate":
-        seed_expert = sample_expert()
-        experts = [{k: v.copy() for k, v in seed_expert.items()} for _ in range(M)]
-    else:
-        experts = [sample_expert() for _ in range(M)]
-    for m, ex in enumerate(experts):
-        for k, v in ex.items():
-            p[f"expert{m}.{k}"] = v
-
-    p["head.W"] = gaussian_matrix(rng, c, d, 0.0, 1.0 / np.sqrt(d))
-    p["head.b"] = np.zeros(c)
+    for name, shape in param_shapes(dims, M).items():
+        owner, kind = name.split(".")
+        expert = owner.startswith("expert")
+        if expert and init_mode == "replicate" and owner != "expert0":
+            p[name] = p[f"expert0.{kind}"].copy()
+        elif len(shape) == 1:
+            p[name] = np.zeros(shape)
+        else:  # std 1/sqrt(fan_in), or sqrt(2/fan_in) for the ReLU experts
+            fan_in = shape[1]
+            std = np.sqrt(2.0 / fan_in) if expert else 1.0 / np.sqrt(fan_in)
+            p[name] = gaussian_matrix(rng, *shape, 0.0, std)
     for name, arr in p.items():
         require_finite(arr, name)
     return MoEModel(dims, M, "top1", p)

@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation, SingleExpertError
 from .grad import ExpertInputMeans, Gradients, backward
-from .model import (ModelDims, MoEModel, layer_widths, model_forward, param_shapes,
-                    read_checkpoint, require_fields, require_keys, require_kind, require_shapes,
-                    write_checkpoint)
+from .model import (MoEModel, layer_widths, model_forward, param_shapes, read_checkpoint,
+                    require_fields, require_keys, require_kind, require_shapes, write_checkpoint)
 from .projector import OrthoProjector
 
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
@@ -205,12 +204,16 @@ class OMoEState:
             raise ContractViolation("skipping step s must be >= 2")
         if self.n_total < 1:
             raise ContractViolation("n_total must be >= 1 for the decay schedule")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:  # written so that NaN fails too
             raise ContractViolation("alpha0 must be positive")
         if not (0 < self.lam <= 1):
             raise ContractViolation("lambda must lie in (0, 1]")
         if self.avg_norm not in AVG_NORMS:
             raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
+        if self.o_lr is not None and not self.o_lr > 0:
+            raise ContractViolation("o_lr must be positive or None")
+        if self.e < 1:
+            raise ContractViolation("step counter e must be >= 1")
 
     def alpha_at(self, i: int) -> float:
         """Decayed regularizer alpha0 * lam^(i / n_total) for batch index i."""
@@ -235,7 +238,7 @@ def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
            means: ExpertInputMeans) -> StepOutcome:
     """Base-optimizer update of all parameters plus input-mean accumulation."""
     state.base.step(model.params, grads.grads)
-    for key, (xbar, _count) in means.items():
+    for key, xbar in means.items():
         state.buffers[key].append((state.e, xbar))
         state.means_produced += 1
     state.e += 1
@@ -346,10 +349,13 @@ def save_optimizer(state: OMoEState, path) -> None:
     })
 
 
-def load_optimizer(path) -> OMoEState:
+def load_optimizer(path, model: MoEModel) -> OMoEState:
+    """The optimizer state saved at ``path``, checked against the layout of ``model``."""
     doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT, _CHECKPOINT_FIELDS)
     for key, kind in _CHECKPOINT_FIELDS.items():
         require_kind(path, key, doc[key], kind)
+    if doc["M"] != model.M:
+        raise ContractViolation(f"{path}: M: the file has {doc['M']} experts, the model {model.M}")
     require_fields(path, "base", doc["base"], _BASE_FIELDS)
     kind, hyper = doc["base"]["kind"], doc["base"]["hyper"]
     if kind not in OPTIMIZERS:
@@ -359,7 +365,10 @@ def load_optimizer(path) -> OMoEState:
     base = make_optimizer(kind, **hyper)
     base.t = doc["base"]["t"]
     base.state = doc["base"]["state"]
-    state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS})
+    try:
+        state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS})
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
     for n, item in enumerate(doc["projectors"]):
         require_fields(path, f"projectors[{n}]", item, _PROJECTOR_FIELDS)
         state.projectors[(item["m"], item["layer"])] = OrthoProjector(
@@ -370,20 +379,11 @@ def load_optimizer(path) -> OMoEState:
             require_fields(path, f"buffers[{n}].entries[{k}]", entry, _ENTRY_FIELDS)
         state.buffers[(item["m"], item["layer"])] = [
             (entry["i"], entry["xbar"]) for entry in item["entries"]]
-    # each layer is as wide as the lowest-numbered expert's projector for it says
-    seen = {layer: proj.d for (_m, layer), proj in sorted(state.projectors.items(), reverse=True)}
-    widths = layer_widths(seen.get(1), seen.get(2))
     require_shapes(path, "projector", {key: proj.P for key, proj in state.projectors.items()},
-                   {(m, layer): (d_in, d_in) for m in range(state.M)
-                    for layer, (d_in, _d_out) in widths.items()})
+                   {(m, layer): (d_in, d_in) for m in range(model.M)
+                    for layer, (d_in, _d_out) in layer_widths(model.dims.d, model.dims.h).items()})
     if base.state:  # empty before the first base step, and always for SGD
-        try:  # d_raw and c: the widths of the input map's and the head's first moments
-            d_raw = np.shape(base.state["input_map.W"][base.moments[0]])[1]
-            c = np.shape(base.state["head.W"][base.moments[0]])[0]
-        except (IndexError, KeyError, TypeError):
-            raise ContractViolation(f"{path}: base.state: no {base.kind} moments of rank 2 "
-                                    "for input_map.W and head.W") from None
-        shapes = param_shapes(ModelDims(d_raw, seen.get(1), seen.get(2), c), state.M)
+        shapes = param_shapes(model.dims, model.M)
         require_keys(path, "base.state", base.state, shapes)
         for name, moments in base.state.items():
             require_shapes(path, f"base.state {name} moment", moments,
@@ -392,6 +392,9 @@ def load_optimizer(path) -> OMoEState:
         raise ContractViolation(f"{path}: buffers and projectors differ in (expert, layer) keys")
     for key, entries in state.buffers.items():
         for i, xbar in entries:
+            if not 0 <= i <= state.n_total:
+                raise ContractViolation(f"{path}: mean buffered for {key} at batch index {i}, "
+                                        f"outside [0, {state.n_total}]")
             if np.shape(xbar) != (state.projectors[key].d,):
                 raise ContractViolation(f"{path}: mean {i} buffered for {key} has shape "
                                         f"{np.shape(xbar)}, not ({state.projectors[key].d},)")

@@ -55,9 +55,6 @@ class OrthoProjector:
             raise ContractViolation("tau must lie in (0, 1)")
         return int(np.sum(sym_eigvals(self.P) > tau))
 
-    def copy(self) -> "OrthoProjector":
-        return OrthoProjector(self.d, self.P.copy(), self.updates_applied)
-
 
 def direct_projector(a: np.ndarray, alpha: float) -> np.ndarray:
     """Closed form I - A (alpha I + A^T A)^-1 A^T for columns A, fixed alpha."""

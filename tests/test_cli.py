@@ -153,6 +153,17 @@ class TestErrorPaths:
         (["ablate-skip", "--s-values", "2,x", "--override", "model.M=1"], "--s-values"),
         (["ablate-experts", "--m-values", "2,2"], "duplicate m_values"),
         (["compare-optimizers", "--kinds", "sgd,sgd"], "duplicate kinds"),
+        (["train", "--override", "optimizer.lr=-1"], "optimizer.lr: must be > 0"),
+        (["train", "--override", "optimizer.lr=0"], "optimizer.lr: must be > 0"),
+        (["train", "--override", "optimizer.lr=NaN"], "optimizer.lr: must be > 0"),
+        (["train", "--override", "omoe.o_lr=-5"], "omoe.o_lr: must be > 0"),
+        (["train", "--override", "omoe.o_lr=0"], "omoe.o_lr: must be > 0"),
+        (["train", "--override", "optimizer.weight_decay=-3"], "optimizer.weight_decay"),
+        (["train", "--override", "optimizer.beta1=2"], "optimizer.beta1: must lie in [0, 1)"),
+        (["train", "--override", "optimizer.beta2=1"], "optimizer.beta2: must lie in [0, 1)"),
+        (["train", "--override", "optimizer.eps=0"], "optimizer.eps: must be > 0"),
+        (["train", "--override", "optimizer.kind=rmsprop", "--override", "optimizer.rho=-0.1"],
+         "optimizer.rho: must lie in [0, 1)"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from omoe_lab import ModelDims, Rng, init_model, load_model, model_forward, save_model
 from omoe_lab.errors import ContractViolation
 from omoe_lab.metrics import model_param_variance
-from omoe_lab.model import moe_block_forward, softmax
+from omoe_lab.model import moe_block_forward, param_shapes, softmax
 
 
 def small_model(seed=0, d_raw=6, d=4, h=5, c=3, M=3, init="independent", routing="top1"):
@@ -32,6 +33,20 @@ class TestInit:
         total = sum(p.size for p in model.params.values())
         expected = (d * d_raw + d) + M * d + M * (h * d + h + d * h + d) + (c * d + c)
         assert total == expected
+
+    # sha256 over the parameters' bytes, in order; a refactor that reorders or
+    # rescales the initializer's draws changes them
+    @pytest.mark.parametrize("mode, digest", [
+        ("replicate", "cee0b66957f553c0e7ffa47dd1b18b942d95eb58820057186bedfa4fd8f765ab"),
+        ("independent", "bd966be51304cce6fccf72d0658cb31fcdd027627c0b988554b0ccaca00a9aeb")])
+    def test_init_draws_pinned(self, mode, digest):
+        dims = ModelDims(6, 4, 5, 3)
+        model = init_model(Rng(0), dims, 3, mode)
+        assert list(param_shapes(dims, 3)) == list(model.params) == model.param_names()
+        h = hashlib.sha256()
+        for arr in model.params.values():
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_param_name_partition(self):
         model = small_model(M=2)

@@ -406,7 +406,7 @@ class TestOptimizerCheckpoint:
             step_dispatch(state, model, rng.normal(size=(4, model.dims.d_raw)), [0, 1, 2, 0])
         path = tmp_path / "opt.json"
         save_optimizer(state, path)
-        loaded = load_optimizer(path)
+        loaded = load_optimizer(path, model)
         assert (loaded.e, loaded.s, loaded.n_total) == (state.e, state.s, state.n_total)
         assert (loaded.means_produced, loaded.means_consumed) == \
             (state.means_produced, state.means_consumed)
@@ -436,62 +436,68 @@ class TestOptimizerCheckpoint:
         save_optimizer(state, tmp_path / "opt.json")
         save_model(model, tmp_path / "model.json")
         resumed_model = load_model(tmp_path / "model.json")
-        resumed_state = load_optimizer(tmp_path / "opt.json")
+        resumed_state = load_optimizer(tmp_path / "opt.json", resumed_model)
         for X, y in batch_list[5:]:
             step_dispatch(state, model, X, y)
             step_dispatch(resumed_state, resumed_model, X, y)
         for name in model.param_names():
             np.testing.assert_array_equal(model.params[name], resumed_model.params[name])
 
+    # n_total=1 leaves the means buffered at batch index 2 outside the schedule
     @pytest.mark.parametrize("key, bad", [("alpha0", 0.0), ("lam", 0.0), ("lam", 1.5),
-                                          ("n_total", 0)])
+                                          ("n_total", 0), ("alpha0", float("nan")), ("e", -7),
+                                          ("e", 0), ("o_lr", 0.0), ("o_lr", -5.0),
+                                          ("n_total", 1)])
     def test_bad_schedule_rejected(self, tmp_path, key, bad):
         path = tmp_path / "opt.json"
-        save_optimizer(make_state(small_model(M=2)), path)
+        model, state = self.buffered_state()
+        save_optimizer(state, path)
         doc = json.loads(path.read_text())
         doc[key] = bad
         path.write_text(json.dumps(doc))
-        with pytest.raises(ContractViolation):
-            load_optimizer(path)
+        with pytest.raises(ContractViolation, match="opt.json"):
+            load_optimizer(path, model)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "nope"}')
         with pytest.raises(ContractViolation):
-            load_optimizer(path)
+            load_optimizer(path, small_model(M=2))
 
     @staticmethod
     def buffered_state():
-        """A dense M=2 state (d=4, h=5) two R steps in, so every buffer holds two means."""
+        """A dense M=2 model (d=4, h=5) and its state two R steps in: two means per buffer."""
         model = small_model(M=2, routing="dense")
         state = make_state(model, s=3, base_kind="adamw", lr=1e-3, alpha0=0.7, lam=0.8)
         rng = np.random.default_rng(0)
         for _ in range(2):
             step_dispatch(state, model, rng.normal(size=(4, model.dims.d_raw)), [0, 1, 2, 0])
         assert all(len(entries) == 2 for entries in state.buffers.values())
-        return state
+        return model, state
 
     def test_file_layout(self, tmp_path):
         path = tmp_path / "opt.json"
-        save_optimizer(self.buffered_state(), path)
+        save_optimizer(self.buffered_state()[1], path)
         assert list(json.loads(path.read_text())) == \
             ["format", "base", *_STATE_SCALARS, "projectors", "buffers"]
 
     def test_load_then_save_reproduces_file(self, tmp_path):
-        save_optimizer(self.buffered_state(), tmp_path / "a.json")
-        save_optimizer(load_optimizer(tmp_path / "a.json"), tmp_path / "b.json")
+        model, state = self.buffered_state()
+        save_optimizer(state, tmp_path / "a.json")
+        save_optimizer(load_optimizer(tmp_path / "a.json", model), tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "opt.json"
-        save_optimizer(self.buffered_state(), path)
+        model, state = self.buffered_state()
+        save_optimizer(state, path)
         path.write_text(path.read_text()[:-10])
         with pytest.raises(ContractViolation, match="opt.json"):
-            load_optimizer(path)
+            load_optimizer(path, model)
 
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc["projectors"].pop(3), r"projector \(1, 2\): found no entry"),
-        (lambda doc: doc.update(M=3), r"projector \(2, 1\): found no entry"),
+        (lambda doc: doc.update(M=3), r"opt\.json: M: the file has 3 experts, the model 2"),
         (lambda doc: doc["projectors"][3].update(d=6, P=payload(np.eye(6))),
          r"projector \(1, 2\): found shape \(6, 6\), expected shape \(5, 5\)"),
         (lambda doc: doc["projectors"][1]["P"].update(shape=[1, 25]), "does not fit dimension 5"),
@@ -508,7 +514,7 @@ class TestOptimizerCheckpoint:
         (lambda doc: doc["base"]["state"]["expert1.b2"].pop("v"),
          r"base\.state expert1\.b2 moment v: found no entry, expected shape \(4,\)"),
         (lambda doc: doc["base"]["state"]["input_map.W"]["m"].update(shape=[2, 12]),
-         r"input_map\.W moment m: found shape \(2, 12\), expected shape \(4, 12\)"),
+         r"input_map\.W moment m: found shape \(2, 12\), expected shape \(4, 6\)"),
         (lambda doc: doc.update(M="2"), r"opt\.json: M: expected an integer, got '2'"),
         (lambda doc: doc.update(s="3"), r"opt\.json: s: expected an integer, got '3'"),
         (lambda doc: doc["base"].update(t="x"), r"opt\.json: base\.t: expected an integer"),
@@ -526,12 +532,21 @@ class TestOptimizerCheckpoint:
             "missing_P", "P_not_an_array", "missing_xbar"])
     def test_bad_layout_named(self, tmp_path, edit, field):
         path = tmp_path / "opt.json"
-        save_optimizer(self.buffered_state(), path)
+        model, state = self.buffered_state()
+        save_optimizer(state, path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolation, match=field):
-            load_optimizer(path)
+            load_optimizer(path, model)
+
+    @pytest.mark.parametrize("other", [dict(M=3), dict(d_raw=7), dict(h=6), dict(c=4)],
+                             ids=["M", "d_raw", "h", "c"])
+    def test_optimizer_for_other_model_rejected(self, tmp_path, other):
+        path = tmp_path / "opt.json"
+        save_optimizer(self.buffered_state()[1], path)
+        with pytest.raises(ContractViolation, match="opt.json"):
+            load_optimizer(path, small_model(**{"M": 2, "routing": "dense", **other}))
 
 
 class TestMacCounter:

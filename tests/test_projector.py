@@ -164,10 +164,3 @@ class TestInvariants:
             for j in range(m):
                 col = a[:, j]
                 assert np.linalg.norm(p.P @ col) <= bound * np.linalg.norm(col) + 1e-9
-
-    def test_copy_is_independent(self):
-        p = OrthoProjector(3)
-        q = p.copy()
-        q.rls_update(np.ones(3), 1.0)
-        np.testing.assert_array_equal(p.P, np.eye(3))
-        assert q.updates_applied == 1 and p.updates_applied == 0
