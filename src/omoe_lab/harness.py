@@ -12,7 +12,6 @@ numeric payload is byte-reproducible for a given (config, seeds).
 from __future__ import annotations
 
 import copy
-import inspect
 import math
 import numbers
 import time
@@ -27,8 +26,8 @@ from .linalg import Rng
 from .metrics import diversity_report
 from .model import (INIT_MODES, ROUTING_MODES, MoEModel, ModelDims, init_model, layer_widths,
                     model_forward, param_shapes)
-from .optim import (AVG_NORMS, OPTIMIZERS, make_optimizer, new_omoe_state, predict_o_step_macs,
-                    step_dispatch)
+from .optim import (AVG_NORMS, OPTIMIZERS, check_ranges, hyperparameters, make_optimizer,
+                    new_omoe_state, predict_o_step_macs, step_dispatch)
 from .tasks import Dataset, batches, gen_piecewise_regression, gen_subspace_clusters, load_csv
 
 DEFAULT_CONFIG = {
@@ -99,6 +98,17 @@ def _check_types(section: str, scope: dict, defaults: dict) -> None:
                               f"{defaults[key]!r}, got {value!r}")
 
 
+def _split(n: int, eval_fraction: float) -> tuple[int, int]:
+    """(eval rows, training rows) of an ``n``-row dataset."""
+    n_eval = max(1, int(n * eval_fraction))
+    return n_eval, n - n_eval
+
+
+def _check_batch(batch_size: int, n_train: int) -> None:
+    if n_train < batch_size:
+        raise ConfigError(f"train.batch_size: {batch_size} > {n_train} training rows")
+
+
 def validate_config(cfg: dict) -> None:
     # "" comes first: it checks that seeds is a list and every section a mapping
     for section, fields in _FIELDS.items():
@@ -113,8 +123,7 @@ def validate_config(cfg: dict) -> None:
     if kind not in OPTIMIZERS:
         raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
     # an optimizer takes its constructor's parameters, each typed by its default
-    params = inspect.signature(OPTIMIZERS[kind]).parameters
-    taken = {**{k: p.default for k, p in params.items()}, **DEFAULT_CONFIG["optimizer"]}
+    taken = {**hyperparameters(kind), **DEFAULT_CONFIG["optimizer"]}
     for key in cfg["optimizer"]:
         if key not in taken:
             raise ConfigError(f"optimizer.{key}: not a parameter of optimizer kind {kind!r}")
@@ -136,28 +145,18 @@ def validate_config(cfg: dict) -> None:
         minima.update({"task.K": 2, "task.n_per_cluster": 1, "task.subspace_dim": 1})
     if task["kind"] == "piecewise_regression":
         minima.update({"task.pieces": 2, "task.n": 1})
-    if omoe["enabled"]:
-        minima["omoe.s"] = 2
     for field, low in minima.items():
         section, key = field.split(".")
         if cfg[section][key] < low:
             raise ConfigError(f"{field}: must be >= {low}, got {cfg[section][key]!r}")
-    positive, unit = (lambda v: v > 0, "be > 0"), (lambda v: 0 <= v < 1, "lie in [0, 1)")
-    ranges = {"optimizer.lr": positive, "optimizer.eps": positive, "optimizer.beta1": unit,
-              "optimizer.beta2": unit, "optimizer.rho": unit,
-              "optimizer.weight_decay": (lambda v: v >= 0, "be >= 0"),
-              "omoe.alpha0": positive, "omoe.o_lr": positive,
-              "omoe.lambda": (lambda v: 0 < v <= 1, "lie in (0, 1]"),
-              "train.eval_fraction": (lambda v: 0 < v < 1, "lie in (0, 1)")}
-    for field, (ok, want) in ranges.items():  # written so that NaN fails too
-        section, key = field.split(".")
-        value = cfg[section].get(key)  # None: a key the optimizer kind lacks, or a null o_lr
-        if value is not None and not ok(value):
-            raise ConfigError(f"{field}: must {want}, got {value!r}")
+    # optim.RANGES owns these ranges; omoe.s is checked only when OMoE runs
+    check_ranges(cfg["optimizer"], "optimizer.", ConfigError)
+    check_ranges(omoe if omoe["enabled"] else {**omoe, "s": None}, "omoe.", ConfigError)
+    if not 0 < (fraction := train["eval_fraction"]) < 1:  # written so that NaN fails too
+        raise ConfigError(f"train.eval_fraction: must lie in (0, 1), got {fraction!r}")
     if task["kind"] in ("subspace_clusters", "piecewise_regression"):  # CSV rows: counted on read
         n = task["K"] * task["n_per_cluster"] if task["kind"] == "subspace_clusters" else task["n"]
-        if (n_train := n - max(1, int(n * train["eval_fraction"]))) < train["batch_size"]:
-            raise ConfigError(f"train.batch_size: {train['batch_size']} > {n_train} training rows")
+        _check_batch(train["batch_size"], _split(n, train["eval_fraction"])[1])
     if task["kind"] == "subspace_clusters" and task["subspace_dim"] > task["d_raw"]:
         raise ConfigError(f"task.subspace_dim: {task['subspace_dim']} exceeds "
                           f"task.d_raw = {task['d_raw']}")
@@ -217,7 +216,8 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     data_rng, model_rng = Rng(seed).spawn(2)
     dataset = build_dataset(cfg, data_rng)
     perm = np.random.default_rng([seed, 104729]).permutation(dataset.n)
-    n_eval = max(1, int(dataset.n * cfg["train"]["eval_fraction"]))
+    n_eval, n_train = _split(dataset.n, cfg["train"]["eval_fraction"])
+    _check_batch(cfg["train"]["batch_size"], n_train)  # a CSV task's rows are counted here
     eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
     X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
     X_eval, y_eval = dataset.X[eval_idx], dataset.y[eval_idx]
@@ -367,9 +367,6 @@ def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
     return {"table": rows, "reports": reports}
 
 
-_LR_DEFAULTS = {"sgd": 0.1, "adam": 1e-3, "adamw": 1e-3, "rmsprop": 1e-3, "adagrad": 0.1}
-
-
 def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
     """Paired baseline / OMoE-wrapped scores for each base optimizer kind."""
     _require_distinct("kinds", kinds)
@@ -378,7 +375,8 @@ def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
         raise ConfigError(f"optimizer.kind: unknown kind {unknown[0]!r}")
     # each kind replaces the whole section: the user's optimizer keys, such as
     # adamw's weight_decay, are not parameters of every kind
-    reports = _run_pairs({kind: {**cfg, "optimizer": {"kind": kind, "lr": _LR_DEFAULTS[kind]}}
+    reports = _run_pairs({kind: {**cfg, "optimizer": {"kind": kind,
+                                                      "lr": hyperparameters(kind)["lr"]}}
                           for kind in kinds})
     rows = [{"optimizer": kind,
              "baseline_score": pair["baseline"]["aggregate"]["eval_score_mean"],

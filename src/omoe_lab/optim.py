@@ -33,7 +33,7 @@ class BaseOptimizer:
     kind = "base"
     moments: tuple[str, ...] = ()  # moment buffers kept per parameter
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float = 0.1):
         self.lr = lr
         self.t = 0
         self.state: dict[str, dict[str, np.ndarray]] = {}
@@ -115,7 +115,7 @@ class Adagrad(BaseOptimizer):
     kind = "adagrad"
     moments = ("G",)
 
-    def __init__(self, lr=1e-2, eps=1e-10):
+    def __init__(self, lr=0.1, eps=1e-10):
         super().__init__(lr)
         self.eps = eps
 
@@ -127,11 +127,32 @@ class Adagrad(BaseOptimizer):
 
 OPTIMIZERS = {cls.kind: cls for cls in (SGD, Adam, AdamW, RMSProp, Adagrad)}
 
+_POSITIVE, _UNIT = (lambda v: v > 0, "be > 0"), (lambda v: 0 <= v < 1, "lie in [0, 1)")
+# each hyperparameter's range, keyed by its config name; every test fails for NaN
+RANGES = {"lr": _POSITIVE, "eps": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT, "rho": _UNIT,
+          "weight_decay": (lambda v: v >= 0, "be >= 0"), "s": (lambda v: v >= 2, "be >= 2"),
+          "n_total": (lambda v: v >= 1, "be >= 1"), "alpha0": _POSITIVE,
+          "lambda": (lambda v: 0 < v <= 1, "lie in (0, 1]"), "o_lr": _POSITIVE,
+          "e": (lambda v: v >= 1, "be >= 1")}
+
+
+def check_ranges(values: dict, where: str = "", error: type = ContractViolation) -> None:
+    """Raise ``error`` naming ``where`` and the key for a value outside its ``RANGES``
+    entry; None and keys without an entry pass."""
+    for key, value in values.items():
+        if key in RANGES and value is not None and not RANGES[key][0](value):
+            raise error(f"{where}{key}: must {RANGES[key][1]}, got {value!r}")
+
+
+def hyperparameters(kind: str) -> dict:
+    """Constructor parameter -> default of optimizer ``kind``, in the constructor's order."""
+    return {k: p.default for k, p in inspect.signature(OPTIMIZERS[kind]).parameters.items()}
+
 
 def make_optimizer(kind: str, lr: float, **hyper) -> BaseOptimizer:
-    kind = kind.lower()
     if kind not in OPTIMIZERS:
         raise ContractViolation(f"unknown optimizer kind {kind!r}")
+    check_ranges({"lr": lr, **hyper})
     return OPTIMIZERS[kind](lr=lr, **hyper)
 
 
@@ -200,20 +221,10 @@ class OMoEState:
     mac_counter: MacCounter = field(default_factory=MacCounter)
 
     def __post_init__(self):
-        if self.s < 2:
-            raise ContractViolation("skipping step s must be >= 2")
-        if self.n_total < 1:
-            raise ContractViolation("n_total must be >= 1 for the decay schedule")
-        if not self.alpha0 > 0:  # written so that NaN fails too
-            raise ContractViolation("alpha0 must be positive")
-        if not (0 < self.lam <= 1):
-            raise ContractViolation("lambda must lie in (0, 1]")
+        check_ranges({"s": self.s, "n_total": self.n_total, "alpha0": self.alpha0,
+                      "lambda": self.lam, "o_lr": self.o_lr, "e": self.e})
         if self.avg_norm not in AVG_NORMS:
             raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
-        if self.o_lr is not None and not self.o_lr > 0:
-            raise ContractViolation("o_lr must be positive or None")
-        if self.e < 1:
-            raise ContractViolation("step counter e must be >= 1")
 
     def alpha_at(self, i: int) -> float:
         """Decayed regularizer alpha0 * lam^(i / n_total) for batch index i."""
@@ -331,8 +342,7 @@ _ENTRY_FIELDS = {"i": "an integer", "xbar": "an array"}
 
 def save_optimizer(state: OMoEState, path) -> None:
     base = state.base
-    hyper = {k: v for k, v in base.__dict__.items()
-             if k not in ("state", "t") and np.isscalar(v)}
+    hyper = {k: getattr(base, k) for k in hyperparameters(base.kind)}
     write_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT, {
         "base": {"kind": base.kind, "t": base.t, "hyper": hyper, "state": base.state},
         **{key: getattr(state, key) for key in _STATE_SCALARS},
@@ -360,8 +370,8 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
     kind, hyper = doc["base"]["kind"], doc["base"]["hyper"]
     if kind not in OPTIMIZERS:
         raise ContractViolation(f"{path}: base.kind: unknown optimizer kind {kind!r}")
-    require_fields(path, "base.hyper", hyper,
-                   dict.fromkeys(inspect.signature(OPTIMIZERS[kind]).parameters, "a number"))
+    require_fields(path, "base.hyper", hyper, dict.fromkeys(hyperparameters(kind), "a number"))
+    check_ranges(hyper, f"{path}: base.hyper.")
     base = make_optimizer(kind, **hyper)
     base.t = doc["base"]["t"]
     base.state = doc["base"]["state"]
@@ -371,8 +381,11 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
         raise ContractViolation(f"{path}: {exc}") from None
     for n, item in enumerate(doc["projectors"]):
         require_fields(path, f"projectors[{n}]", item, _PROJECTOR_FIELDS)
-        state.projectors[(item["m"], item["layer"])] = OrthoProjector(
-            item["d"], item["P"], item["updates_applied"])
+        try:
+            proj = OrthoProjector(item["d"], item["P"], item["updates_applied"])
+        except ContractViolation as exc:
+            raise ContractViolation(f"{path}: projectors[{n}]: {exc}") from None
+        state.projectors[(item["m"], item["layer"])] = proj
     for n, item in enumerate(doc["buffers"]):
         require_fields(path, f"buffers[{n}]", item, _BUFFER_FIELDS)
         for k, entry in enumerate(item["entries"]):

@@ -181,9 +181,8 @@ class TestErrorPaths:
         assert "JSON compliant" in err["error"]["message"]
         assert not (out / "run_report.json").exists()
 
-    def test_runtime_error_exit_3(self, tmp_path, capsys):
-        # a CSV task's rows are counted only once the file is read, so fewer
-        # training rows than train.batch_size is a runtime failure
+    def test_csv_too_few_rows_exit_2(self, tmp_path, capsys):
+        # a CSV task's rows are counted once the file is read, before the first step
         data = tmp_path / "small.csv"
         write_csv(gen_subspace_clusters(Rng(0), 3, 12, 3, 3), data)  # 9 rows, 8 to train
         cfg = json.loads(json.dumps(TINY))
@@ -191,10 +190,10 @@ class TestErrorPaths:
                            feature_columns=[f"f{i}" for i in range(12)])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(path)]) == 3
+        assert main(["train", "--config", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ContractViolation"
-        assert "batch_size" in err["error"]["message"]
+        assert err["error"] == {"type": "ConfigError",
+                                "message": "train.batch_size: 16 > 8 training rows"}
 
     def test_truncated_model_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "a.json"

@@ -1,17 +1,18 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
 
 from omoe_lab import (Rng, average_projector, load_optimizer, make_optimizer, model_forward,
                       new_omoe_state, o_step, r_step, save_optimizer, step_dispatch)
-from omoe_lab.errors import ContractViolation, SingleExpertError
+from omoe_lab.errors import ConfigError, ContractViolation, SingleExpertError
 from omoe_lab.grad import Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.model import MoEModel
-from omoe_lab.optim import _STATE_SCALARS, MacCounter
+from omoe_lab.optim import _STATE_SCALARS, RANGES, MacCounter, OMoEState, check_ranges
 from tests.test_model import small_model
 
 
@@ -85,6 +86,10 @@ class TestBaseOptimizers:
     def test_unknown_kind(self):
         with pytest.raises(ContractViolation):
             make_optimizer("lion", 1e-3)
+
+    def test_kind_is_case_sensitive(self):
+        with pytest.raises(ContractViolation, match="unknown optimizer kind 'ADAMW'"):
+            make_optimizer("ADAMW", 1e-3)
 
     def test_state_floats(self):
         for kind, factor in (("sgd", 0), ("adam", 2), ("adamw", 2),
@@ -465,10 +470,10 @@ class TestOptimizerCheckpoint:
             load_optimizer(path, small_model(M=2))
 
     @staticmethod
-    def buffered_state():
+    def buffered_state(base_kind="adamw"):
         """A dense M=2 model (d=4, h=5) and its state two R steps in: two means per buffer."""
         model = small_model(M=2, routing="dense")
-        state = make_state(model, s=3, base_kind="adamw", lr=1e-3, alpha0=0.7, lam=0.8)
+        state = make_state(model, s=3, base_kind=base_kind, lr=1e-3, alpha0=0.7, lam=0.8)
         rng = np.random.default_rng(0)
         for _ in range(2):
             step_dispatch(state, model, rng.normal(size=(4, model.dims.d_raw)), [0, 1, 2, 0])
@@ -500,7 +505,10 @@ class TestOptimizerCheckpoint:
         (lambda doc: doc.update(M=3), r"opt\.json: M: the file has 3 experts, the model 2"),
         (lambda doc: doc["projectors"][3].update(d=6, P=payload(np.eye(6))),
          r"projector \(1, 2\): found shape \(6, 6\), expected shape \(5, 5\)"),
-        (lambda doc: doc["projectors"][1]["P"].update(shape=[1, 25]), "does not fit dimension 5"),
+        (lambda doc: doc["projectors"][1]["P"].update(shape=[1, 25]),
+         r"opt\.json: projectors\[1\]: P of shape \(1, 25\) does not fit dimension 5"),
+        (lambda doc: doc["projectors"][1].update(d=0),
+         r"opt\.json: projectors\[1\]: projector dimension must be >= 1"),
         (lambda doc: doc["buffers"].pop(0), "buffers and projectors"),
         (lambda doc: doc["buffers"][2]["entries"][1]["xbar"].update(shape=[2, 2]),
          r"mean 2 buffered for \(1, 1\) has shape \(2, 2\), not \(4,\)"),
@@ -526,10 +534,10 @@ class TestOptimizerCheckpoint:
         (lambda doc: doc["buffers"][2]["entries"][1].pop("xbar"),
          r"opt\.json: buffers\[2\]\.entries\[1\]: missing key 'xbar'"),
     ], ids=["missing_projector", "wrong_M", "wrong_projector_size", "projector_not_square",
-            "missing_buffer", "wrong_mean_length", "missing_scalar", "missing_base_field",
-            "unknown_hyper", "misshapen_moment", "missing_moments", "missing_moment",
-            "misshapen_input_moment", "string_M", "string_s", "string_t", "string_hyper",
-            "missing_P", "P_not_an_array", "missing_xbar"])
+            "projector_zero_d", "missing_buffer", "wrong_mean_length", "missing_scalar",
+            "missing_base_field", "unknown_hyper", "misshapen_moment", "missing_moments",
+            "missing_moment", "misshapen_input_moment", "string_M", "string_s", "string_t",
+            "string_hyper", "missing_P", "P_not_an_array", "missing_xbar"])
     def test_bad_layout_named(self, tmp_path, edit, field):
         path = tmp_path / "opt.json"
         model, state = self.buffered_state()
@@ -547,6 +555,69 @@ class TestOptimizerCheckpoint:
         save_optimizer(self.buffered_state()[1], path)
         with pytest.raises(ContractViolation, match="opt.json"):
             load_optimizer(path, small_model(**{"M": 2, "routing": "dense", **other}))
+
+
+NAN = float("nan")
+# a bad value for each key of optim.RANGES, and the config section that holds the key
+# (None: n_total and e are worked out, not configured); NaN must fail every range
+BAD_RANGES = [("lr", NAN, "optimizer"), ("lr", -1.0, "optimizer"), ("eps", 0.0, "optimizer"),
+              ("beta1", 2.0, "optimizer"), ("beta2", NAN, "optimizer"),
+              ("rho", 1.0, "optimizer"), ("weight_decay", -0.1, "optimizer"),
+              ("s", 1, "omoe"), ("n_total", 0, None), ("alpha0", NAN, "omoe"),
+              ("lambda", 1.5, "omoe"), ("o_lr", 0.0, "omoe"), ("e", 0, None)]
+BASE_KEYS = ("lr", "eps", "beta1", "beta2", "rho", "weight_decay")
+
+
+def kind_for(key):
+    """A base optimizer kind that takes ``key``."""
+    return "rmsprop" if key == "rho" else "adamw"
+
+
+class TestRanges:
+    """The config, the constructors and the optimizer loader all read optim.RANGES."""
+
+    def test_every_range_has_a_bad_value(self):
+        assert {key for key, _bad, _section in BAD_RANGES} == set(RANGES)
+
+    @pytest.mark.parametrize("key", sorted(RANGES))
+    def test_nan_fails_and_none_passes(self, key):
+        with pytest.raises(ContractViolation, match=rf"^{key}: must .*, got nan$"):
+            check_ranges({key: NAN})
+        check_ranges({key: None})
+
+    @pytest.mark.parametrize("key, bad, section",
+                             [case for case in BAD_RANGES if case[2] is not None])
+    def test_config_names_field(self, key, bad, section):
+        overrides = {section: {key: bad}}
+        if section == "optimizer":
+            overrides["optimizer"]["kind"] = kind_for(key)
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must "):
+            make_config(overrides)
+
+    @pytest.mark.parametrize("key, bad, section", BAD_RANGES)
+    def test_constructor_rejects(self, key, bad, section):
+        with pytest.raises(ContractViolation, match=rf"^{key}: must "):
+            if key in BASE_KEYS:
+                make_optimizer(kind_for(key), **{"lr": 1e-3, key: bad})
+            else:
+                schedule = {"s": 2, "n_total": 10, "alpha0": 1.0, "lambda": 0.9, "e": 1,
+                            key: bad}
+                OMoEState(base=make_optimizer("sgd", 0.1), M=2, avg_norm="paper",
+                          lam=schedule.pop("lambda"), **schedule)
+
+    @pytest.mark.parametrize("key, bad, section", BAD_RANGES)
+    def test_loader_names_file_and_field(self, tmp_path, key, bad, section):
+        path = tmp_path / "opt.json"
+        model, state = TestOptimizerCheckpoint.buffered_state(kind_for(key))
+        save_optimizer(state, path)
+        doc = json.loads(path.read_text())
+        if key in BASE_KEYS:
+            doc["base"]["hyper"][key], field = bad, f"base.hyper.{key}"
+        else:  # OMoEState.lam is written as "lam" and named by its config name
+            doc["lam" if key == "lambda" else key], field = bad, key
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation, match=rf"opt\.json: {re.escape(field)}: must "):
+            load_optimizer(path, model)
 
 
 class TestMacCounter:
