@@ -218,6 +218,8 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     perm = np.random.default_rng([seed, 104729]).permutation(dataset.n)
     n_eval, n_train = _split(dataset.n, cfg["train"]["eval_fraction"])
     _check_batch(cfg["train"]["batch_size"], n_train)  # a CSV task's rows are counted here
+    if dataset.n_classes > (c := cfg["model"]["c"]):  # and its classes
+        raise ConfigError(f"model.c: {c} outputs, but the data has {dataset.n_classes} classes")
     eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
     X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
     X_eval, y_eval = dataset.X[eval_idx], dataset.y[eval_idx]

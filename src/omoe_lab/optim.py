@@ -27,8 +27,19 @@ from .projector import OrthoProjector
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
 
 
+GATHER_BELOW = 4096  # parameters under this many floats step together as one vector
+
+
 class BaseOptimizer:
-    """Per-parameter moment buffers keyed by parameter name."""
+    """Per-parameter moment buffers keyed by parameter name.
+
+    A step gathers the parameters under ``GATHER_BELOW`` floats, and their
+    gradients, into one vector each, updates it with a single ``_update`` and
+    copies the result back into the caller's arrays. The update is elementwise,
+    so gathering changes no bit. A larger parameter steps alone, in place.
+    ``state[name][moment]`` has the parameter's shape; for a gathered parameter
+    it is a view into one flat array per moment.
+    """
 
     kind = "base"
     moments: tuple[str, ...] = ()  # moment buffers kept per parameter
@@ -37,19 +48,50 @@ class BaseOptimizer:
         self.lr = lr
         self.t = 0
         self.state: dict[str, dict[str, np.ndarray]] = {}
+        self._layout = None  # built by _gather_layout on the first step
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        for name, p in params.items():
-            self._update(name, p, grads[name])
+        if (self._layout is None or self._layout[0] != tuple(params)
+                or self._layout[1] is not self.state):
+            self._layout = self._gather_layout(params)
+        _, _, gathered, p, moments, views, alone = self._layout
+        if gathered:
+            np.concatenate([params[name] for name in gathered], axis=None, out=p)
+            g = np.concatenate([grads[name] for name in gathered], axis=None)
+            self._update(p, g, moments)
+            for name, view in zip(gathered, views):
+                params[name][...] = view
+        for name in alone:
+            self._update(params[name], grads[name], self.state.get(name, {}))
 
-    def _update(self, name, p, g):
+    def _gather_layout(self, params: dict[str, np.ndarray]) -> tuple:
+        """Flat float64 vectors for the parameters under ``GATHER_BELOW`` floats and
+        their moments, and ``state`` rebuilt in ``params``' order around views of the
+        flat moments; values already in ``state``, such as a loaded file's, are copied in."""
+        gathered = [name for name, arr in params.items() if arr.size < GATHER_BELOW]
+        alone = [name for name, arr in params.items() if arr.size >= GATHER_BELOW]
+        sizes = [params[name].size for name in gathered]
+        p = np.empty(sum(sizes))  # kept with its views; the gradient vector is made per step
+        moments = {k: np.zeros(sum(sizes)) for k in self.moments}
+
+        def shaped(flat):  # gathered name -> its part of ``flat``, in the parameter's shape
+            return {name: part.reshape(params[name].shape)
+                    for name, part in zip(gathered, np.split(flat, np.cumsum(sizes)[:-1]))}
+
+        views = {k: shaped(flat) for k, flat in moments.items()}
+        state = {}
+        for name, arr in params.items() if self.moments else ():  # SGD's state stays {}
+            state[name] = {k: views[k][name] if name in views[k] else np.zeros_like(arr)
+                           for k in self.moments}
+            for k, old in self.state.get(name, {}).items():
+                state[name][k][...] = old
+        self.state = state
+        return (tuple(params), state, gathered, p, moments, list(shaped(p).values()), alone)
+
+    def _update(self, p: np.ndarray, g: np.ndarray, st: dict[str, np.ndarray]) -> None:
+        """Move ``p`` in place by gradient ``g``, advancing ``st``, its moment buffers."""
         raise NotImplementedError
-
-    def _buf(self, name: str, like: np.ndarray) -> dict:
-        if name not in self.state:
-            self.state[name] = {k: np.zeros_like(like) for k in self.moments}
-        return self.state[name]
 
     @classmethod
     def state_floats(cls, param_floats: int) -> int:
@@ -60,7 +102,7 @@ class BaseOptimizer:
 class SGD(BaseOptimizer):
     kind = "sgd"
 
-    def _update(self, name, p, g):
+    def _update(self, p, g, st):
         p -= self.lr * g
 
 
@@ -72,8 +114,7 @@ class Adam(BaseOptimizer):
         super().__init__(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
-    def _update(self, name, p, g):
-        st = self._buf(name, p)
+    def _update(self, p, g, st):
         st["m"] *= self.beta1
         st["m"] += (1 - self.beta1) * g
         st["v"] *= self.beta2
@@ -90,9 +131,9 @@ class AdamW(Adam):
         super().__init__(lr, beta1, beta2, eps)
         self.weight_decay = weight_decay
 
-    def _update(self, name, p, g):
+    def _update(self, p, g, st):
         decay = self.lr * self.weight_decay * p  # a new array, taken before p moves
-        super()._update(name, p, g)
+        super()._update(p, g, st)
         p -= decay
 
 
@@ -104,8 +145,7 @@ class RMSProp(BaseOptimizer):
         super().__init__(lr)
         self.rho, self.eps = rho, eps
 
-    def _update(self, name, p, g):
-        st = self._buf(name, p)
+    def _update(self, p, g, st):
         st["v"] *= self.rho
         st["v"] += (1 - self.rho) * g * g
         p -= self.lr * g / (np.sqrt(st["v"]) + self.eps)
@@ -119,8 +159,7 @@ class Adagrad(BaseOptimizer):
         super().__init__(lr)
         self.eps = eps
 
-    def _update(self, name, p, g):
-        st = self._buf(name, p)
+    def _update(self, p, g, st):
         st["G"] += g * g
         p -= self.lr * g / (np.sqrt(st["G"]) + self.eps)
 

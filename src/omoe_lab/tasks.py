@@ -136,10 +136,14 @@ def load_csv(path, feature_columns: list[str], target_column: str,
     if not xs:
         raise DataLoadError("no data rows")
     X = np.asarray(xs, dtype=np.float64)
+    _require(np.isfinite(X), X, feature_columns, "a finite number")
     if kind == "classification":
         y = np.asarray(ys, dtype=np.int64)
+        _require(y >= 0, y, [target_column], "a class index >= 0")
         return Dataset(X, y, "classification", int(y.max()) + 1)
-    return Dataset(X, np.asarray(ys, dtype=np.float64), "regression")
+    y = np.asarray(ys, dtype=np.float64)
+    _require(np.isfinite(y), y, [target_column], "a finite number")
+    return Dataset(X, y, "regression")
 
 
 def _parses(cell: str, parse) -> bool:
@@ -148,6 +152,16 @@ def _parses(cell: str, parse) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _require(ok: np.ndarray, values: np.ndarray, columns: list[str], need: str) -> None:
+    """DataLoadError at the first cell, in row-major order, where ``ok`` is False;
+    ``values`` holds one row per data row and one column per name in ``columns``."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        r, c = divmod(int(bad[0]), len(columns))
+        raise DataLoadError(f"row {r + 1}, column {columns[c]!r}: "
+                            f"{values.flat[bad[0]].item()!r} is not {need}")
 
 
 def batches(dataset: Dataset, seed: int, epoch: int, batch_size: int):

@@ -195,6 +195,20 @@ class TestErrorPaths:
         assert err["error"] == {"type": "ConfigError",
                                 "message": "train.batch_size: 16 > 8 training rows"}
 
+    def test_csv_more_classes_than_outputs_exit_2(self, tmp_path, capsys):
+        # a CSV task's classes are counted once the file is read, before the first step
+        data = tmp_path / "eight.csv"
+        write_csv(gen_subspace_clusters(Rng(0), 8, 12, 5, 3), data)  # classes 0..7
+        cfg = json.loads(json.dumps(TINY))
+        cfg["task"].update(kind="csv", path=str(data), target_column="target",
+                           feature_columns=[f"f{i}" for i in range(12)])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ConfigError",
+                                "message": "model.c: 3 outputs, but the data has 8 classes"}
+
     def test_truncated_model_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         save_model(init_model(Rng(1), ModelDims(6, 4, 4, 3), 3), path)

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import re
 
@@ -12,7 +13,8 @@ from omoe_lab.grad import Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.model import MoEModel
-from omoe_lab.optim import _STATE_SCALARS, RANGES, MacCounter, OMoEState, check_ranges
+from omoe_lab.optim import (_STATE_SCALARS, GATHER_BELOW, RANGES, MacCounter, OMoEState,
+                            check_ranges)
 from tests.test_model import small_model
 
 
@@ -50,38 +52,53 @@ class TestBaseOptimizers:
         expected = 1.0 - 0.1 * 3.0 / (3.0 + 1e-10)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["adam", "adamw", "rmsprop", "adagrad"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamw", "rmsprop", "adagrad"])
     def test_multi_step_matches_out_of_place_formulas(self, kind):
-        # the reference rebuilds every moment as a new array at each step;
-        # the optimizer's in-place buffers must give the same bits
+        # the reference rebuilds every moment as a new array at each step, one
+        # parameter at a time; the optimizer's gathered in-place step must give
+        # the same bits, for the small parameters and for the one that steps alone
         lr, b1, b2, eps, wd, rho, ada_eps = 0.05, 0.9, 0.999, 1e-8, 0.01, 0.99, 1e-10
+        shapes = {"a": (3, 4), "b": (5,), "big": (GATHER_BELOW // 64, 64), "c": (2, 2)}
         rng = np.random.default_rng(11)
-        p_ref = rng.normal(size=(3, 4))
-        params = {"w": p_ref.copy()}
-        ref = {k: np.zeros((3, 4)) for k in ("m", "v", "G")}
+        p_ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: p.copy() for name, p in p_ref.items()}
+        ref = {name: {k: np.zeros(shape) for k in ("m", "v", "G")}
+               for name, shape in shapes.items()}
+        arrays = dict(params)  # the step writes into these, whether gathered or not
         opt = make_optimizer(kind, lr)
         for t in range(1, 6):
-            g = rng.normal(size=(3, 4))
-            opt.step(params, {"w": g})
-            if kind in ("adam", "adamw"):
-                decay = lr * wd * p_ref.copy()
-                ref["m"] = b1 * ref["m"] + (1 - b1) * g
-                ref["v"] = b2 * ref["v"] + (1 - b2) * g * g
-                mhat = ref["m"] / (1 - b1 ** t)
-                vhat = ref["v"] / (1 - b2 ** t)
-                p_ref = p_ref - lr * mhat / (np.sqrt(vhat) + eps)
-                if kind == "adamw":
-                    p_ref = p_ref - decay
-            elif kind == "rmsprop":
-                ref["v"] = rho * ref["v"] + (1 - rho) * g * g
-                p_ref = p_ref - lr * g / (np.sqrt(ref["v"]) + eps)
-            else:
-                ref["G"] = ref["G"] + g * g
-                p_ref = p_ref - lr * g / (np.sqrt(ref["G"]) + ada_eps)
-            np.testing.assert_array_equal(params["w"], p_ref)
-            assert set(opt.state["w"]) == set(opt.moments)
-            for k, buf in opt.state["w"].items():
-                np.testing.assert_array_equal(buf, ref[k])
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            opt.step(params, grads)
+            assert all(params[name] is arrays[name] for name in shapes)
+            for name, g in grads.items():
+                r, p = ref[name], p_ref[name]
+                if kind == "sgd":
+                    p = p - lr * g
+                elif kind in ("adam", "adamw"):
+                    decay = lr * wd * p.copy()
+                    r["m"] = b1 * r["m"] + (1 - b1) * g
+                    r["v"] = b2 * r["v"] + (1 - b2) * g * g
+                    mhat = r["m"] / (1 - b1 ** t)
+                    vhat = r["v"] / (1 - b2 ** t)
+                    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+                    if kind == "adamw":
+                        p = p - decay
+                elif kind == "rmsprop":
+                    r["v"] = rho * r["v"] + (1 - rho) * g * g
+                    p = p - lr * g / (np.sqrt(r["v"]) + eps)
+                else:
+                    r["G"] = r["G"] + g * g
+                    p = p - lr * g / (np.sqrt(r["G"]) + ada_eps)
+                p_ref[name] = p
+                np.testing.assert_array_equal(params[name], p)
+            if kind == "sgd":
+                assert opt.state == {}
+                continue
+            assert list(opt.state) == list(shapes)
+            for name in shapes:
+                assert set(opt.state[name]) == set(opt.moments)
+                for k, buf in opt.state[name].items():
+                    np.testing.assert_array_equal(buf, ref[name][k])
 
     def test_unknown_kind(self):
         with pytest.raises(ContractViolation):
@@ -428,10 +445,39 @@ class TestOptimizerCheckpoint:
                 assert i1 == i2
                 np.testing.assert_array_equal(x1, x2)
 
-    def test_resume_reproduces_trajectory(self, tmp_path):
-        # checkpoint mid-run, keep going both ways, trajectories stay bit-identical
-        model = small_model(seed=4, M=2, routing="dense")
-        state = make_state(model, s=3, base_kind="adamw", lr=1e-3, o_lr=2.0)
+    @staticmethod
+    def cutoff_model():
+        """A dense M=2 model whose expert W1 (64 x 64) steps alone, at ``GATHER_BELOW`` floats."""
+        model = small_model(seed=4, d=64, h=64, M=2, routing="dense")
+        assert model.params["expert0.W1"].size == GATHER_BELOW
+        return model
+
+    # sha256 of each kind's file after 7 steps; the gathered step must not move a bit of it
+    CHECKPOINT_DIGESTS = {
+        "sgd": "9e58f54722e77350578639fd128d541fdfdd14a93cf7240fe17d010b47d75329",
+        "adam": "090b395a75677c5a737b201c101a839d3affa2fadf31b2aa8017915c012a3091",
+        "adamw": "033ef3a0ad9cf86cd2450e25d6e85f6acdc7565140dfb114ebed91f655f97c73",
+        "rmsprop": "478879f14e8194f169b51721431fb9ace255fe2fdf107c2e3535d3b883f53d18",
+        "adagrad": "19d0f9b82d04cfe140addf1f5752b00ad7a110a90991251205abb66c4cacab1f",
+    }
+
+    @pytest.mark.parametrize("kind", list(CHECKPOINT_DIGESTS))
+    def test_checkpoint_pinned(self, tmp_path, kind):
+        model = self.cutoff_model()
+        state = make_state(model, s=3, base_kind=kind, lr=1e-3)
+        rng = np.random.default_rng(2)
+        for _ in range(7):
+            step_dispatch(state, model, rng.normal(size=(4, model.dims.d_raw)), [0, 1, 2, 0])
+        save_optimizer(state, tmp_path / "opt.json")
+        digest = hashlib.sha256((tmp_path / "opt.json").read_bytes()).hexdigest()
+        assert digest == self.CHECKPOINT_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", list(CHECKPOINT_DIGESTS))
+    def test_resume_reproduces_trajectory(self, tmp_path, kind):
+        # checkpoint mid-run, keep going both ways, trajectories stay bit-identical;
+        # the loaded per-name moments are packed into the flat ones on the first step
+        model = self.cutoff_model()
+        state = make_state(model, s=3, base_kind=kind, lr=1e-3, o_lr=2.0)
         rng = np.random.default_rng(1)
         batch_list = [(rng.normal(size=(4, model.dims.d_raw)), [0, 1, 2, 0])
                       for _ in range(10)]
@@ -447,6 +493,9 @@ class TestOptimizerCheckpoint:
             step_dispatch(resumed_state, resumed_model, X, y)
         for name in model.param_names():
             np.testing.assert_array_equal(model.params[name], resumed_model.params[name])
+        for name, moments in state.base.state.items():
+            for k, arr in moments.items():
+                np.testing.assert_array_equal(resumed_state.base.state[name][k], arr)
 
     # n_total=1 leaves the means buffered at batch index 2 outside the schedule
     @pytest.mark.parametrize("key, bad", [("alpha0", 0.0), ("lam", 0.0), ("lam", 1.5),

@@ -92,18 +92,24 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded.X, ds.X)
         np.testing.assert_array_equal(loaded.y, ds.y)
 
-    @pytest.mark.parametrize("bad_row, kind, column", [
-        ("7.0,oops,0", "classification", "f1"),
-        ("7.0,7.5,1.5", "classification", "target"),
-        ("7.0,7.5,x", "regression", "target"),
-    ], ids=["feature", "class_target", "real_target"])
-    def test_bad_cell_cites_row_and_column(self, tmp_path, bad_row, kind, column):
+    @pytest.mark.parametrize("bad_row, kind, column, why", [
+        ("7.0,oops,0", "classification", "f1", "unparsable cell 'oops'"),
+        ("7.0,7.5,1.5", "classification", "target", "unparsable cell '1.5'"),
+        ("7.0,7.5,x", "regression", "target", "unparsable cell 'x'"),
+        ("7.0,nan,0", "classification", "f1", "nan is not a finite number"),
+        ("-inf,7.5,0", "regression", "f0", "-inf is not a finite number"),
+        ("7.0,7.5,-1", "classification", "target", "-1 is not a class index >= 0"),
+        ("7.0,7.5,nan", "regression", "target", "nan is not a finite number"),
+    ], ids=["feature", "class_target", "real_target", "nan_feature", "inf_feature",
+            "negative_class", "nan_real_target"])
+    def test_bad_cell_cites_row_and_column(self, tmp_path, bad_row, kind, column, why):
         path = tmp_path / "bad.csv"
         rows = ["f0,f1,target"] + [f"{i}.0,{i}.5,0" for i in range(1, 10)]
         rows[7] = bad_row  # data row 7
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(DataLoadError, match=f"row 7.*'{column}'"):
+        with pytest.raises(DataLoadError) as info:
             load_csv(path, ["f0", "f1"], "target", kind)
+        assert str(info.value) == f"row 7, column '{column}': {why}"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
