@@ -3,7 +3,10 @@
 ``backward`` differentiates the mean batch loss with respect to every
 parameter and also emits, for each expert and each of its two weight layers,
 the mean input vector over the tokens that expert processed this batch (the
-raw material for projector accumulation).
+raw material for projector accumulation). It reads the tape in dispatch
+order, as ``moe_block_forward`` left it: each expert's rows, upstream
+gradients and gate probabilities are contiguous slices, and the input and gate
+gradients are scattered back to batch order once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,25 @@ ExpertInputMeans = dict
 LOSS_KINDS = ("ce", "mse")  # cross-entropy over class indices, 0.5 squared error
 
 
+def _class_indices(targets, n: int, c: int) -> np.ndarray:
+    """``targets`` as n int64 class indices; each must be a whole number in [0, c)."""
+    t = np.asarray(targets).ravel()
+    if t.shape[0] != n:
+        raise ContractViolation("target count does not match batch size")
+    if t.dtype.kind in "iu":
+        idx = t.astype(np.int64, copy=False)
+        bad = idx.view(np.uint64) >= c  # a negative index reads as a huge unsigned one
+    else:  # a float must hold a whole number; a non-finite one casts to garbage, caught here
+        with np.errstate(invalid="ignore"):
+            idx = t.astype(np.int64)
+        bad = (idx != t) | (idx.view(np.uint64) >= c)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ContractViolation(f"target {t[row].item()!r} in row {row} "
+                                f"is not a class index in [0, {c})")
+    return idx
+
+
 def _loss_with_grad(logits: np.ndarray, targets, kind: str):
     """(mean batch loss, its gradient with respect to the logits)."""
     if kind not in LOSS_KINDS:
@@ -37,9 +59,7 @@ def _loss_with_grad(logits: np.ndarray, targets, kind: str):
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.shape[0]
     if kind == "ce":
-        targets = np.asarray(targets, dtype=np.int64).ravel()
-        if targets.shape[0] != n:
-            raise ContractViolation("target count does not match batch size")
+        targets = _class_indices(targets, n, logits.shape[1])
         probs = softmax(logits)
         rows = np.arange(n)
         value = float(-np.mean(np.log(probs[rows, targets])))
@@ -73,23 +93,28 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     g["head.b"] = dlog.sum(axis=0)
     dY = dlog @ p["head.W"]
 
-    probs = tape.routing.weights
-    dZ0 = np.zeros_like(tape.Z0)
-    dP = np.zeros_like(probs)  # dL/d(gate probability); zero where a row skipped an expert
+    # the experts' part works in dispatch order, on each expert's span of it
+    probs, order = tape.routing.weights, tape.order
+    dY_disp, gates = dY[order], probs[order]
+    dZ_disp = np.zeros_like(tape.Z_disp)
+    dP_disp = np.zeros_like(probs)  # dL/d(gate probability); zero where a row skipped an expert
     means: ExpertInputMeans = {}
-    for m, rows in tape.expert_tokens.items():
+    for m, span in tape.expert_tokens.items():
         hidden = tape.expert_hidden[m]
-        Z_m, dY_m = tape.Z0[rows], dY[rows]
-        dOut = probs[rows, m][:, None] * dY_m
-        dP[rows, m] = np.sum(dY_m * tape.expert_out[m], axis=1)
+        Z_m, dY_m = tape.Z_disp[span], dY_disp[span]
+        dOut = gates[span, m, None] * dY_m
+        dP_disp[span, m] = np.sum(dY_m * tape.expert_out[m], axis=1)
         g[f"expert{m}.W2"] = dOut.T @ hidden
         g[f"expert{m}.b2"] = dOut.sum(axis=0)
         dPre1 = (dOut @ p[f"expert{m}.W2"]) * (hidden > 0)
         g[f"expert{m}.W1"] = dPre1.T @ Z_m
         g[f"expert{m}.b1"] = dPre1.sum(axis=0)
-        dZ0[rows] += dPre1 @ p[f"expert{m}.W1"]
-        means[(m, 1)] = Z_m.mean(axis=0)
-        means[(m, 2)] = hidden.mean(axis=0)
+        dZ_disp[span] += dPre1 @ p[f"expert{m}.W1"]
+        # sum / count is what ndarray.mean computes, without its per-call Python overhead
+        means[(m, 1)] = Z_m.sum(axis=0) / len(Z_m)
+        means[(m, 2)] = hidden.sum(axis=0) / len(Z_m)
+    dP, dZ0 = np.empty_like(dP_disp), np.empty_like(dZ_disp)
+    dP[order], dZ0[order] = dP_disp, dZ_disp
     # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
     dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
 

@@ -37,7 +37,7 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ContractViolation(f"{what} contains non-finite entries")
     return a
 

@@ -1,11 +1,16 @@
 """Toy mixture-of-experts network: input map -> gated experts -> output head.
 
 The MoE block combines M two-layer ReLU feed-forward experts through a linear
-softmax gate. One loop over experts serves both routing modes; they differ
-only in which rows each expert receives. ``top1`` sends each row to its
-highest-probability expert (ties broken toward the lowest index), ``dense``
-sends every row to every expert. Each expert's output is scaled by its gate
-probability and summed into the rows it received.
+softmax gate. ``top1`` sends each row to its highest-probability expert (ties
+broken toward the lowest index), ``dense`` sends every row to every expert.
+Both modes dispatch the batch once: the rows are gathered into dispatch order
+and each expert works on one contiguous span of it. ``top1`` orders the rows by
+expert with a stable sort, so expert m's span holds exactly its rows in
+ascending batch order; ``dense`` keeps the batch order and gives every expert
+the whole batch. One loop over experts serves both modes. Each expert's output
+is scaled by its gate probability and summed into its span, and the result is
+scattered back to batch order once. The tape keeps the dispatch order, the
+dispatched rows and each expert's span, so backward reads slices as well.
 
 Parameters live in a flat name -> float64 array dict; ``param_shapes`` gives
 each name's shape. Expert parameters are "theta"; everything else is "phi".
@@ -113,7 +118,9 @@ class BatchTape:
     X: np.ndarray                  # (N, d_raw) raw inputs
     Z0: np.ndarray                 # (N, d) post-input-map representation
     routing: RoutingRecord
-    expert_tokens: dict            # m -> rows routed to m: index array (top1), slice(None) (dense)
+    order: np.ndarray              # (N,) dispatch order: batch row of each dispatched row
+    Z_disp: np.ndarray             # (N, d) Z0[order], the dispatched rows
+    expert_tokens: dict            # m -> slice of dispatch order holding m's rows; only m with rows
     expert_hidden: dict            # m -> (n_m, h) post-ReLU hidden activations
     expert_out: dict               # m -> (n_m, d) expert outputs
     y_moe: np.ndarray              # (N, d) combined MoE output
@@ -186,27 +193,36 @@ def expert_forward(params: dict, m: int, Z: np.ndarray):
 
 
 def moe_block_forward(model: MoEModel, Z0: np.ndarray):
-    """Gate + experts on pre-mapped rows Z0; returns (y_moe, routing, caches)."""
+    """Gate + experts on pre-mapped rows Z0; returns (y_moe, routing, caches), where caches
+    holds the ``BatchTape`` fields order, Z_disp, expert_tokens, expert_hidden and expert_out."""
     if model.routing not in ROUTING_MODES:
         raise ContractViolation(f"unknown routing mode {model.routing!r}")
     p = model.params
     probs = softmax(Z0 @ p["gate.W"].T)
     N = Z0.shape[0]
-    selected = np.argmax(probs, axis=1) if model.routing == "top1" else None
-    y_moe = np.zeros((N, model.dims.d))
+    # routing decides only the dispatch order and each expert's span of it
+    if model.routing == "top1":
+        selected = np.argmax(probs, axis=1)
+        order = np.argsort(selected, kind="stable")  # ascending batch order within an expert
+        ends = np.cumsum(np.bincount(selected, minlength=model.M)).tolist()
+        spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    else:
+        selected, order, spans = None, np.arange(N), [slice(0, N)] * model.M
+    Z_disp, gates = Z0[order], probs[order]
+    y_disp = np.zeros((N, model.dims.d))
     expert_tokens, expert_hidden, expert_out = {}, {}, {}
-    for m in range(model.M):
-        # dense rows are a slice, so experts work on views of the batch, not copies
-        rows = slice(None) if selected is None else np.flatnonzero(selected == m)
-        Z_m = Z0[rows]
-        if Z_m.shape[0] == 0:
+    for m, span in enumerate(spans):
+        if span.start == span.stop:
             continue
-        hidden, out = expert_forward(p, m, Z_m)
-        y_moe[rows] += probs[rows, m][:, None] * out
-        expert_tokens[m] = rows
+        hidden, out = expert_forward(p, m, Z_disp[span])
+        y_disp[span] += gates[span, m, None] * out
+        expert_tokens[m] = span
         expert_hidden[m], expert_out[m] = hidden, out
+    y_moe = np.empty_like(y_disp)
+    y_moe[order] = y_disp
     routing = RoutingRecord(model.routing, probs, selected)
-    return y_moe, routing, (expert_tokens, expert_hidden, expert_out)
+    return y_moe, routing, {"order": order, "Z_disp": Z_disp, "expert_tokens": expert_tokens,
+                            "expert_hidden": expert_hidden, "expert_out": expert_out}
 
 
 def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
@@ -218,10 +234,9 @@ def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
         raise ContractViolation("batch must contain at least one row")
     p = model.params
     Z0 = X @ p["input_map.W"].T + p["input_map.b"]
-    y_moe, routing, (tokens, hidden, out) = moe_block_forward(model, Z0)
+    y_moe, routing, caches = moe_block_forward(model, Z0)
     logits = y_moe @ p["head.W"].T + p["head.b"]
-    tape = BatchTape(X=X, Z0=Z0, routing=routing, expert_tokens=tokens, expert_hidden=hidden,
-                     expert_out=out, y_moe=y_moe, logits=logits,
+    tape = BatchTape(X=X, Z0=Z0, routing=routing, **caches, y_moe=y_moe, logits=logits,
                      fingerprint=model.fingerprint() if guard else None)
     return logits, tape
 

@@ -46,7 +46,7 @@ class OrthoProjector:
         require_finite(x, "projector input")
         v = self.P @ x
         denom = alpha + float(x @ v)
-        self.P -= np.outer(v, v / denom)
+        self.P -= v[:, None] * (v / denom)
         self.updates_applied += 1
 
     def effective_rank(self, tau: float) -> int:

@@ -4,6 +4,7 @@ import pytest
 from omoe_lab import Rng, grad_check, model_forward
 from omoe_lab.errors import ContractViolation
 from omoe_lab.grad import _loss_with_grad, backward, loss
+from omoe_lab.model import expert_forward
 from tests.test_model import small_model
 
 
@@ -18,7 +19,8 @@ def reference_gate_grad(model, tape, targets, kind="ce"):
     probs = tape.routing.weights
     if model.routing == "top1":
         dGl = np.zeros_like(probs)
-        for m, idx in tape.expert_tokens.items():
+        for m, span in tape.expert_tokens.items():
+            idx = tape.order[span]  # the batch rows of m's span of dispatch order
             gm = probs[idx, m]
             dp = np.sum(dY[idx] * tape.expert_out[m], axis=1)
             coeff = dp * gm
@@ -30,6 +32,41 @@ def reference_gate_grad(model, tape, targets, kind="ce"):
             dp_all[:, m] = np.sum(dY * tape.expert_out[m], axis=1)
         dGl = probs * (dp_all - np.sum(probs * dp_all, axis=1, keepdims=True))
     return dGl.T @ tape.Z0
+
+
+def reference_backward(model, tape, targets, kind="ce"):
+    """Gradients and input means by the per-row fancy-index formulation: each expert
+    gathers its batch rows and scatters its input and gate gradients back into them."""
+    p = model.params
+    loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
+    g = {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
+    dY = dlog @ p["head.W"]
+    probs = tape.routing.weights
+    dZ0, dP, means = np.zeros_like(tape.Z0), np.zeros_like(probs), {}
+    for m in range(model.M):
+        rows = (slice(None) if model.routing == "dense"
+                else np.flatnonzero(np.argmax(probs, axis=1) == m))
+        Z_m, dY_m = tape.Z0[rows], dY[rows]
+        if Z_m.shape[0] == 0:
+            for name in model.expert_names(m):
+                g[name] = np.zeros_like(p[name])
+            continue
+        hidden, out = expert_forward(p, m, Z_m)
+        dOut = probs[rows, m][:, None] * dY_m
+        dP[rows, m] = np.sum(dY_m * out, axis=1)
+        g[f"expert{m}.W2"] = dOut.T @ hidden
+        g[f"expert{m}.b2"] = dOut.sum(axis=0)
+        dPre1 = (dOut @ p[f"expert{m}.W2"]) * (hidden > 0)
+        g[f"expert{m}.W1"] = dPre1.T @ Z_m
+        g[f"expert{m}.b1"] = dPre1.sum(axis=0)
+        dZ0[rows] += dPre1 @ p[f"expert{m}.W1"]
+        means[(m, 1)], means[(m, 2)] = Z_m.mean(axis=0), hidden.mean(axis=0)
+    dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
+    g["gate.W"] = dGl.T @ tape.Z0
+    dZ0 += dGl @ p["gate.W"]
+    g["input_map.W"] = dZ0.T @ tape.X
+    g["input_map.b"] = dZ0.sum(axis=0)
+    return g, loss_value, means
 
 
 class TestLoss:
@@ -56,6 +93,22 @@ class TestLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
             loss(np.zeros((2, 3)), np.zeros((2, 2)), "mse")
+
+    # a class index must be a whole number in [0, c): -1 once scored class c - 1,
+    # c raised a bare IndexError and 0.7 was truncated to class 0
+    @pytest.mark.parametrize("bad", [-1, 4, 0.7, np.nan])
+    def test_ce_bad_target_named(self, bad):
+        with pytest.raises(ContractViolation, match=rf"target {bad!r} in row 1 .*\[0, 4\)"):
+            loss(np.zeros((2, 4)), [0, bad], "ce")
+        model = small_model(c=4)
+        _, tape = model_forward(model, np.ones((2, model.dims.d_raw)))
+        with pytest.raises(ContractViolation, match=rf"target {bad!r}"):
+            backward(model, tape, np.array([bad, 0]), "ce")
+
+    def test_ce_whole_float_and_unsigned_targets_accepted(self):
+        want = loss(np.zeros((2, 4)), [1, 3], "ce")
+        assert loss(np.zeros((2, 4)), [1.0, 3.0], "ce") == want
+        assert loss(np.zeros((2, 4)), np.array([1, 3], dtype=np.uint8), "ce") == want
 
 
 class TestBackward:
@@ -159,6 +212,26 @@ class TestBackward:
         _, tape = model_forward(model, X)
         grads, _ = backward(model, tape, y, "ce")
         np.testing.assert_array_equal(grads.grads["gate.W"], reference_gate_grad(model, tape, y))
+
+    @pytest.mark.parametrize("routing", ["top1", "dense"])
+    @pytest.mark.parametrize("M, N", [(2, 1), (4, 5), (4, 32), (8, 17)])
+    @pytest.mark.parametrize("kind", ["ce", "mse"])
+    def test_equals_per_row_reference(self, routing, M, N, kind):
+        # dispatch order changes no matrix an expert sees, so not one bit may differ
+        model = small_model(seed=N, M=M, routing=routing)
+        rng = np.random.default_rng(N)
+        X = rng.normal(size=(N, model.dims.d_raw)) * 3.0
+        y = (rng.integers(0, model.dims.c, size=N) if kind == "ce"
+             else rng.normal(size=(N, model.dims.c)))
+        _, tape = model_forward(model, X)
+        grads, means = backward(model, tape, y, kind)
+        ref, ref_loss, ref_means = reference_backward(model, tape, y, kind)
+        assert grads.loss == ref_loss and list(means) == list(ref_means)
+        assert set(grads.grads) == set(ref)
+        for name, want in ref.items():
+            np.testing.assert_array_equal(grads.grads[name], want, err_msg=name)
+        for key, want in ref_means.items():
+            np.testing.assert_array_equal(means[key], want, err_msg=str(key))
 
     def test_stale_tape_rejected(self):
         model = small_model()

@@ -7,7 +7,7 @@ import pytest
 from omoe_lab import ModelDims, Rng, init_model, load_model, model_forward, save_model
 from omoe_lab.errors import ContractViolation
 from omoe_lab.metrics import model_param_variance
-from omoe_lab.model import moe_block_forward, param_shapes, softmax
+from omoe_lab.model import expert_forward, moe_block_forward, param_shapes, softmax
 
 
 def small_model(seed=0, d_raw=6, d=4, h=5, c=3, M=3, init="independent", routing="top1"):
@@ -112,15 +112,16 @@ class TestMoEForward:
     def test_single_expert_full_weight(self):
         model = small_model(M=1)
         x = np.ones(model.dims.d)
-        y, routing, (tokens, hidden, _) = moe_block_forward(model, x[None, :])
+        y, routing, caches = moe_block_forward(model, x[None, :])
         assert routing.weights[0, 0] == pytest.approx(1.0)
         # direct expert evaluation
         p = model.params
         expected_hidden = np.maximum(p["expert0.W1"] @ x + p["expert0.b1"], 0.0)
         expected = p["expert0.W2"] @ expected_hidden + p["expert0.b2"]
         np.testing.assert_allclose(y[0], expected)
-        np.testing.assert_array_equal(tokens[0], [0])
-        np.testing.assert_allclose(hidden[0][0], expected_hidden)
+        np.testing.assert_array_equal(caches["order"], [0])
+        assert caches["expert_tokens"] == {0: slice(0, 1)}
+        np.testing.assert_allclose(caches["expert_hidden"][0][0], expected_hidden)
 
     def test_dense_cancellation(self):
         model = small_model(M=2, routing="dense")
@@ -162,6 +163,85 @@ class TestMoEForward:
         model.routing = "dense"
         y_dense, _, _ = moe_block_forward(model, Z0)
         np.testing.assert_allclose(y_top1, y_dense, atol=1e-9)
+
+
+def reference_moe_forward(model, Z0):
+    """y_moe by the per-expert fancy-index formulation: gather each expert's batch rows,
+    run it on them and add its gated output back into those rows."""
+    p = model.params
+    probs = softmax(Z0 @ p["gate.W"].T)
+    y = np.zeros((Z0.shape[0], model.dims.d))
+    for m in range(model.M):
+        rows = slice(None) if model.routing == "dense" else np.flatnonzero(probs.argmax(axis=1) == m)
+        if Z0[rows].shape[0]:
+            y[rows] += probs[rows, m][:, None] * expert_forward(p, m, Z0[rows])[1]
+    return y
+
+
+class TestDispatch:
+    """The batch is gathered into dispatch order once; each expert reads one span of it."""
+
+    @staticmethod
+    def dispatch(model, Z0):
+        """Run the block, check the dispatch invariants and return (expert_tokens, order)."""
+        y, rec, caches = moe_block_forward(model, Z0)
+        order, tokens = caches["order"], caches["expert_tokens"]
+        N = Z0.shape[0]
+        np.testing.assert_array_equal(np.sort(order), np.arange(N))  # a permutation
+        np.testing.assert_array_equal(caches["Z_disp"], Z0[order])
+        if model.routing == "dense":
+            np.testing.assert_array_equal(order, np.arange(N))
+            assert tokens == {m: slice(0, N) for m in range(model.M)}
+        else:
+            for m in range(model.M):  # exactly the rows whose argmax is m, ascending
+                rows = np.flatnonzero(np.argmax(rec.weights, axis=1) == m)
+                if rows.size == 0:
+                    assert m not in tokens
+                else:
+                    np.testing.assert_array_equal(order[tokens[m]], rows)
+            # the spans tile [0, N) in expert order
+            starts, stops = [s.start for s in tokens.values()], [s.stop for s in tokens.values()]
+            assert list(tokens) == sorted(tokens)
+            assert starts == [0, *stops[:-1]] and stops[-1] == N
+        for m, span in tokens.items():
+            assert caches["expert_hidden"][m].shape[0] == span.stop - span.start
+        np.testing.assert_array_equal(y, reference_moe_forward(model, Z0))
+        return tokens, order
+
+    @pytest.mark.parametrize("routing", ["top1", "dense"])
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    def test_spans_and_output(self, routing, M, N):
+        model = small_model(seed=M + N, M=M, routing=routing)
+        Z0 = np.random.default_rng(N).normal(size=(N, model.dims.d)) * 3.0
+        tokens, _ = self.dispatch(model, Z0)
+        if routing == "top1" and N == 64:
+            assert len(tokens) > 1  # rows really are split between experts
+
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_every_row_to_one_expert(self, M):
+        Wg = np.zeros((M, 4))
+        Wg[M - 1] = 10.0  # positive rows all pick the last expert
+        Z0 = np.abs(np.random.default_rng(M).normal(size=(9, 4))) + 0.1
+        tokens, order = self.dispatch(gated_model(Wg, "top1"), Z0)
+        assert tokens == {M - 1: slice(0, 9)}
+        np.testing.assert_array_equal(order, np.arange(9))
+
+    def test_idle_experts_between_busy_ones(self):
+        # experts 1 and 3 of 5 win every row; 0, 2 and 4 are idle
+        Wg = np.zeros((5, 2))
+        Wg[1], Wg[3] = [10.0, 0.0], [0.0, 10.0]
+        Z0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.5, 1.0]])
+        tokens, order = self.dispatch(gated_model(Wg, "top1"), Z0)
+        assert tokens == {1: slice(0, 2), 3: slice(2, 5)}
+        np.testing.assert_array_equal(order, [1, 3, 0, 2, 4])
+
+    def test_single_row(self):
+        Wg = np.zeros((4, 3))
+        Wg[2] = 1.0
+        tokens, order = self.dispatch(gated_model(Wg, "top1"), np.ones((1, 3)))
+        assert tokens == {2: slice(0, 1)}
+        np.testing.assert_array_equal(order, [0])
 
 
 class TestModelForward:
