@@ -102,6 +102,7 @@ def cmd_config(args):
 def cmd_metrics(args):
     model_a = load_model(args.model_a)
     model_b = load_model(args.model_b)
+    degree = diverse_degree(model_a, model_b)  # rejects mismatched architectures, so first
     probe_rng = np.random.default_rng(args.probe_seed)
     X = probe_rng.normal(size=(256, model_a.dims.d_raw))
     reports = {}
@@ -110,7 +111,7 @@ def cmd_metrics(args):
         reports[tag] = diversity_report(model, X[0], tape.routing)
     payload = {
         "per_model": reports,
-        "diverse_degree_a_over_b": diverse_degree(model_a, model_b),
+        "diverse_degree_a_over_b": degree,
     }
     _write(args.out, "metrics.json", payload)
 

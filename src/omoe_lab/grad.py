@@ -1,12 +1,11 @@
 """Exact reverse-mode gradients for the MoE model, plus finite-difference checks.
 
 ``backward`` differentiates the mean batch loss with respect to every
-parameter and also emits, for each expert and each of its two weight layers,
-the mean input vector over the tokens that expert processed this batch (the
-raw material for projector accumulation). It reads the tape in dispatch
-order, as ``moe_block_forward`` left it: each expert's rows, upstream
-gradients and gate probabilities are contiguous slices, and the input and gate
-gradients are scattered back to batch order once.
+parameter. It reads the tape in dispatch order, as ``moe_block_forward`` left
+it: each expert's rows, upstream gradients and gate probabilities are
+contiguous slices, and the input and gate gradients are scattered back to
+batch order once. An idle expert's span is empty, so its gradients come out
+exactly zero from the same code.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ from .model import BatchTape, MoEModel, model_forward, softmax
 class Gradients:
     grads: dict[str, np.ndarray]
     loss: float
-
-
-# ExpertInputMeans: (expert, layer) -> mean input vector; entries exist only
-# for experts that received at least one token.
-ExpertInputMeans = dict
 
 
 LOSS_KINDS = ("ce", "mse")  # cross-entropy over class indices, 0.5 squared error
@@ -80,17 +74,13 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
 
 
 def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
-    """Analytic gradients of the mean loss plus per-expert input means."""
+    """Analytic gradients of the mean loss with respect to every parameter."""
     if tape.fingerprint is not None and tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params
     loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
 
-    idle = tuple(f"expert{m}." for m in range(model.M) if m not in tape.expert_tokens)
-    g = {name: np.zeros_like(v) for name, v in p.items()
-         if name.startswith(idle)}  # idle experts; every other entry is set below
-    g["head.W"] = dlog.T @ tape.y_moe
-    g["head.b"] = dlog.sum(axis=0)
+    g = {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
     dY = dlog @ p["head.W"]
 
     # the experts' part works in dispatch order, on each expert's span of it
@@ -98,9 +88,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     dY_disp, gates = dY[order], probs[order]
     dZ_disp = np.zeros_like(tape.Z_disp)
     dP_disp = np.zeros_like(probs)  # dL/d(gate probability); zero where a row skipped an expert
-    means: ExpertInputMeans = {}
-    for m, span in tape.expert_tokens.items():
-        hidden = tape.expert_hidden[m]
+    for m, (span, hidden) in enumerate(zip(tape.expert_tokens, tape.expert_hidden)):
         Z_m, dY_m = tape.Z_disp[span], dY_disp[span]
         dOut = gates[span, m, None] * dY_m
         dP_disp[span, m] = np.sum(dY_m * tape.expert_out[m], axis=1)
@@ -110,9 +98,6 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
         g[f"expert{m}.W1"] = dPre1.T @ Z_m
         g[f"expert{m}.b1"] = dPre1.sum(axis=0)
         dZ_disp[span] += dPre1 @ p[f"expert{m}.W1"]
-        # sum / count is what ndarray.mean computes, without its per-call Python overhead
-        means[(m, 1)] = Z_m.sum(axis=0) / len(Z_m)
-        means[(m, 2)] = hidden.sum(axis=0) / len(Z_m)
     dP, dZ0 = np.empty_like(dP_disp), np.empty_like(dZ_disp)
     dP[order], dZ0[order] = dP_disp, dZ_disp
     # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
@@ -122,7 +107,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     dZ0 += dGl @ p["gate.W"]
     g["input_map.W"] = dZ0.T @ tape.X
     g["input_map.b"] = dZ0.sum(axis=0)
-    return Gradients(g, loss_value), means
+    return Gradients(g, loss_value)
 
 
 @dataclass
@@ -143,7 +128,7 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
         raise ContractViolation("h must lie in [1e-6, 1e-4]")
     rng = rng or np.random.default_rng(0)
     logits, tape = model_forward(model, X)
-    analytic, _ = backward(model, tape, targets, kind)
+    analytic = backward(model, tape, targets, kind)
     base_sel = tape.routing.selected
 
     coords = []

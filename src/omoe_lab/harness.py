@@ -172,6 +172,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"train.loss: 'mse' needs model.c = 1 output, got {model['c']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
+    if min(cfg["seeds"]) < 0:  # numpy's seed sequences take only non-negative integers
+        raise ConfigError(f"seeds: must be >= 0, got {min(cfg['seeds'])!r}")
 
 
 def build_dataset(cfg: dict, rng: Rng) -> Dataset:
@@ -253,7 +255,7 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
                 epoch_losses.append(outcome.loss)
             else:
                 _, tape = model_forward(model, Xb, guard=False)
-                grads, _means = backward(model, tape, yb, loss_kind)
+                grads = backward(model, tape, yb, loss_kind)
                 base.step(model.params, grads.grads)
                 step_counts["R"] += 1
                 epoch_losses.append(grads.loss)

@@ -7,10 +7,11 @@ Both modes dispatch the batch once: the rows are gathered into dispatch order
 and each expert works on one contiguous span of it. ``top1`` orders the rows by
 expert with a stable sort, so expert m's span holds exactly its rows in
 ascending batch order; ``dense`` keeps the batch order and gives every expert
-the whole batch. One loop over experts serves both modes. Each expert's output
-is scaled by its gate probability and summed into its span, and the result is
+the whole batch. One loop over experts serves both modes, and every expert
+runs on its span, an idle expert on an empty one. Each expert's output is
+scaled by its gate probability and summed into its span, and the result is
 scattered back to batch order once. The tape keeps the dispatch order, the
-dispatched rows and each expert's span, so backward reads slices as well.
+dispatched rows and every expert's span, so backward reads slices as well.
 
 Parameters live in a flat name -> float64 array dict; ``param_shapes`` gives
 each name's shape. Expert parameters are "theta"; everything else is "phi".
@@ -120,9 +121,9 @@ class BatchTape:
     routing: RoutingRecord
     order: np.ndarray              # (N,) dispatch order: batch row of each dispatched row
     Z_disp: np.ndarray             # (N, d) Z0[order], the dispatched rows
-    expert_tokens: dict            # m -> slice of dispatch order holding m's rows; only m with rows
-    expert_hidden: dict            # m -> (n_m, h) post-ReLU hidden activations
-    expert_out: dict               # m -> (n_m, d) expert outputs
+    expert_tokens: list            # [m] slice of dispatch order holding m's rows; empty if idle
+    expert_hidden: list            # [m] (n_m, h) post-ReLU hidden activations
+    expert_out: list               # [m] (n_m, d) expert outputs
     y_moe: np.ndarray              # (N, d) combined MoE output
     logits: np.ndarray             # (N, c) head output
     fingerprint: float | None      # stale-tape guard; None if backward runs at once or never
@@ -210,18 +211,16 @@ def moe_block_forward(model: MoEModel, Z0: np.ndarray):
         selected, order, spans = None, np.arange(N), [slice(0, N)] * model.M
     Z_disp, gates = Z0[order], probs[order]
     y_disp = np.zeros((N, model.dims.d))
-    expert_tokens, expert_hidden, expert_out = {}, {}, {}
-    for m, span in enumerate(spans):
-        if span.start == span.stop:
-            continue
+    expert_hidden, expert_out = [], []
+    for m, span in enumerate(spans):  # an idle expert runs on its empty span too
         hidden, out = expert_forward(p, m, Z_disp[span])
         y_disp[span] += gates[span, m, None] * out
-        expert_tokens[m] = span
-        expert_hidden[m], expert_out[m] = hidden, out
+        expert_hidden.append(hidden)
+        expert_out.append(out)
     y_moe = np.empty_like(y_disp)
     y_moe[order] = y_disp
     routing = RoutingRecord(model.routing, probs, selected)
-    return y_moe, routing, {"order": order, "Z_disp": Z_disp, "expert_tokens": expert_tokens,
+    return y_moe, routing, {"order": order, "Z_disp": Z_disp, "expert_tokens": spans,
                             "expert_hidden": expert_hidden, "expert_out": expert_out}
 
 

@@ -4,7 +4,9 @@ OMoE alternates two kinds of steps over mini-batches (counter ``e`` starts at
 1 so training opens with a regular step):
 
 * R step (``e mod s != 0``): the base optimizer updates every parameter, and
-  each expert's per-layer mean inputs are appended to accumulation buffers.
+  the mean input of each expert's two weight layers over the batch's rows that
+  expert ran on, read from the forward tape, is appended to accumulation
+  buffers. An idle expert, with no rows, buffers nothing.
 * O step (``e mod s == 0``): buffered means are drained into the per-expert
   RLS projectors, then each expert's weight matrices take a plain gradient
   step projected by the averaged projector of the *other* experts. Only
@@ -19,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, SingleExpertError
-from .grad import ExpertInputMeans, Gradients, backward
-from .model import (MoEModel, layer_widths, model_forward, param_shapes, read_checkpoint,
-                    require_fields, require_keys, require_kind, require_shapes, write_checkpoint)
+from .grad import Gradients, backward
+from .model import (BatchTape, MoEModel, layer_widths, model_forward, param_shapes,
+                    read_checkpoint, require_fields, require_keys, require_kind, require_shapes,
+                    write_checkpoint)
 from .projector import OrthoProjector
 
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
@@ -285,12 +288,16 @@ def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int,
 
 
 def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
-           means: ExpertInputMeans) -> StepOutcome:
-    """Base-optimizer update of all parameters plus input-mean accumulation."""
+           tape: BatchTape) -> StepOutcome:
+    """Base-optimizer update of all parameters, then each expert with rows in ``tape``
+    buffers the mean input of its two weight layers over those rows."""
     state.base.step(model.params, grads.grads)
-    for key, xbar in means.items():
-        state.buffers[key].append((state.e, xbar))
-        state.means_produced += 1
+    for m, (span, hidden) in enumerate(zip(tape.expert_tokens, tape.expert_hidden)):
+        n = span.stop - span.start
+        if n:  # sum / count is what ndarray.mean computes, without its per-call overhead
+            state.buffers[(m, 1)].append((state.e, tape.Z_disp[span].sum(axis=0) / n))
+            state.buffers[(m, 2)].append((state.e, hidden.sum(axis=0) / n))
+            state.means_produced += 2
     state.e += 1
     return StepOutcome("R", grads.loss)
 
@@ -356,10 +363,10 @@ def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
     input means.
     """
     _, tape = model_forward(model, X, guard=False)
-    grads, means = backward(model, tape, targets, loss_kind)
+    grads = backward(model, tape, targets, loss_kind)
     if state.e % state.s == 0:
         return o_step(state, model, grads)
-    return r_step(state, model, grads, means)
+    return r_step(state, model, grads, tape)
 
 
 # --- optimizer checkpoint io (the model checkpoint's codec) ---

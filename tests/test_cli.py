@@ -164,6 +164,9 @@ class TestErrorPaths:
         (["train", "--override", "optimizer.eps=0"], "optimizer.eps: must be > 0"),
         (["train", "--override", "optimizer.kind=rmsprop", "--override", "optimizer.rho=-0.1"],
          "optimizer.rho: must lie in [0, 1)"),
+        # a negative seed once failed inside training (exit 3), or not at all for overhead
+        (["train", "--seeds", "-1"], "seeds: must be >= 0"),
+        (["overhead", "--seeds", "0,-2"], "seeds: must be >= 0"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2
@@ -171,6 +174,8 @@ class TestErrorPaths:
         assert err["error"]["type"] == "ConfigError"
         assert field in err["error"]["message"]
 
+    # the diverging run takes log(0) in the loss before the report check stops it
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
     def test_non_finite_report_exit_3(self, tmp_path, capsys):
         # a diverging O-step rate drives the report to inf/nan: no report is written
         out = tmp_path / "out"
@@ -293,3 +298,15 @@ class TestOtherSubcommands:
         payload = json.loads((out / "metrics.json").read_text())
         assert set(payload["per_model"]) == {"model_a", "model_b"}
         assert 0.0 <= payload["diverse_degree_a_over_b"] <= 1.0
+
+    @pytest.mark.parametrize("dims_b, M_b", [(ModelDims(9, 4, 4, 3), 3),
+                                             (ModelDims(8, 4, 4, 3), 4)])
+    def test_metrics_mismatched_architecture_exit_3(self, tmp_path, capsys, dims_b, M_b):
+        # checked before either forward pass: a d_raw mismatch once failed inside numpy
+        save_model(init_model(Rng(1), ModelDims(8, 4, 4, 3), 3), tmp_path / "a.json")
+        save_model(init_model(Rng(2), dims_b, M_b), tmp_path / "b.json")
+        assert main(["metrics", "--model-a", str(tmp_path / "a.json"),
+                     "--model-b", str(tmp_path / "b.json")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ContractViolation",
+                                "message": "models have mismatched architecture"}

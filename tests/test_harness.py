@@ -59,6 +59,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seeds"):
             make_config({"seeds": []})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"seeds: must be >= 0, got -1"):
+            make_config({"seeds": [0, -1]})
+
     @pytest.mark.parametrize("overrides, field", [
         ({"model": {"M": "abc"}}, "model.M"),
         ({"train": {"batch_size": 2.5}}, "train.batch_size"),

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,8 +121,9 @@ def make_state(model, s=5, n_total=100, base_kind="sgd", lr=0.1, **kw):
 
 
 def grads_for(model, X, y, kind="ce"):
+    """(gradients, tape) of one forward and backward pass."""
     _, tape = model_forward(model, X)
-    return backward(model, tape, y, kind)
+    return backward(model, tape, y, kind), tape
 
 
 class TestRStep:
@@ -130,8 +132,8 @@ class TestRStep:
         state = make_state(model)
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
         before = {k: v.copy() for k, v in model.params.items()}
-        grads, means = grads_for(model, X, [0, 1, 2, 0])
-        out = r_step(state, model, grads, means)
+        grads, tape = grads_for(model, X, [0, 1, 2, 0])
+        out = r_step(state, model, grads, tape)
         assert out.kind == "R"
         assert any(not np.array_equal(model.params[n], before[n])
                    for n in model.param_names())
@@ -148,17 +150,51 @@ class TestRStep:
         model.params["gate.W"][1] = -1.0
         state = make_state(model)
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
-        grads, means = grads_for(model, X, [0, 1, 2, 0])
-        r_step(state, model, grads, means)
+        grads, tape = grads_for(model, X, [0, 1, 2, 0])
+        r_step(state, model, grads, tape)
         assert len(state.buffers[(0, 1)]) == 1
         assert len(state.buffers[(1, 1)]) == 0
+
+    def test_buffered_means_equal_tape_row_means(self):
+        # bit for bit: r_step's sum / count is what ndarray.mean computes; an idle expert
+        # (top-1 with four rows over eight experts) buffers nothing
+        for routing in ("dense", "top1"):
+            model = small_model(M=8, routing=routing)
+            state = make_state(model)
+            X = np.random.default_rng(1).normal(size=(4, model.dims.d_raw))
+            grads, tape = grads_for(model, X, [0, 1, 2, 0])
+            r_step(state, model, grads, tape)
+            spans = tape.expert_tokens
+            assert any(s.start == s.stop for s in spans) == (routing == "top1")
+            for m, span in enumerate(spans):
+                busy = span.stop > span.start
+                for layer, rows in ((1, tape.Z_disp[span]), (2, tape.expert_hidden[m])):
+                    entries = state.buffers[(m, layer)]
+                    assert len(entries) == busy
+                    if busy:
+                        assert entries[0][0] == 1  # the batch index of the step
+                        np.testing.assert_array_equal(entries[0][1], rows.mean(axis=0))
+            assert state.means_produced == 2 * sum(s.stop > s.start for s in spans)
+
+    def test_idle_experts_step_without_warning(self):
+        # eight experts, four-row batches: idle experts run on empty spans, and neither
+        # their forward, backward nor a mean over their rows may divide 0 by 0
+        model = small_model(M=8, routing="top1")
+        state = make_state(model, s=2)
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(4):
+                X = rng.normal(size=(4, model.dims.d_raw))
+                step_dispatch(state, model, X, rng.integers(0, model.dims.c, size=4))
+        assert state.e == 5 and 0 < state.means_produced <= 16  # 2 R steps, <= 4 busy experts
 
     def test_projectors_untouched(self):
         model = small_model(M=2, routing="dense")
         state = make_state(model)
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
-        grads, means = grads_for(model, X, [0, 1, 2, 0])
-        r_step(state, model, grads, means)
+        grads, tape = grads_for(model, X, [0, 1, 2, 0])
+        r_step(state, model, grads, tape)
         for proj in state.projectors.values():
             np.testing.assert_array_equal(proj.P, np.eye(proj.d))
 
@@ -389,7 +425,7 @@ class TestDispatchSchedule:
             y = [0, 1, 2, 0]
             step_dispatch(state, model_a, X, y)
             _, tape = model_forward(model_b, X)
-            grads, _ = backward(model_b, tape, y)
+            grads = backward(model_b, tape, y)
             base_b.step(model_b.params, grads.grads)
         for name in model_a.param_names():
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
