@@ -1,11 +1,12 @@
 """Exact reverse-mode gradients for the MoE model, plus finite-difference checks.
 
 ``backward`` differentiates the mean batch loss with respect to every
-parameter. It reads the tape in dispatch order, as ``moe_block_forward`` left
-it: each expert's rows, upstream gradients and gate probabilities are
-contiguous slices, and the input and gate gradients are scattered back to
-batch order once. An idle expert's span is empty, so its gradients come out
-exactly zero from the same code.
+parameter. It reads the tape's (batch row, expert) pairs as
+``moe_block_forward`` laid them out: the upstream gradient of each pair, its
+gate multiply, the dL/d(gate probability) row sums, the ReLU mask and the fold
+of the input gradient back to batch rows run once per batch, and each expert
+runs its matmuls on its span of the pair buffers. An idle expert's span is
+empty, so its gradients come out exactly zero from the same code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import BatchTape, MoEModel, model_forward, softmax
+from .model import BatchTape, MoEModel, fold_pairs, model_forward, softmax
 
 
 @dataclass
@@ -83,23 +84,24 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     g = {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
     dY = dlog @ p["head.W"]
 
-    # the experts' part works in dispatch order, on each expert's span of it
-    probs, order = tape.routing.weights, tape.order
-    dY_disp, gates = dY[order], probs[order]
-    dZ_disp = np.zeros_like(tape.Z_disp)
-    dP_disp = np.zeros_like(probs)  # dL/d(gate probability); zero where a row skipped an expert
-    for m, (span, hidden) in enumerate(zip(tape.expert_tokens, tape.expert_hidden)):
-        Z_m, dY_m = tape.Z_disp[span], dY_disp[span]
-        dOut = gates[span, m, None] * dY_m
-        dP_disp[span, m] = np.sum(dY_m * tape.expert_out[m], axis=1)
-        g[f"expert{m}.W2"] = dOut.T @ hidden
-        g[f"expert{m}.b2"] = dOut.sum(axis=0)
-        dPre1 = (dOut @ p[f"expert{m}.W2"]) * (hidden > 0)
-        g[f"expert{m}.W1"] = dPre1.T @ Z_m
-        g[f"expert{m}.b1"] = dPre1.sum(axis=0)
-        dZ_disp[span] += dPre1 @ p[f"expert{m}.W1"]
-    dP, dZ0 = np.empty_like(dP_disp), np.empty_like(dZ_disp)
-    dP[order], dZ0[order] = dP_disp, dZ_disp
+    # the experts' part works on pairs: each expert's matmuls on its span of them
+    probs, order, experts, hidden = tape.routing.weights, tape.order, tape.experts, tape.hidden
+    dOut = dY[order]  # the pairs' upstream gradients, gated in place below
+    dP = np.zeros(probs.shape)  # dL/d(gate probability); zero where a row skipped an expert
+    dP[order, experts] = np.add.reduce(dOut * tape.out, axis=1)
+    dOut *= probs[order, experts, None]
+    dPre1 = np.empty(hidden.shape)
+    for m, span in enumerate(tape.spans):  # np.add.reduce is ndarray.sum without its wrapper
+        g[f"expert{m}.W2"] = dOut[span].T @ hidden[span]
+        g[f"expert{m}.b2"] = np.add.reduce(dOut[span])
+        np.matmul(dOut[span], p[f"expert{m}.W2"], out=dPre1[span])
+    dPre1 *= hidden > 0
+    dZ_pairs = np.empty(dOut.shape)
+    for m, (span, Z_m) in enumerate(zip(tape.spans, tape.inputs)):
+        g[f"expert{m}.W1"] = dPre1[span].T @ Z_m
+        g[f"expert{m}.b1"] = np.add.reduce(dPre1[span])
+        np.matmul(dPre1[span], p[f"expert{m}.W1"], out=dZ_pairs[span])
+    dZ0 = fold_pairs(tape.routing, order, dZ_pairs)
     # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
     dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
 

@@ -3,15 +3,16 @@
 The MoE block combines M two-layer ReLU feed-forward experts through a linear
 softmax gate. ``top1`` sends each row to its highest-probability expert (ties
 broken toward the lowest index), ``dense`` sends every row to every expert.
-Both modes dispatch the batch once: the rows are gathered into dispatch order
-and each expert works on one contiguous span of it. ``top1`` orders the rows by
-expert with a stable sort, so expert m's span holds exactly its rows in
-ascending batch order; ``dense`` keeps the batch order and gives every expert
-the whole batch. One loop over experts serves both modes, and every expert
-runs on its span, an idle expert on an empty one. Each expert's output is
-scaled by its gate probability and summed into its span, and the result is
-scattered back to batch order once. The tape keeps the dispatch order, the
-dispatched rows and every expert's span, so backward reads slices as well.
+Both modes dispatch (batch row, expert) pairs grouped by expert: N pairs for
+``top1``, M*N for ``dense``. ``order`` names each pair's batch row and expert
+m takes one contiguous span of the pairs, rows ascending within it: ``top1``
+orders the rows by expert with a stable sort, ``dense`` lists the whole batch
+once per expert. Each expert's two matmuls write into its span of one hidden
+(P x h) and one output (P x d) buffer, an idle expert into an empty span, and
+reads its input rows from its span of ``Z0[order]`` (``top1``) or from Z0
+itself (``dense``, so no M-fold copy). The gate multiply and the fold of pair
+rows back to batch rows run once per batch. The tape keeps the pair layout
+and both buffers, so backward reads the same spans.
 
 Parameters live in a flat name -> float64 array dict; ``param_shapes`` gives
 each name's shape. Expert parameters are "theta"; everything else is "phi".
@@ -119,11 +120,12 @@ class BatchTape:
     X: np.ndarray                  # (N, d_raw) raw inputs
     Z0: np.ndarray                 # (N, d) post-input-map representation
     routing: RoutingRecord
-    order: np.ndarray              # (N,) dispatch order: batch row of each dispatched row
-    Z_disp: np.ndarray             # (N, d) Z0[order], the dispatched rows
-    expert_tokens: list            # [m] slice of dispatch order holding m's rows; empty if idle
-    expert_hidden: list            # [m] (n_m, h) post-ReLU hidden activations
-    expert_out: list               # [m] (n_m, d) expert outputs
+    order: np.ndarray              # (P,) batch row of each (row, expert) pair, grouped by expert
+    experts: np.ndarray            # (P,) expert of each pair, ascending
+    spans: list                    # [m] slice of the pairs expert m takes; empty if idle
+    inputs: list                   # [m] m's input rows: its span of Z0[order], or Z0 if dense
+    hidden: np.ndarray             # (P, h) post-ReLU hidden activations of each pair
+    out: np.ndarray                # (P, d) expert output of each pair, before the gate
     y_moe: np.ndarray              # (N, d) combined MoE output
     logits: np.ndarray             # (N, c) head output
     fingerprint: float | None      # stale-tape guard; None if backward runs at once or never
@@ -186,42 +188,52 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def expert_forward(params: dict, m: int, Z: np.ndarray):
-    """Run expert m on rows of Z; returns (hidden, out)."""
-    hidden = np.maximum(Z @ params[f"expert{m}.W1"].T + params[f"expert{m}.b1"], 0.0)
-    out = hidden @ params[f"expert{m}.W2"].T + params[f"expert{m}.b2"]
+def expert_forward(params: dict, m: int, Z: np.ndarray, hidden=None, out=None):
+    """Run expert m on rows of Z; returns (hidden, out), written into those buffers if given."""
+    hidden = np.matmul(Z, params[f"expert{m}.W1"].T, out=hidden)
+    hidden += params[f"expert{m}.b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    out = np.matmul(hidden, params[f"expert{m}.W2"].T, out=out)
+    out += params[f"expert{m}.b2"]
     return hidden, out
+
+
+def fold_pairs(routing: RoutingRecord, order: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Sum each pair's row onto zeros at its batch row ``order[i]``, in expert order."""
+    N, M = routing.weights.shape
+    if routing.mode == "dense":  # the batch once per expert: M stacked blocks
+        return pairs.reshape(M, N, -1).sum(axis=0, initial=0.0)
+    rows = np.zeros(pairs.shape)  # top1 pairs are a permutation of the batch
+    rows[order] += pairs
+    return rows
 
 
 def moe_block_forward(model: MoEModel, Z0: np.ndarray):
     """Gate + experts on pre-mapped rows Z0; returns (y_moe, routing, caches), where caches
-    holds the ``BatchTape`` fields order, Z_disp, expert_tokens, expert_hidden and expert_out."""
+    holds the ``BatchTape`` fields order, experts, spans, inputs, hidden and out."""
     if model.routing not in ROUTING_MODES:
         raise ContractViolation(f"unknown routing mode {model.routing!r}")
     p = model.params
     probs = softmax(Z0 @ p["gate.W"].T)
-    N = Z0.shape[0]
-    # routing decides only the dispatch order and each expert's span of it
+    N, M = Z0.shape[0], model.M
+    # routing decides only the pair order, each expert's span of it and the fold
     if model.routing == "top1":
         selected = np.argmax(probs, axis=1)
         order = np.argsort(selected, kind="stable")  # ascending batch order within an expert
-        ends = np.cumsum(np.bincount(selected, minlength=model.M)).tolist()
-        spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        counts, Z_disp = np.bincount(selected, minlength=M), Z0[order]
     else:
-        selected, order, spans = None, np.arange(N), [slice(0, N)] * model.M
-    Z_disp, gates = Z0[order], probs[order]
-    y_disp = np.zeros((N, model.dims.d))
-    expert_hidden, expert_out = [], []
-    for m, span in enumerate(spans):  # an idle expert runs on its empty span too
-        hidden, out = expert_forward(p, m, Z_disp[span])
-        y_disp[span] += gates[span, m, None] * out
-        expert_hidden.append(hidden)
-        expert_out.append(out)
-    y_moe = np.empty_like(y_disp)
-    y_moe[order] = y_disp
+        selected, order, counts = None, np.tile(np.arange(N), M), [N] * M
+    experts = np.repeat(np.arange(M), counts)
+    ends = np.cumsum(counts).tolist()
+    spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
+    inputs = [Z_disp[span] for span in spans] if model.routing == "top1" else [Z0] * M
+    hidden, out = np.empty((len(order), model.dims.h)), np.empty((len(order), model.dims.d))
+    for m, (span, Z_m) in enumerate(zip(spans, inputs)):  # an idle expert's span is empty
+        expert_forward(p, m, Z_m, hidden[span], out[span])
     routing = RoutingRecord(model.routing, probs, selected)
-    return y_moe, routing, {"order": order, "Z_disp": Z_disp, "expert_tokens": spans,
-                            "expert_hidden": expert_hidden, "expert_out": expert_out}
+    y_moe = fold_pairs(routing, order, out * probs[order, experts, None])
+    return y_moe, routing, {"order": order, "experts": experts, "spans": spans,
+                            "inputs": inputs, "hidden": hidden, "out": out}
 
 
 def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):

@@ -292,11 +292,11 @@ def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
     """Base-optimizer update of all parameters, then each expert with rows in ``tape``
     buffers the mean input of its two weight layers over those rows."""
     state.base.step(model.params, grads.grads)
-    for m, (span, hidden) in enumerate(zip(tape.expert_tokens, tape.expert_hidden)):
+    for m, (span, Z_m) in enumerate(zip(tape.spans, tape.inputs)):
         n = span.stop - span.start
         if n:  # sum / count is what ndarray.mean computes, without its per-call overhead
-            state.buffers[(m, 1)].append((state.e, tape.Z_disp[span].sum(axis=0) / n))
-            state.buffers[(m, 2)].append((state.e, hidden.sum(axis=0) / n))
+            state.buffers[(m, 1)].append((state.e, np.add.reduce(Z_m) / n))
+            state.buffers[(m, 2)].append((state.e, np.add.reduce(tape.hidden[span]) / n))
             state.means_produced += 2
     state.e += 1
     return StepOutcome("R", grads.loss)

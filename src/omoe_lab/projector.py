@@ -38,7 +38,7 @@ class OrthoProjector:
         A zero input is a no-op (zero gain). Symmetry holds up to rounding: the
         subtracted term is v (v / denom)^T with v = P x, formed in one temporary.
         """
-        if alpha <= 0:
+        if not alpha > 0:  # NaN fails this test too
             raise ContractViolation("alpha must be positive")
         x = np.asarray(xbar, dtype=np.float64).ravel()
         if x.shape[0] != self.d:
@@ -58,7 +58,7 @@ class OrthoProjector:
 
 def direct_projector(a: np.ndarray, alpha: float) -> np.ndarray:
     """Closed form I - A (alpha I + A^T A)^-1 A^T for columns A, fixed alpha."""
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails this test too
         raise ContractViolation("alpha must be positive")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:

@@ -120,8 +120,8 @@ class TestMoEForward:
         expected = p["expert0.W2"] @ expected_hidden + p["expert0.b2"]
         np.testing.assert_allclose(y[0], expected)
         np.testing.assert_array_equal(caches["order"], [0])
-        assert caches["expert_tokens"] == [slice(0, 1)]
-        np.testing.assert_allclose(caches["expert_hidden"][0][0], expected_hidden)
+        assert caches["spans"] == [slice(0, 1)]
+        np.testing.assert_allclose(caches["hidden"][0], expected_hidden)
 
     def test_dense_cancellation(self):
         model = small_model(M=2, routing="dense")
@@ -179,32 +179,40 @@ def reference_moe_forward(model, Z0):
 
 
 class TestDispatch:
-    """The batch is gathered into dispatch order once; each expert reads one span of it."""
+    """(batch row, expert) pairs are grouped by expert; each expert writes one span of them."""
 
     @staticmethod
     def dispatch(model, Z0):
-        """Run the block, check the dispatch invariants and return (expert_tokens, order)."""
+        """Run the block, check the pair layout and return (spans, order)."""
         y, rec, caches = moe_block_forward(model, Z0)
-        order, tokens = caches["order"], caches["expert_tokens"]
-        N = Z0.shape[0]
-        np.testing.assert_array_equal(np.sort(order), np.arange(N))  # a permutation
-        np.testing.assert_array_equal(caches["Z_disp"], Z0[order])
-        assert len(tokens) == len(caches["expert_hidden"]) == len(caches["expert_out"]) == model.M
+        order, spans, experts = caches["order"], caches["spans"], caches["experts"]
+        N, M = Z0.shape[0], model.M
+        P = N * M if model.routing == "dense" else N
+        assert order.shape == experts.shape == (P,) and len(spans) == M
+        # the spans, empty ones included, tile the pairs in expert order
+        starts, stops = [s.start for s in spans], [s.stop for s in spans]
+        assert starts == [0, *stops[:-1]] and stops[-1] == P
+        for m, span in enumerate(spans):
+            np.testing.assert_array_equal(experts[span], m)
+            assert np.all(np.diff(order[span]) > 0)  # rows ascend within an expert
         if model.routing == "dense":
-            np.testing.assert_array_equal(order, np.arange(N))
-            assert tokens == [slice(0, N)] * model.M
+            np.testing.assert_array_equal(order, np.tile(np.arange(N), M))
+            for Z_m in caches["inputs"]:  # each expert reads Z0 itself: no M-fold copy
+                assert Z_m is Z0
         else:
-            for m in range(model.M):  # exactly the rows whose argmax is m, ascending; idle: none
+            np.testing.assert_array_equal(np.sort(order), np.arange(N))  # a permutation
+            for m, span in enumerate(spans):  # exactly the rows whose argmax is m
                 rows = np.flatnonzero(np.argmax(rec.weights, axis=1) == m)
-                np.testing.assert_array_equal(order[tokens[m]], rows)
-            # the spans, empty ones included, tile [0, N) in expert order
-            starts, stops = [s.start for s in tokens], [s.stop for s in tokens]
-            assert starts == [0, *stops[:-1]] and stops[-1] == N
-        for m, span in enumerate(tokens):
-            assert caches["expert_hidden"][m].shape == (span.stop - span.start, model.dims.h)
-            assert caches["expert_out"][m].shape == (span.stop - span.start, model.dims.d)
+                np.testing.assert_array_equal(order[span], rows)
+                np.testing.assert_array_equal(caches["inputs"][m], Z0[rows])
+        assert caches["hidden"].shape == (P, model.dims.h)
+        assert caches["out"].shape == (P, model.dims.d)
+        for m, (span, Z_m) in enumerate(zip(spans, caches["inputs"])):
+            hidden, out = expert_forward(model.params, m, Z_m)
+            np.testing.assert_array_equal(caches["hidden"][span], hidden)
+            np.testing.assert_array_equal(caches["out"][span], out)
         np.testing.assert_array_equal(y, reference_moe_forward(model, Z0))
-        return tokens, order
+        return spans, order
 
     @pytest.mark.parametrize("routing", ["top1", "dense"])
     @pytest.mark.parametrize("M", [2, 4, 8])
@@ -212,17 +220,17 @@ class TestDispatch:
     def test_spans_and_output(self, routing, M, N):
         model = small_model(seed=M + N, M=M, routing=routing)
         Z0 = np.random.default_rng(N).normal(size=(N, model.dims.d)) * 3.0
-        tokens, _ = self.dispatch(model, Z0)
+        spans, _ = self.dispatch(model, Z0)
         if routing == "top1" and N == 64:
-            assert sum(s.stop > s.start for s in tokens) > 1  # rows really are split
+            assert sum(s.stop > s.start for s in spans) > 1  # rows really are split
 
     @pytest.mark.parametrize("M", [2, 4, 8])
     def test_every_row_to_one_expert(self, M):
         Wg = np.zeros((M, 4))
         Wg[M - 1] = 10.0  # positive rows all pick the last expert
         Z0 = np.abs(np.random.default_rng(M).normal(size=(9, 4))) + 0.1
-        tokens, order = self.dispatch(gated_model(Wg, "top1"), Z0)
-        assert tokens == [slice(0, 0)] * (M - 1) + [slice(0, 9)]
+        spans, order = self.dispatch(gated_model(Wg, "top1"), Z0)
+        assert spans == [slice(0, 0)] * (M - 1) + [slice(0, 9)]
         np.testing.assert_array_equal(order, np.arange(9))
 
     def test_idle_experts_between_busy_ones(self):
@@ -230,15 +238,15 @@ class TestDispatch:
         Wg = np.zeros((5, 2))
         Wg[1], Wg[3] = [10.0, 0.0], [0.0, 10.0]
         Z0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.5, 1.0]])
-        tokens, order = self.dispatch(gated_model(Wg, "top1"), Z0)
-        assert tokens == [slice(0, 0), slice(0, 2), slice(2, 2), slice(2, 5), slice(5, 5)]
+        spans, order = self.dispatch(gated_model(Wg, "top1"), Z0)
+        assert spans == [slice(0, 0), slice(0, 2), slice(2, 2), slice(2, 5), slice(5, 5)]
         np.testing.assert_array_equal(order, [1, 3, 0, 2, 4])
 
     def test_single_row(self):
         Wg = np.zeros((4, 3))
         Wg[2] = 1.0
-        tokens, order = self.dispatch(gated_model(Wg, "top1"), np.ones((1, 3)))
-        assert tokens == [slice(0, 0), slice(0, 0), slice(0, 1), slice(1, 1)]
+        spans, order = self.dispatch(gated_model(Wg, "top1"), np.ones((1, 3)))
+        assert spans == [slice(0, 0), slice(0, 0), slice(0, 1), slice(1, 1)]
         np.testing.assert_array_equal(order, [0])
 
 

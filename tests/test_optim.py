@@ -156,24 +156,26 @@ class TestRStep:
         assert len(state.buffers[(1, 1)]) == 0
 
     def test_buffered_means_equal_tape_row_means(self):
-        # bit for bit: r_step's sum / count is what ndarray.mean computes; an idle expert
-        # (top-1 with four rows over eight experts) buffers nothing
+        # bit for bit: r_step's sum / count is what ndarray.mean computes over an expert's
+        # input rows and its span of the hidden buffer; an idle expert (top-1 with four rows
+        # over eight experts) buffers nothing
         for routing in ("dense", "top1"):
             model = small_model(M=8, routing=routing)
             state = make_state(model)
             X = np.random.default_rng(1).normal(size=(4, model.dims.d_raw))
             grads, tape = grads_for(model, X, [0, 1, 2, 0])
             r_step(state, model, grads, tape)
-            spans = tape.expert_tokens
+            spans = tape.spans
             assert any(s.start == s.stop for s in spans) == (routing == "top1")
             for m, span in enumerate(spans):
                 busy = span.stop > span.start
-                for layer, rows in ((1, tape.Z_disp[span]), (2, tape.expert_hidden[m])):
+                rows = tape.Z0[tape.order[span]]  # the batch rows of m's pairs
+                for layer, acts in ((1, rows), (2, tape.hidden[span])):
                     entries = state.buffers[(m, layer)]
                     assert len(entries) == busy
                     if busy:
                         assert entries[0][0] == 1  # the batch index of the step
-                        np.testing.assert_array_equal(entries[0][1], rows.mean(axis=0))
+                        np.testing.assert_array_equal(entries[0][1], acts.mean(axis=0))
             assert state.means_produced == 2 * sum(s.stop > s.start for s in spans)
 
     def test_idle_experts_step_without_warning(self):

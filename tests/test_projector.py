@@ -74,8 +74,11 @@ class TestRlsUpdate:
         np.testing.assert_allclose(p.P, direct_projector(np.eye(2), 1.0), atol=1e-12)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ContractViolation):
-            OrthoProjector(2).rls_update(np.ones(2), alpha=0.0)
+        for alpha in (0.0, float("nan")):  # NaN would fill P with NaN
+            p = OrthoProjector(2)
+            with pytest.raises(ContractViolation, match="alpha"):
+                p.rls_update(np.ones(2), alpha=alpha)
+            np.testing.assert_array_equal(p.P, np.eye(2))
 
     def test_rejects_wrong_dim(self):
         with pytest.raises(ContractViolation):
@@ -89,6 +92,11 @@ class TestRlsUpdate:
 
 
 class TestDirectProjector:
+    def test_rejects_bad_alpha(self):
+        for alpha in (0.0, -1.0, float("nan")):
+            with pytest.raises(ContractViolation, match="alpha"):
+                direct_projector(np.eye(3), alpha)
+
     def test_empty_is_identity(self):
         np.testing.assert_array_equal(direct_projector(np.zeros((4, 0)), 1.0), np.eye(4))
 
