@@ -100,6 +100,8 @@ def cmd_config(args):
 
 
 def cmd_metrics(args):
+    if args.probe_seed < 0:  # numpy's seed sequences take only non-negative integers
+        raise ConfigError(f"--probe-seed: must be >= 0, got {args.probe_seed}")
     model_a = load_model(args.model_a)
     model_b = load_model(args.model_b)
     degree = diverse_degree(model_a, model_b)  # rejects mismatched architectures, so first

@@ -101,7 +101,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
         g[f"expert{m}.W1"] = dPre1[span].T @ Z_m
         g[f"expert{m}.b1"] = np.add.reduce(dPre1[span])
         np.matmul(dPre1[span], p[f"expert{m}.W1"], out=dZ_pairs[span])
-    dZ0 = fold_pairs(tape.routing, order, dZ_pairs)
+    dZ0 = fold_pairs(tape.slots, dZ_pairs)
     # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
     dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
 
@@ -116,22 +116,23 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
 class GradCheckResult:
     max_rel_error: float
     checked: int
-    excluded: list  # (param name, flat index) coords skipped due to argmax flips
+    excluded: list  # (param name, flat index) coords skipped: some row's experts changed
 
 
 def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
                n_samples: int = 200, rng: np.random.Generator | None = None) -> GradCheckResult:
     """Central-difference check over a random subsample of parameter coords.
 
-    For top1 routing, coordinates whose perturbation flips any token's argmax
-    are excluded (the loss is discontinuous there) and reported.
+    A coordinate whose perturbation by +h or -h changes any row's chosen experts
+    is excluded (the loss is discontinuous there) and reported. Dense routing
+    chooses every expert for every row, so it excludes nothing.
     """
     if not (1e-6 <= h <= 1e-4):
         raise ContractViolation("h must lie in [1e-6, 1e-4]")
     rng = rng or np.random.default_rng(0)
     logits, tape = model_forward(model, X)
     analytic = backward(model, tape, targets, kind)
-    base_sel = tape.routing.selected
+    chosen = tape.experts[tape.slots]  # (N, k): each row's experts, ascending
 
     coords = []
     for name in model.param_names():
@@ -147,18 +148,13 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
         orig = flat[i]
         flat[i] = orig + h
         lp, tp = model_forward(model, X)
-        sel_p = tp.routing.selected
-        loss_p = loss(lp, targets, kind)
         flat[i] = orig - h
         lm, tm = model_forward(model, X)
-        sel_m = tm.routing.selected
-        loss_m = loss(lm, targets, kind)
         flat[i] = orig
-        if model.routing == "top1" and (
-                not np.array_equal(sel_p, base_sel) or not np.array_equal(sel_m, base_sel)):
+        if not all(np.array_equal(t.experts[t.slots], chosen) for t in (tp, tm)):
             excluded.append((name, i))
             continue
-        numeric = (loss_p - loss_m) / (2 * h)
+        numeric = (loss(lp, targets, kind) - loss(lm, targets, kind)) / (2 * h)
         a = analytic.grads[name].reshape(-1)[i]
         max_err = max(max_err, abs(a - numeric) / max(1.0, abs(numeric)))
     return GradCheckResult(max_err, len(coords) - len(excluded), excluded)

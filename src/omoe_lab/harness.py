@@ -147,8 +147,8 @@ def validate_config(cfg: dict) -> None:
         minima.update({"task.pieces": 2, "task.n": 1})
     for field, low in minima.items():
         section, key = field.split(".")
-        if cfg[section][key] < low:
-            raise ConfigError(f"{field}: must be >= {low}, got {cfg[section][key]!r}")
+        if not low <= cfg[section][key] < math.inf:  # NaN and ±inf fail too
+            raise ConfigError(f"{field}: must be >= {low} and finite, got {cfg[section][key]!r}")
     # optim.RANGES owns these ranges; omoe.s is checked only when OMoE runs
     check_ranges(cfg["optimizer"], "optimizer.", ConfigError)
     check_ranges(omoe if omoe["enabled"] else {**omoe, "s": None}, "omoe.", ConfigError)

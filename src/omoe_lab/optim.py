@@ -16,6 +16,7 @@ OMoE alternates two kinds of steps over mini-batches (counter ``e`` starts at
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +171,7 @@ class Adagrad(BaseOptimizer):
 OPTIMIZERS = {cls.kind: cls for cls in (SGD, Adam, AdamW, RMSProp, Adagrad)}
 
 _POSITIVE, _UNIT = (lambda v: v > 0, "be > 0"), (lambda v: 0 <= v < 1, "lie in [0, 1)")
-# each hyperparameter's range, keyed by its config name; every test fails for NaN
+# each hyperparameter's range, keyed by its config name; check_ranges also refuses NaN and ±inf
 RANGES = {"lr": _POSITIVE, "eps": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT, "rho": _UNIT,
           "weight_decay": (lambda v: v >= 0, "be >= 0"), "s": (lambda v: v >= 2, "be >= 2"),
           "n_total": (lambda v: v >= 1, "be >= 1"), "alpha0": _POSITIVE,
@@ -180,10 +181,11 @@ RANGES = {"lr": _POSITIVE, "eps": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT, "rh
 
 def check_ranges(values: dict, where: str = "", error: type = ContractViolation) -> None:
     """Raise ``error`` naming ``where`` and the key for a value outside its ``RANGES``
-    entry; None and keys without an entry pass."""
+    entry or not finite; None and keys without an entry pass."""
     for key, value in values.items():
-        if key in RANGES and value is not None and not RANGES[key][0](value):
-            raise error(f"{where}{key}: must {RANGES[key][1]}, got {value!r}")
+        if key in RANGES and value is not None and not (
+                RANGES[key][0](value) and math.isfinite(value)):
+            raise error(f"{where}{key}: must {RANGES[key][1]} and be finite, got {value!r}")
 
 
 def hyperparameters(kind: str) -> dict:

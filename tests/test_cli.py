@@ -167,6 +167,9 @@ class TestErrorPaths:
         # a negative seed once failed inside training (exit 3), or not at all for overhead
         (["train", "--seeds", "-1"], "seeds: must be >= 0"),
         (["overhead", "--seeds", "0,-2"], "seeds: must be >= 0"),
+        # a non-finite value once trained the whole run and failed at the report (exit 3)
+        (["train", "--override", "task.noise_std=NaN"], "task.noise_std: must be >= 0 and"),
+        (["train", "--override", "optimizer.lr=Infinity"], "optimizer.lr: must be > 0 and"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2
@@ -298,6 +301,15 @@ class TestOtherSubcommands:
         payload = json.loads((out / "metrics.json").read_text())
         assert set(payload["per_model"]) == {"model_a", "model_b"}
         assert 0.0 <= payload["diverse_degree_a_over_b"] <= 1.0
+
+    def test_metrics_negative_probe_seed_exit_2(self, tmp_path, capsys):
+        # checked before the checkpoints are read; numpy once failed on it with exit 3
+        save_model(init_model(Rng(1), ModelDims(6, 4, 4, 3), 3), tmp_path / "a.json")
+        assert main(["metrics", "--model-a", str(tmp_path / "a.json"),
+                     "--model-b", str(tmp_path / "a.json"), "--probe-seed", "-1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ConfigError",
+                                "message": "--probe-seed: must be >= 0, got -1"}
 
     @pytest.mark.parametrize("dims_b, M_b", [(ModelDims(9, 4, 4, 3), 3),
                                              (ModelDims(8, 4, 4, 3), 4)])

@@ -264,6 +264,51 @@ class TestGradCheck:
         assert result.checked > 0
         assert result.max_rel_error <= 1e-5
 
+    @staticmethod
+    def near_tie_model(routing):
+        """Experts 0 and 1 have gate rows 1e-6 apart, so a row either of them wins sits
+        near a tie, and a step of h = 1e-5 in either gate row can change its winner."""
+        model = small_model(seed=3, M=3, routing=routing)
+        W = model.params["gate.W"]
+        W[1] = W[0] + 1e-6 * np.random.default_rng(3).normal(size=W.shape[1])
+        return model
+
+    def test_excludes_exactly_the_routing_changes(self):
+        model = self.near_tie_model("top1")
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(6, model.dims.d_raw))
+        targets = rng.integers(0, model.dims.c, size=6)
+        h, total = 1e-5, sum(v.size for v in model.params.values())
+        result = grad_check(model, X, targets, h=h, n_samples=total)
+
+        def winners():  # each row's expert by the argmax rule, ties to the lowest index
+            return np.argmax(model_forward(model, X)[1].routing.weights, axis=1)
+
+        base, changes = winners(), {h: set(), -h: set()}
+        for name in model.param_names():
+            flat = model.params[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                for step, changed in changes.items():
+                    flat[i] = orig + step
+                    if not np.array_equal(winners(), base):
+                        changed.add((name, i))
+                flat[i] = orig
+        # some coordinates change a row's expert only at +h, some only at -h
+        assert changes[h] - changes[-h] and changes[-h] - changes[h]
+        assert sorted(result.excluded) == sorted(changes[h] | changes[-h])
+        assert result.checked == total - len(result.excluded) > 0
+        assert result.max_rel_error <= 1e-5
+
+    def test_dense_excludes_nothing(self):
+        model = self.near_tie_model("dense")
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(6, model.dims.d_raw))
+        total = sum(v.size for v in model.params.values())
+        result = grad_check(model, X, rng.integers(0, model.dims.c, size=6), n_samples=total)
+        assert result.excluded == [] and result.checked == total
+        assert result.max_rel_error <= 1e-5
+
     def test_h_out_of_range(self):
         model = small_model()
         with pytest.raises(ContractViolation):

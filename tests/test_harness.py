@@ -106,6 +106,8 @@ class TestConfig:
           "train": {"loss": "mse"}, "model": {"c": 1}}, r"train\.batch_size.*training rows"),
         ({"model": {"M": 1}}, r"model\.M: must be >= 2"),
         ({"task": {"kind": "bogus"}}, "task.kind"),
+        ({"task": {"noise_std": float("nan")}}, r"task\.noise_std: must be >= 0 and finite"),
+        ({"task": {"noise_std": float("inf")}}, r"task\.noise_std: must be >= 0 and finite"),
     ])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):

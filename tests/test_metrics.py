@@ -130,29 +130,29 @@ class TestOutputVariance:
 
 class TestLoadEntropy:
     def test_point_mass_zero(self):
-        rec = RoutingRecord("top1", np.ones((5, 3)) / 3, np.zeros(5, dtype=int))
+        rec = RoutingRecord(np.ones((5, 3)) / 3, np.zeros(5, dtype=int))
         assert load_entropy(rec) == 0.0
 
     def test_uniform_four_experts(self):
-        rec = RoutingRecord("top1", np.ones((8, 4)) / 4, np.array([0, 1, 2, 3] * 2))
+        rec = RoutingRecord(np.ones((8, 4)) / 4, np.array([0, 1, 2, 3] * 2))
         assert load_entropy(rec) == pytest.approx(np.log(4))
         assert load_entropy(rec) == pytest.approx(1.3863, abs=5e-5)
 
     def test_hand_three_one_split(self):
-        rec = RoutingRecord("top1", np.ones((4, 2)) / 2, np.array([0, 0, 0, 1]))
+        rec = RoutingRecord(np.ones((4, 2)) / 2, np.array([0, 0, 0, 1]))
         expected = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
         assert load_entropy(rec) == pytest.approx(expected)
         assert load_entropy(rec) == pytest.approx(0.5623, abs=5e-5)
 
     def test_dense_uses_soft_weights(self):
         w = np.array([[0.75, 0.25], [0.75, 0.25]])
-        rec = RoutingRecord("dense", w, None)
+        rec = RoutingRecord(w, None)
         expected = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
         assert load_entropy(rec) == pytest.approx(expected)
 
     def test_list_of_records(self):
-        a = RoutingRecord("top1", np.ones((2, 2)) / 2, np.array([0, 0]))
-        b = RoutingRecord("top1", np.ones((2, 2)) / 2, np.array([1, 1]))
+        a = RoutingRecord(np.ones((2, 2)) / 2, np.array([0, 0]))
+        b = RoutingRecord(np.ones((2, 2)) / 2, np.array([1, 1]))
         assert load_entropy([a, b]) == pytest.approx(np.log(2))
 
     def test_empty_rejected(self):
@@ -163,7 +163,7 @@ class TestLoadEntropy:
 class TestDiversityDiagnostics:
     def test_schema_and_values(self):
         model = small_model(M=3, init="independent")
-        rec = RoutingRecord("top1", np.ones((6, 3)) / 3, np.array([0, 1, 2, 0, 1, 2]))
+        rec = RoutingRecord(np.ones((6, 3)) / 3, np.array([0, 1, 2, 0, 1, 2]))
         d = diversity_report(model, np.ones(model.dims.d_raw), rec)
         assert set(d) == {"param_variance", "similar_fraction",
                           "output_variance", "load_entropy"}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,13 +83,13 @@ class TestGate:
         e2 = np.exp(2.0)
         np.testing.assert_allclose(rec.weights[0], [e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-12)
         np.testing.assert_allclose(rec.weights[0], [0.8808, 0.1192], atol=5e-5)
-        assert rec.mode == "dense" and rec.selected is None
+        assert rec.selected is None
 
     def test_saturation(self):
         Wg = np.zeros((3, 2))
         Wg[1] = [10.0, 10.0]  # large-margin row favoring expert 1
         _, rec, _ = moe_block_forward(gated_model(Wg, "top1"), np.ones((1, 2)))
-        assert rec.mode == "top1" and rec.selected[0] == 1
+        assert rec.selected.shape == (1,) and rec.selected[0] == 1
         assert rec.weights[0, 1] >= 0.99
 
     def test_unknown_mode(self, tmp_path):
@@ -195,10 +196,15 @@ class TestDispatch:
         for m, span in enumerate(spans):
             np.testing.assert_array_equal(experts[span], m)
             assert np.all(np.diff(order[span]) > 0)  # rows ascend within an expert
+            if span.stop - span.start == N:  # it reads Z0 itself: dense makes no M-fold copy
+                assert caches["inputs"][m] is Z0
+        # slots name each row's P // N pairs, each pair once, in expert order
+        slots = caches["slots"]
+        np.testing.assert_array_equal(np.sort(slots, axis=None), np.arange(P))
+        np.testing.assert_array_equal(order[slots], np.repeat(np.arange(N)[:, None], P // N, 1))
+        assert np.all(np.diff(experts[slots], axis=1) > 0)
         if model.routing == "dense":
             np.testing.assert_array_equal(order, np.tile(np.arange(N), M))
-            for Z_m in caches["inputs"]:  # each expert reads Z0 itself: no M-fold copy
-                assert Z_m is Z0
         else:
             np.testing.assert_array_equal(np.sort(order), np.arange(N))  # a permutation
             for m, span in enumerate(spans):  # exactly the rows whose argmax is m
@@ -241,6 +247,40 @@ class TestDispatch:
         spans, order = self.dispatch(gated_model(Wg, "top1"), Z0)
         assert spans == [slice(0, 0), slice(0, 2), slice(2, 2), slice(2, 5), slice(5, 5)]
         np.testing.assert_array_equal(order, [1, 3, 0, 2, 4])
+
+    @pytest.mark.parametrize("routing", ["top1", "dense"])
+    def test_partial_tie(self, routing):
+        # experts 1 and 2 of 4 have one gate row, so they tie for the top probability
+        # in every row that favours them; top-1 gives those rows to expert 1
+        Wg = np.array([[4.0, 0.0], [0.0, 4.0], [0.0, 4.0], [-4.0, -4.0]])
+        Z0 = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [0.5, 3.0], [1.0, 1.5]])
+        model = gated_model(Wg, routing)
+        spans, order = self.dispatch(model, Z0)
+        probs = moe_block_forward(model, Z0)[1].weights
+        tied = probs[:, 1] == probs[:, 2]
+        assert tied.all() and (probs[:, 1] > probs[:, 0]).sum() == 3  # tied at the top in 3 rows
+        if routing == "top1":
+            assert spans == [slice(0, 2), slice(2, 5), slice(5, 5), slice(5, 5)]
+            np.testing.assert_array_equal(order, [0, 2, 1, 3, 4])
+
+    def test_dense_traced_memory_bound(self):
+        # the forward's peak over what it keeps is at most one P x d array: the fold
+        # gathers N rows per slot, so no P x d gated product or fold temporary is made
+        model = small_model(d_raw=8, d=128, h=256, M=8, routing="dense")
+        Z0 = np.random.default_rng(0).normal(size=(32, 128))
+        moe_block_forward(model, Z0)  # warm up numpy's lazily built state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y, routing, caches = moe_block_forward(model, Z0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = y.nbytes + routing.weights.nbytes + sum(
+            caches[name].nbytes for name in ("order", "experts", "slots", "hidden", "out"))
+        P, d = caches["out"].shape
+        assert P == 32 * 8
+        assert peak <= kept + P * d * 8, (peak, kept)
 
     def test_single_row(self):
         Wg = np.zeros((4, 3))

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import math
 import re
 import warnings
 
@@ -668,8 +669,9 @@ class TestRanges:
 
     @pytest.mark.parametrize("key", sorted(RANGES))
     def test_nan_fails_and_none_passes(self, key):
-        with pytest.raises(ContractViolation, match=rf"^{key}: must .*, got nan$"):
-            check_ranges({key: NAN})
+        for bad in (NAN, math.inf, -math.inf):  # ±inf fails even where a range has no top
+            with pytest.raises(ContractViolation, match=rf"^{key}: must .*, got {bad!r}$"):
+                check_ranges({key: bad})
         check_ranges({key: None})
 
     @pytest.mark.parametrize("key, bad, section",
