@@ -12,11 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, DataLoadError
 from .harness import (ablate_experts, ablate_skip, compare_optimizers, make_config,
                       overhead_report, run)
+from .linalg import Rng
 from .metrics import diversity_report, diverse_degree
 from .model import load_model, model_forward
 
@@ -105,11 +104,11 @@ def cmd_metrics(args):
     model_a = load_model(args.model_a)
     model_b = load_model(args.model_b)
     degree = diverse_degree(model_a, model_b)  # rejects mismatched architectures, so first
-    probe_rng = np.random.default_rng(args.probe_seed)
+    probe_rng = Rng(args.probe_seed)
     X = probe_rng.normal(size=(256, model_a.dims.d_raw))
     reports = {}
     for tag, model in (("model_a", model_a), ("model_b", model_b)):
-        _, tape = model_forward(model, X)
+        _, tape = model_forward(model, X, guard=False)  # the tape never reaches backward
         reports[tag] = diversity_report(model, X[0], tape.routing)
     payload = {
         "per_model": reports,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .linalg import Rng
 from .model import BatchTape, MoEModel, fold_pairs, model_forward, softmax
 
 
@@ -129,8 +130,8 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
     """
     if not (1e-6 <= h <= 1e-4):
         raise ContractViolation("h must lie in [1e-6, 1e-4]")
-    rng = rng or np.random.default_rng(0)
-    logits, tape = model_forward(model, X)
+    rng = rng or Rng(0)
+    logits, tape = model_forward(model, X, guard=False)  # the tape goes straight to backward
     analytic = backward(model, tape, targets, kind)
     chosen = tape.experts[tape.slots]  # (N, k): each row's experts, ascending
 
@@ -147,9 +148,9 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
         flat = model.params[name].reshape(-1)
         orig = flat[i]
         flat[i] = orig + h
-        lp, tp = model_forward(model, X)
+        lp, tp = model_forward(model, X, guard=False)
         flat[i] = orig - h
-        lm, tm = model_forward(model, X)
+        lm, tm = model_forward(model, X, guard=False)
         flat[i] = orig
         if not all(np.array_equal(t.experts[t.slots], chosen) for t in (tp, tm)):
             excluded.append((name, i))

@@ -172,11 +172,13 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"train.loss: 'mse' needs model.c = 1 output, got {model['c']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
+    if len(set(cfg["seeds"])) != len(cfg["seeds"]):  # a repeat would count twice in aggregate
+        raise ConfigError(f"seeds: duplicate seeds rejected: {cfg['seeds']!r}")
     if min(cfg["seeds"]) < 0:  # numpy's seed sequences take only non-negative integers
         raise ConfigError(f"seeds: must be >= 0, got {min(cfg['seeds'])!r}")
 
 
-def build_dataset(cfg: dict, rng: Rng) -> Dataset:
+def build_dataset(cfg: dict, rng: np.random.Generator) -> Dataset:
     task = cfg["task"]
     if task["kind"] == "subspace_clusters":
         return gen_subspace_clusters(rng, task["K"], task["d_raw"],
@@ -217,7 +219,7 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     t0 = time.perf_counter()
     data_rng, model_rng = Rng(seed).spawn(2)
     dataset = build_dataset(cfg, data_rng)
-    perm = np.random.default_rng([seed, 104729]).permutation(dataset.n)
+    perm = Rng([seed, 104729]).permutation(dataset.n)
     n_eval, n_train = _split(dataset.n, cfg["train"]["eval_fraction"])
     _check_batch(cfg["train"]["batch_size"], n_train)  # a CSV task's rows are counted here
     if dataset.n_classes > (c := cfg["model"]["c"]):  # and its classes
@@ -402,6 +404,7 @@ def overhead_report(cfg: dict) -> dict:
     bound for top1).
     """
     validate_config(cfg)
+    check_ranges(cfg["omoe"], "omoe.", ConfigError)  # s prices the O step even with OMoE off
     mc = cfg["model"]
     d, h, M, c = mc["d"], mc["h"], mc["M"], mc["c"]
     dims = ModelDims(cfg["task"]["d_raw"], d, h, c)

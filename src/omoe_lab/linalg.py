@@ -1,9 +1,9 @@
-"""Minimal dense linear algebra with deterministic seeded randomness.
+"""Minimal dense linear algebra and the seeded random generator.
 
-Matrices are plain float64 numpy arrays; numpy is the only dependency. The
-RNG algorithm is part of the external contract: numpy PCG64, identified as
-``pcg64-numpy-v1``; identical seeds produce identical streams across runs and
-platforms.
+Matrices are plain float64 numpy arrays; numpy is the only dependency. Every
+random stream comes from ``Rng``: a numpy ``Generator`` over PCG64, so
+identical seeds produce identical streams across runs and platforms, and
+``Generator.spawn`` gives a seed's independent child streams.
 """
 
 from __future__ import annotations
@@ -12,21 +12,10 @@ import numpy as np
 
 from .errors import ContractViolation, SingularMatrixError
 
-RNG_ALGORITHM = "pcg64-numpy-v1"
 
-
-class Rng:
-    """Deterministic random generator (PCG64), single-owner mutable state."""
-
-    def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            self.seed_sequence = seed
-        else:
-            self.seed_sequence = np.random.SeedSequence(int(seed))
-        self.gen = np.random.Generator(np.random.PCG64(self.seed_sequence))
-
-    def spawn(self, n: int) -> list["Rng"]:
-        return [Rng(ss) for ss in self.seed_sequence.spawn(n)]
+def Rng(seed) -> np.random.Generator:
+    """The PCG64 generator of ``seed``: an int, a sequence of ints or a SeedSequence."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -83,7 +72,8 @@ def sym_eigvals(a) -> np.ndarray:
     return vals[::-1].copy()
 
 
-def gaussian_matrix(rng: Rng, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int,
+                    mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     if std < 0:
         raise ContractViolation("std must be non-negative")
-    return rng.gen.normal(mean, std, size=(rows, cols)).astype(np.float64)
+    return rng.normal(mean, std, size=(rows, cols)).astype(np.float64)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import Rng, gaussian_matrix, require_finite
+from .linalg import gaussian_matrix, require_finite
 
 CHECKPOINT_FORMAT = "omoe-lab-model-v1"
 
@@ -157,7 +157,8 @@ class MoEModel:
                         {k: v.copy() for k, v in self.params.items()})
 
 
-def init_model(rng: Rng, dims: ModelDims, M: int, init_mode: str = "replicate") -> MoEModel:
+def init_model(rng: np.random.Generator, dims: ModelDims, M: int,
+               init_mode: str = "replicate") -> MoEModel:
     """Build a fresh model; ``replicate`` clones one seed expert M times."""
     dims.validate()
     if M < 1:

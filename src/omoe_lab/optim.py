@@ -407,6 +407,14 @@ def save_optimizer(state: OMoEState, path) -> None:
     })
 
 
+def _new_key(path, where: str, item: dict, seen: dict) -> tuple:
+    """``item``'s (expert, layer) key, which no earlier item of its list may have."""
+    key = (item["m"], item["layer"])
+    if key in seen:
+        raise ContractViolation(f"{path}: {where}: (expert, layer) {key} is listed twice")
+    return key
+
+
 def load_optimizer(path, model: MoEModel) -> OMoEState:
     """The optimizer state saved at ``path``, checked against the layout of ``model``."""
     doc = read_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT, _CHECKPOINT_FIELDS)
@@ -433,12 +441,12 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
             proj = OrthoProjector(item["d"], item["P"], item["updates_applied"])
         except ContractViolation as exc:
             raise ContractViolation(f"{path}: projectors[{n}]: {exc}") from None
-        state.projectors[(item["m"], item["layer"])] = proj
+        state.projectors[_new_key(path, f"projectors[{n}]", item, state.projectors)] = proj
     for n, item in enumerate(doc["buffers"]):
         require_fields(path, f"buffers[{n}]", item, _BUFFER_FIELDS)
         for k, entry in enumerate(item["entries"]):
             require_fields(path, f"buffers[{n}].entries[{k}]", entry, _ENTRY_FIELDS)
-        state.buffers[(item["m"], item["layer"])] = [
+        state.buffers[_new_key(path, f"buffers[{n}]", item, state.buffers)] = [
             (entry["i"], entry["xbar"]) for entry in item["entries"]]
     require_shapes(path, "projector", {key: proj.P for key, proj in state.projectors.items()},
                    {(m, layer): (d_in, d_in) for m in range(model.M)

@@ -40,7 +40,7 @@ class Dataset:
         return self.X.shape[0]
 
 
-def gen_subspace_clusters(rng: Rng, K: int, d_raw: int, n_per_cluster: int,
+def gen_subspace_clusters(rng: np.random.Generator, K: int, d_raw: int, n_per_cluster: int,
                           subspace_dim: int, noise_std: float = 0.0) -> Dataset:
     """K classes, class k living in its own ``subspace_dim``-dim subspace.
 
@@ -56,38 +56,38 @@ def gen_subspace_clusters(rng: Rng, K: int, d_raw: int, n_per_cluster: int,
     if overlapping:
         bases = []
         for _ in range(K):
-            q, _ = np.linalg.qr(rng.gen.normal(size=(d_raw, subspace_dim)))
+            q, _ = np.linalg.qr(rng.normal(size=(d_raw, subspace_dim)))
             bases.append(q)
     else:
-        q, _ = np.linalg.qr(rng.gen.normal(size=(d_raw, K * subspace_dim)))
+        q, _ = np.linalg.qr(rng.normal(size=(d_raw, K * subspace_dim)))
         bases = [q[:, k * subspace_dim:(k + 1) * subspace_dim] for k in range(K)]
     xs, ys = [], []
     for k in range(K):
         # coefficients with unit mean so classes have distinct in-subspace centroids
-        z = rng.gen.normal(1.0, 1.0, size=(n_per_cluster, subspace_dim))
+        z = rng.normal(1.0, 1.0, size=(n_per_cluster, subspace_dim))
         pts = z @ bases[k].T
         if noise_std > 0:
-            pts = pts + rng.gen.normal(0.0, noise_std, size=pts.shape)
+            pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
         xs.append(pts)
         ys.append(np.full(n_per_cluster, k, dtype=np.int64))
     return Dataset(np.vstack(xs), np.concatenate(ys), "classification", K,
                    {"overlapping_subspaces": overlapping, "bases": bases})
 
 
-def gen_piecewise_regression(rng: Rng, pieces: int, d_raw: int, n: int,
+def gen_piecewise_regression(rng: np.random.Generator, pieces: int, d_raw: int, n: int,
                              noise_std: float = 0.0) -> Dataset:
     """Targets follow a region-specific linear map; regions are the cells of
     a nearest-anchor partition (boundaries are hyperplane bisectors)."""
     if pieces < 2:
         raise ContractViolation("need at least 2 pieces")
-    anchors = rng.gen.normal(size=(pieces, d_raw))
-    maps = rng.gen.normal(size=(pieces, d_raw)) / np.sqrt(d_raw)
-    X = rng.gen.normal(size=(n, d_raw))
+    anchors = rng.normal(size=(pieces, d_raw))
+    maps = rng.normal(size=(pieces, d_raw)) / np.sqrt(d_raw)
+    X = rng.normal(size=(n, d_raw))
     dist = ((X[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
     region = np.argmin(dist, axis=1)
     y = np.einsum("nd,nd->n", X, maps[region])
     if noise_std > 0:
-        y = y + rng.gen.normal(0.0, noise_std, size=n)
+        y = y + rng.normal(0.0, noise_std, size=n)
     return Dataset(X, y, "regression", 0, {"regions": region})
 
 
@@ -169,7 +169,7 @@ def batches(dataset: Dataset, seed: int, epoch: int, batch_size: int):
     the final partial batch is kept."""
     if batch_size > dataset.n:
         raise ContractViolation("batch_size cannot exceed dataset size")
-    perm = np.random.default_rng([seed, epoch]).permutation(dataset.n)
+    perm = Rng([seed, epoch]).permutation(dataset.n)
     for start in range(0, dataset.n, batch_size):
         idx = perm[start:start + batch_size]
         yield dataset.X[idx], dataset.y[idx]

@@ -170,6 +170,12 @@ class TestErrorPaths:
         # a non-finite value once trained the whole run and failed at the report (exit 3)
         (["train", "--override", "task.noise_std=NaN"], "task.noise_std: must be >= 0 and"),
         (["train", "--override", "optimizer.lr=Infinity"], "optimizer.lr: must be > 0 and"),
+        # overhead prices the O step with omoe.s even when OMoE is off: no negative MAC counts
+        (["overhead", "--override", "omoe.enabled=false", "--override", "omoe.s=0"],
+         "omoe.s: must be >= 2"),
+        (["overhead", "--override", "omoe.enabled=false", "--override", "omoe.s=-3"],
+         "omoe.s: must be >= 2"),
+        (["train", "--seeds", "0,0"], "seeds: duplicate seeds rejected"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
         assert main([*args, "--config", tiny_config_path]) == 2

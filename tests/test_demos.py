@@ -1,4 +1,4 @@
-"""The demos import only names that omoe_lab has; no demo is run."""
+"""The demos import only names that omoe_lab has; no demo is run here (CI runs each one)."""
 
 import ast
 import importlib

@@ -56,8 +56,13 @@ class TestConfig:
             make_config({"task": {"K": 6}})
 
     def test_empty_seeds_rejected(self):
-        with pytest.raises(ConfigError, match="seeds"):
+        with pytest.raises(ConfigError, match="seeds: need at least one seed"):
             make_config({"seeds": []})
+
+    def test_repeated_seed_rejected(self):
+        # a repeated seed would train twice and count twice in the aggregate
+        with pytest.raises(ConfigError, match=r"seeds: duplicate seeds rejected: \[0, 1, 0\]"):
+            make_config({"seeds": [0, 1, 0]})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match=r"seeds: must be >= 0, got -1"):

@@ -84,6 +84,16 @@ class TestSymEigvals:
             sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestRng:
+    def test_streams_pinned(self):
+        # every report is drawn from these streams, so a change of algorithm or of
+        # seeding must show here: a seed, its two spawned children, a sequence seed
+        data_rng, model_rng = Rng(7).spawn(2)
+        draws = [int(r.integers(2**32)) for r in (Rng(7), data_rng, model_rng, Rng([7, 104729]))]
+        assert draws == [4058335883, 1311550352, 2926574226, 949345243]
+        assert isinstance(Rng(7), np.random.Generator)
+
+
 class TestGaussianMatrix:
     def test_zero_std_constant(self):
         out = gaussian_matrix(Rng(0), 3, 4, mean=2.5, std=0.0)

@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from omoe_lab import (Rng, average_projector, load_optimizer, make_optimizer, model_forward,
-                      new_omoe_state, o_step, r_step, save_optimizer, step_dispatch)
+from omoe_lab import (Rng, average_projector, grad_check, load_optimizer, make_optimizer,
+                      model_forward, new_omoe_state, o_step, r_step, save_model, save_optimizer,
+                      step_dispatch)
+from omoe_lab.cli import main
 from omoe_lab.errors import ConfigError, ContractViolation, SingleExpertError
 from omoe_lab.grad import Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
@@ -433,8 +435,9 @@ class TestDispatchSchedule:
         for name in model_a.param_names():
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
 
-    def test_training_paths_skip_fingerprint(self, monkeypatch):
-        # their tapes never leave the call, so no stale-tape guard is computed
+    def test_training_paths_skip_fingerprint(self, monkeypatch, tmp_path):
+        # their tapes never leave the call, or go straight to backward, so no
+        # stale-tape guard is computed
         model = small_model(M=2, routing="dense")
         state = make_state(model, s=2)
         rng = np.random.default_rng(4)
@@ -450,6 +453,11 @@ class TestDispatchSchedule:
                            "model": {"d": 4, "h": 4, "M": 2, "c": 2},
                            "omoe": {"enabled": False}, "train": {"epochs": 1, "batch_size": 8}})
         assert train_single(cfg, 0).record["step_counts"]["R"] == 2
+        assert grad_check(model, X, y, n_samples=10).checked > 0
+        for name in ("a.json", "b.json"):
+            save_model(model, tmp_path / name)
+        assert main(["metrics", "--model-a", str(tmp_path / "a.json"),
+                     "--model-b", str(tmp_path / "b.json"), "--out", str(tmp_path)]) == 0
 
 
 def payload(arr):
@@ -621,11 +629,17 @@ class TestOptimizerCheckpoint:
          r"opt\.json: projectors\[0\]\.P: expected an array"),
         (lambda doc: doc["buffers"][2]["entries"][1].pop("xbar"),
          r"opt\.json: buffers\[2\]\.entries\[1\]: missing key 'xbar'"),
+        # a second copy would replace the first: its updates_applied, or its buffered means
+        (lambda doc: doc["projectors"].append(doc["projectors"][0]),
+         r"opt\.json: projectors\[4\]: \(expert, layer\) \(0, 1\) is listed twice"),
+        (lambda doc: doc["buffers"].append({**doc["buffers"][0], "entries": []}),
+         r"opt\.json: buffers\[4\]: \(expert, layer\) \(0, 1\) is listed twice"),
     ], ids=["missing_projector", "wrong_M", "wrong_projector_size", "projector_not_square",
             "projector_zero_d", "missing_buffer", "wrong_mean_length", "missing_scalar",
             "missing_base_field", "unknown_hyper", "misshapen_moment", "missing_moments",
             "missing_moment", "misshapen_input_moment", "string_M", "string_s", "string_t",
-            "string_hyper", "missing_P", "P_not_an_array", "missing_xbar"])
+            "string_hyper", "missing_P", "P_not_an_array", "missing_xbar", "projector_twice",
+            "buffer_twice"])
     def test_bad_layout_named(self, tmp_path, edit, field):
         path = tmp_path / "opt.json"
         model, state = self.buffered_state()
