@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, ContractViolation, DataLoadError,
-                     SingleExpertError, SingularMatrixError)
+from .errors import ConfigError, ContractViolation, DataLoadError, SingularMatrixError
 from .linalg import Rng, gaussian_matrix, solve_spd, sym_eigvals
 from .projector import OrthoProjector, direct_projector
 from .model import (MoEModel, ModelDims, RoutingRecord, init_model, load_model,

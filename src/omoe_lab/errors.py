@@ -13,10 +13,6 @@ class SingularMatrixError(ContractViolation):
         super().__init__(f"non-positive pivot at index {pivot_index} during Cholesky factorization")
 
 
-class SingleExpertError(RuntimeError):
-    """Orthogonal steps need at least two experts."""
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
+# unused here; perfbench/spans.py wraps harness.backward until it drops that site
 from .grad import LOSS_KINDS, backward, loss as loss_fn
 from .linalg import Rng
 from .metrics import diversity_report
@@ -251,16 +252,9 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     for epoch in range(epochs):
         epoch_losses = []
         for Xb, yb in batches(train_ds, seed, epoch, bs):
-            if state is not None:
-                outcome = step_dispatch(state, model, Xb, yb, loss_kind)
-                step_counts[outcome.kind] += 1
-                epoch_losses.append(outcome.loss)
-            else:
-                _, tape = model_forward(model, Xb, guard=False)
-                grads = backward(model, tape, yb, loss_kind)
-                base.step(model.params, grads.grads)
-                step_counts["R"] += 1
-                epoch_losses.append(grads.loss)
+            outcome = step_dispatch(state or base, model, Xb, yb, loss_kind)
+            step_counts[outcome.kind] += 1
+            epoch_losses.append(outcome.loss)
         score, routing = _eval_score(model, X_eval, y_eval, loss_kind)
         report = diversity_report(model, probe, routing)
         loss_curve.append(float(np.mean(epoch_losses)))

@@ -76,4 +76,4 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int,
                     mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     if std < 0:
         raise ContractViolation("std must be non-negative")
-    return rng.normal(mean, std, size=(rows, cols)).astype(np.float64)
+    return rng.normal(mean, std, size=(rows, cols))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, SingleExpertError
+from .errors import ContractViolation
 from .grad import Gradients, backward
 from .model import (BatchTape, MoEModel, layer_widths, model_forward, param_shapes,
                     read_checkpoint, require_fields, require_keys, require_kind, require_shapes,
@@ -269,6 +269,8 @@ class OMoEState:
                       "lambda": self.lam, "o_lr": self.o_lr, "e": self.e})
         if self.avg_norm not in AVG_NORMS:
             raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
+        if self.M < 2:  # an O step projects each expert by the other experts' projectors
+            raise ContractViolation(f"M: must be >= 2, got {self.M!r}")
 
     def alpha_at(self, i: int) -> float:
         """Decayed regularizer alpha0 * lam^(i / n_total) for batch index i."""
@@ -311,8 +313,6 @@ def average_projector(state: OMoEState, layer: int) -> tuple[np.ndarray, int]:
     projectors combined. The MAC counter is charged for the whole layer: the
     sum and the M subtractions ``o_step`` makes from it.
     """
-    if state.M < 2:
-        raise SingleExpertError("average projector needs M >= 2 experts")
     total = state.projectors[(0, layer)].P.copy()
     for j in range(1, state.M):
         total += state.projectors[(j, layer)].P
@@ -337,8 +337,6 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
     dimension; biases have no input dimension and move unprojected. The base
     optimizer's moment buffers are not advanced.
     """
-    if state.M < 2:
-        raise SingleExpertError("orthogonal step impossible with a single expert: use M >= 2")
     _drain_buffers(state)
     lr = state.o_lr if state.o_lr is not None else state.base.lr
     for layer in layer_widths(model.dims.d, model.dims.h):
@@ -357,15 +355,19 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
     return StepOutcome("O", grads.loss)
 
 
-def step_dispatch(state: OMoEState, model: MoEModel, X, targets,
+def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets,
                   loss_kind: str = "ce") -> StepOutcome:
-    """One training step: forward + backward, then R or O by ``e mod s``.
+    """One training step: forward + backward, then a step of ``state``.
 
-    O steps use the current batch's gradients but do not accumulate its
-    input means.
+    A bare base optimizer, the baseline, takes one base step, reported as R. An
+    OMoE state takes R or O by ``e mod s``; O steps use the current batch's
+    gradients but do not accumulate its input means.
     """
     _, tape = model_forward(model, X, guard=False)
     grads = backward(model, tape, targets, loss_kind)
+    if isinstance(state, BaseOptimizer):
+        state.step(model.params, grads.grads)
+        return StepOutcome("R", grads.loss)
     if state.e % state.s == 0:
         return o_step(state, model, grads)
     return r_step(state, model, grads, tape)

@@ -4,8 +4,8 @@ Each guarded weight layer carries a square matrix P, initialized to the
 identity and shrunk by rank-one updates so that P attenuates directions the
 layer has already absorbed. With a constant regularizer ``alpha`` the
 recursion computes exactly ``alpha * (A A^T + alpha I)^-1`` for the stacked
-input columns A; ``direct_projector`` is that closed form and serves as the
-brute-force oracle.
+input columns A; ``direct_projector`` is that closed form, with one alpha per
+column for a decayed schedule, and serves as the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -56,14 +56,22 @@ class OrthoProjector:
         return int(np.sum(sym_eigvals(self.P) > tau))
 
 
-def direct_projector(a: np.ndarray, alpha: float) -> np.ndarray:
-    """Closed form I - A (alpha I + A^T A)^-1 A^T for columns A, fixed alpha."""
-    if not alpha > 0:  # NaN fails this test too
+def direct_projector(a: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
+    """Closed form I - A (diag(alpha) + A^T A)^-1 A^T for columns A.
+
+    ``alpha`` is one regularizer for every column, or an (m,) array holding the
+    alpha each column's RLS update used; in exact arithmetic the update order
+    does not matter.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(alpha > 0):  # NaN fails this test too
         raise ContractViolation("alpha must be positive")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     d, m = a.shape
+    if alpha.ndim and alpha.shape != (m,):
+        raise ContractViolation(f"alpha of shape {alpha.shape} for {m} columns")
     if m == 0:
         return np.eye(d)
     inner = alpha * np.eye(m) + a.T @ a

@@ -125,12 +125,13 @@ def load_csv(path, feature_columns: list[str], target_column: str,
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataLoadError(f"row {rownum}: expected {len(header)} cells, got {len(row)}")
-            try:
-                values = [parse(row[i]) for i, parse in cells]
-            except ValueError:
-                bad = next(i for i, parse in cells if not _parses(row[i], parse))
-                raise DataLoadError(
-                    f"row {rownum}, column {header[bad]!r}: unparsable cell {row[bad]!r}") from None
+            values = []
+            for i, parse in cells:
+                try:
+                    values.append(parse(row[i]))
+                except ValueError:
+                    raise DataLoadError(
+                        f"row {rownum}, column {header[i]!r}: unparsable cell {row[i]!r}") from None
             ys.append(values.pop())  # the target's cell is the last
             xs.append(values)
     if not xs:
@@ -144,14 +145,6 @@ def load_csv(path, feature_columns: list[str], target_column: str,
     y = np.asarray(ys, dtype=np.float64)
     _require(np.isfinite(y), y, [target_column], "a finite number")
     return Dataset(X, y, "regression")
-
-
-def _parses(cell: str, parse) -> bool:
-    try:
-        parse(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _require(ok: np.ndarray, values: np.ndarray, columns: list[str], need: str) -> None:

@@ -11,14 +11,15 @@ import pytest
 from omoe_lab import (Rng, average_projector, grad_check, load_optimizer, make_optimizer,
                       model_forward, new_omoe_state, o_step, r_step, save_model, save_optimizer,
                       step_dispatch)
+from omoe_lab import harness
 from omoe_lab.cli import main
-from omoe_lab.errors import ConfigError, ContractViolation, SingleExpertError
+from omoe_lab.errors import ConfigError, ContractViolation
 from omoe_lab.grad import Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.model import MoEModel
-from omoe_lab.optim import (_STATE_SCALARS, GATHER_BELOW, RANGES, MacCounter, OMoEState,
-                            check_ranges)
+from omoe_lab.optim import (_STATE_SCALARS, GATHER_BELOW, OPTIMIZERS, RANGES, MacCounter,
+                            OMoEState, StepOutcome, check_ranges)
 from tests.test_model import small_model
 
 
@@ -249,11 +250,9 @@ class TestAverageProjector:
             np.testing.assert_array_equal(proj.P, before[key])
 
     def test_single_expert_rejected(self):
-        model = small_model(M=1)
-        state = make_state(model)
-        state.M = 1
-        with pytest.raises(SingleExpertError):
-            average_projector(state, 1)
+        # no average projector is built for one expert: the state refuses M = 1
+        with pytest.raises(ContractViolation, match=r"^M: must be >= 2, got 1$"):
+            make_state(small_model(M=1))
 
     def test_bad_avg_norm_rejected(self):
         model = small_model(M=2)
@@ -303,11 +302,10 @@ class TestOStep:
         np.testing.assert_allclose(-0.1 * (G @ pbar), np.array([[-0.05, -0.1]]))
 
     def test_single_expert_raises_with_remediation(self):
-        model = small_model(M=1)
-        state = make_state(model)
-        grads = Gradients({n: np.zeros_like(p) for n, p in model.params.items()}, 0.0)
-        with pytest.raises(SingleExpertError, match="M >= 2"):
-            o_step(state, model, grads)
+        # an O step projects by the other experts' projectors; the message names M and its floor
+        base = make_optimizer("adamw", 1e-2)
+        with pytest.raises(ContractViolation, match=r"^M: must be >= 2, got 1$"):
+            new_omoe_state(base, small_model(M=1), 5, 100)
 
     def test_drain_exactness(self):
         model = small_model(M=2, routing="dense")
@@ -418,6 +416,43 @@ class TestDispatchSchedule:
         with pytest.raises(ContractViolation):
             make_state(model, s=1)
 
+    @pytest.mark.parametrize("kind", sorted(OPTIMIZERS))
+    def test_bare_base_steps_like_hand_loop(self, kind):
+        # the baseline arm: forward, backward and one base step, bit for bit
+        model = small_model(seed=5, M=3, routing="top1")
+        twin = model.clone()
+        base, hand = make_optimizer(kind, 1e-2), make_optimizer(kind, 1e-2)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            X, y = rng.normal(size=(5, model.dims.d_raw)), rng.integers(0, model.dims.c, size=5)
+            outcome = step_dispatch(base, model, X, y)
+            _, tape = model_forward(twin, X)
+            grads = backward(twin, tape, y)
+            hand.step(twin.params, grads.grads)
+            assert outcome == StepOutcome("R", grads.loss)
+        assert base.t == hand.t == 3
+        for name in model.param_names():
+            np.testing.assert_array_equal(model.params[name], twin.params[name])
+        assert base.state.keys() == hand.state.keys()
+        for name, moments in hand.state.items():
+            for k, arr in moments.items():
+                np.testing.assert_array_equal(base.state[name][k], arr)
+
+    def test_baseline_trains_through_step_dispatch(self, monkeypatch):
+        calls = []
+
+        def counting(state, *args, **kwargs):
+            calls.append(state)
+            return step_dispatch(state, *args, **kwargs)
+        monkeypatch.setattr(harness, "step_dispatch", counting)
+        cfg = make_config({"task": {"K": 2, "d_raw": 4, "subspace_dim": 2, "n_per_cluster": 10},
+                           "model": {"d": 4, "h": 4, "M": 2, "c": 2},
+                           "omoe": {"enabled": False}, "train": {"epochs": 2, "batch_size": 8}})
+        result = train_single(cfg, 0)
+        assert result.record["step_counts"] == {"R": 4, "O": 0}  # 16 training rows, 2 epochs
+        assert len(calls) == 4 and all(isinstance(c, OPTIMIZERS["adamw"]) for c in calls)
+        assert result.state is None and result.record["means_produced"] == 0
+
     def test_parity_when_s_exceeds_horizon(self):
         model_a = small_model(seed=9, M=2, routing="dense")
         model_b = model_a.clone()
@@ -448,7 +483,7 @@ class TestDispatchSchedule:
         monkeypatch.setattr(MoEModel, "fingerprint", refuse)
         assert [step_dispatch(state, model, X, y).kind for _ in range(2)] == ["R", "O"]
         _eval_score(model, X, y, "ce")
-        # the baseline branch of train_single runs its own forward and backward
+        # the baseline arm of train_single steps through step_dispatch too
         cfg = make_config({"task": {"K": 2, "d_raw": 4, "subspace_dim": 2, "n_per_cluster": 10},
                            "model": {"d": 4, "h": 4, "M": 2, "c": 2},
                            "omoe": {"enabled": False}, "train": {"epochs": 1, "batch_size": 8}})
@@ -649,6 +684,16 @@ class TestOptimizerCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolation, match=field):
             load_optimizer(path, model)
+
+    def test_single_expert_file_rejected(self, tmp_path):
+        # a file whose M matches an M=1 model still fails, as the state it would build
+        path = tmp_path / "opt.json"
+        save_optimizer(self.buffered_state()[1], path)
+        doc = json.loads(path.read_text())
+        doc["M"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation, match=r"opt\.json: M: must be >= 2"):
+            load_optimizer(path, small_model(M=1, routing="dense"))
 
     @pytest.mark.parametrize("other", [dict(M=3), dict(d_raw=7), dict(h=6), dict(c=4)],
                              ids=["M", "d_raw", "h", "c"])

@@ -93,7 +93,9 @@ class TestRlsUpdate:
 
 class TestDirectProjector:
     def test_rejects_bad_alpha(self):
-        for alpha in (0.0, -1.0, float("nan")):
+        # a scalar or one per column: each must be > 0 (NaN fails), and the lengths must agree
+        for alpha in (0.0, -1.0, float("nan"), [1.0, 0.0, 1.0], [1.0, float("nan"), 1.0],
+                      [1.0, 1.0], np.ones((3, 1))):
             with pytest.raises(ContractViolation, match="alpha"):
                 direct_projector(np.eye(3), alpha)
 
@@ -114,6 +116,24 @@ class TestDirectProjector:
         left = direct_projector(a, alpha)
         right = alpha * np.linalg.inv(a @ a.T + alpha * np.eye(6))
         np.testing.assert_allclose(left, right, atol=1e-10)
+
+    def test_per_column_alphas_match_decayed_recursion(self):
+        # the training path's schedule: column i enters at batch index i with alpha_at(i)
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for case in range(60):
+            d = int(rng.choice([4, 8, 16]))
+            m = int(rng.integers(1, 2 * d + 1))
+            schedule = decay_state(n_total=m, alpha0=[1.0, 1e-2, 1e-3][case % 3], lam=0.9)
+            alphas = np.array([schedule.alpha_at(i) for i in range(1, m + 1)])
+            cols = rng.normal(size=(d, m))
+            cols *= rng.uniform(0.1, 10.0, size=m) / np.linalg.norm(cols, axis=0)
+            p = OrthoProjector(d)
+            for j in range(m):
+                p.rls_update(cols[:, j], alphas[j])
+            oracle = direct_projector(cols, alphas)
+            worst = max(worst, np.linalg.norm(p.P - oracle) / np.linalg.norm(oracle))
+        assert worst <= 1e-9  # criterion 01's bound
 
     def test_matches_recursion(self):
         rng = np.random.default_rng(4)
