@@ -108,7 +108,7 @@ def cmd_metrics(args):
     X = probe_rng.normal(size=(256, model_a.dims.d_raw))
     reports = {}
     for tag, model in (("model_a", model_a), ("model_b", model_b)):
-        _, tape = model_forward(model, X, guard=False)  # the tape never reaches backward
+        _, tape = model_forward(model, X, backward=False)
         reports[tag] = diversity_report(model, X[0], tape.routing)
     payload = {
         "per_model": reports,

@@ -77,6 +77,8 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
 
 def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     """Analytic gradients of the mean loss with respect to every parameter."""
+    if tape.hidden is None:
+        raise ContractViolation("tape keeps no activations: its forward ran with backward=False")
     if tape.fingerprint is not None and tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params
@@ -148,9 +150,9 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
         flat = model.params[name].reshape(-1)
         orig = flat[i]
         flat[i] = orig + h
-        lp, tp = model_forward(model, X, guard=False)
+        lp, tp = model_forward(model, X, backward=False)
         flat[i] = orig - h
-        lm, tm = model_forward(model, X, guard=False)
+        lm, tm = model_forward(model, X, backward=False)
         flat[i] = orig
         if not all(np.array_equal(t.experts[t.slots], chosen) for t in (tp, tm)):
             excluded.append((name, i))

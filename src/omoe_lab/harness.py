@@ -199,7 +199,7 @@ def _optimizer_from_config(cfg: dict):
 
 
 def _eval_score(model: MoEModel, X, y, loss_kind: str):
-    logits, tape = model_forward(model, X, guard=False)
+    logits, tape = model_forward(model, X, backward=False)
     if loss_kind == "ce":
         score = float(np.mean(np.argmax(logits, axis=1) == y))
     else:

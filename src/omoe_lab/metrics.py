@@ -1,7 +1,9 @@
 """Diversity and balance diagnostics for expert populations.
 
 All metrics use population variance and are invariant to expert ordering;
-``diverse_degree`` compares all unordered expert pairs exhaustively.
+``diverse_degree`` compares all unordered expert pairs exhaustively. The
+model-level parameter metrics walk the experts one parameter kind (W1, b1,
+W2, b2) at a time, so none of them holds a copy of every expert's parameters.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from .model import MoEModel, RoutingRecord, expert_forward, param_shapes
 SIMILARITY_THRESHOLD = 1e-3
 
 
-def _expert_vector(model: MoEModel, m: int) -> np.ndarray:
-    return np.concatenate([model.params[n].ravel() for n in model.expert_names(m)])
+def _expert_blocks(model: MoEModel) -> list[list[np.ndarray]]:
+    """The M experts' arrays of each parameter kind, kinds in an expert's parameter order."""
+    kinds = [name.split(".", 1)[1] for name in model.expert_names(0)]
+    return [[model.params[f"expert{m}.{kind}"] for m in range(model.M)] for kind in kinds]
+
+
+def _expert_size(model: MoEModel) -> int:
+    return sum(model.params[name].size for name in model.expert_names(0))
 
 
 def expert_param_variance(experts: list[np.ndarray]) -> float:
@@ -35,8 +43,39 @@ def expert_param_variance(experts: list[np.ndarray]) -> float:
     return float(np.mean(np.var(stacked, axis=0)))
 
 
+def _anchored_variance(stack: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.var(stack - stack[0], axis=0)`` of an (M, n) stack into ``out``,
+    overwriting ``stack``.
+
+    The rows are summed one at a time, in order, as ``np.var`` sums a stack two or
+    more columns wide. A one-column block, which ``np.var`` would sum pairwise,
+    so gets the bits it has inside the whole-vector stack.
+    """
+    stack -= stack[0].copy()
+    mean = stack[0].copy()
+    for row in stack[1:]:
+        mean += row
+    mean /= len(stack)
+    stack -= mean
+    stack *= stack
+    out[...] = stack[0]
+    for row in stack[1:]:
+        out += row
+    out /= len(stack)
+
+
 def model_param_variance(model: MoEModel) -> float:
-    return expert_param_variance([_expert_vector(model, m) for m in range(model.M)])
+    """``expert_param_variance`` of the experts' parameter vectors, bit for bit: one
+    parameter kind's (M, n) stack at a time, one ``np.mean`` over every position."""
+    if model.M < 2:
+        raise ContractViolation("need at least two experts")
+    variances = np.empty(_expert_size(model))
+    start = 0
+    for block in _expert_blocks(model):
+        stack = np.stack(block).reshape(model.M, -1)
+        _anchored_variance(stack, variances[start:start + stack.shape[1]])
+        start += stack.shape[1]
+    return float(np.mean(variances))
 
 
 def similar_fraction(a, b, threshold: float = SIMILARITY_THRESHOLD) -> float:
@@ -52,9 +91,15 @@ def similar_fraction(a, b, threshold: float = SIMILARITY_THRESHOLD) -> float:
 
 def model_similar_fraction(model: MoEModel, threshold: float = SIMILARITY_THRESHOLD) -> float:
     """Mean similar fraction over all unordered expert pairs."""
-    vecs = [_expert_vector(model, m) for m in range(model.M)]
+    if threshold <= 0:
+        raise ContractViolation("threshold must be positive")
     pairs = list(combinations(range(model.M), 2))
-    return float(np.mean([similar_fraction(vecs[i], vecs[j], threshold) for i, j in pairs]))
+    similar = [0] * len(pairs)
+    for block in _expert_blocks(model):
+        for p, (i, j) in enumerate(pairs):
+            similar[p] += int(np.count_nonzero(np.abs(block[i] - block[j]) < threshold))
+    size = _expert_size(model)
+    return float(np.mean([count / size for count in similar]))
 
 
 def diverse_degree(model_a: MoEModel, model_b: MoEModel) -> float:
@@ -62,16 +107,13 @@ def diverse_degree(model_a: MoEModel, model_b: MoEModel) -> float:
     difference is strictly larger in model_a than in model_b."""
     if param_shapes(model_a.dims, model_a.M) != param_shapes(model_b.dims, model_b.M):
         raise ContractViolation("models have mismatched architecture")
-    vecs_a = [_expert_vector(model_a, m) for m in range(model_a.M)]
-    vecs_b = [_expert_vector(model_b, m) for m in range(model_b.M)]
+    pairs = list(combinations(range(model_a.M), 2))
     larger = 0
-    total = 0
-    for i, j in combinations(range(model_a.M), 2):
-        da = np.abs(vecs_a[i] - vecs_a[j])
-        db = np.abs(vecs_b[i] - vecs_b[j])
-        larger += int(np.sum(da > db))
-        total += da.size
-    return larger / total
+    for block_a, block_b in zip(_expert_blocks(model_a), _expert_blocks(model_b)):
+        for i, j in pairs:
+            da = np.abs(block_a[i] - block_a[j])
+            larger += int(np.count_nonzero(da > np.abs(block_b[i] - block_b[j])))
+    return larger / (len(pairs) * _expert_size(model_a))
 
 
 def output_variance(model: MoEModel, x) -> float:

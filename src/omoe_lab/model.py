@@ -11,7 +11,10 @@ one hidden (P x h) and one output (P x d) buffer, an idle expert into an empty
 span. An expert whose span holds every row reads Z0 itself (so dense makes no
 M-fold copy); any other gathers its rows. The fold sums each row's gated pairs
 back onto it in expert order, one N-row gather per slot. The tape keeps the
-pair layout and both buffers, so backward reads the same spans.
+pair layout and both buffers, so backward reads the same spans. A forward that
+never reaches backward (``backward=False``: evaluation, diagnostics, the
+perturbed forwards of a gradient check) keeps no hidden activations: every
+expert's hidden rows pass through one scratch block as tall as the widest span.
 
 Parameters live in a flat name -> float64 array dict; ``param_shapes`` gives
 each name's shape. Expert parameters are "theta"; everything else is "phi".
@@ -123,7 +126,8 @@ class BatchTape:
     spans: list                    # [m] slice of the pairs expert m takes; empty if idle
     slots: np.ndarray              # (N, k) pair index of each row's k pairs, in expert order
     inputs: list                   # [m] m's input rows: Z0 if its span holds them all
-    hidden: np.ndarray             # (P, h) post-ReLU hidden activations of each pair
+    hidden: np.ndarray | None      # (P, h) post-ReLU hidden activations of each pair;
+                                   # None if the forward ran with backward=False
     out: np.ndarray                # (P, d) expert output of each pair, before the gate
     y_moe: np.ndarray              # (N, d) combined MoE output
     logits: np.ndarray             # (N, c) head output
@@ -208,9 +212,10 @@ def fold_pairs(slots: np.ndarray, pairs: np.ndarray, weights=None) -> np.ndarray
     return rows
 
 
-def moe_block_forward(model: MoEModel, Z0: np.ndarray):
+def moe_block_forward(model: MoEModel, Z0: np.ndarray, backward: bool = True):
     """Gate + experts on pre-mapped rows Z0; returns (y_moe, routing, caches), where caches
-    holds the ``BatchTape`` fields order, experts, spans, slots, inputs, hidden and out."""
+    holds the ``BatchTape`` fields order, experts, spans, slots, inputs, hidden and out.
+    With ``backward=False`` the experts share one hidden scratch block and hidden is None."""
     if model.routing not in ROUTING_MODES:
         raise ContractViolation(f"unknown routing mode {model.routing!r}")
     p = model.params
@@ -230,17 +235,26 @@ def moe_block_forward(model: MoEModel, Z0: np.ndarray):
     # an expert holding every row reads Z0 itself (dense: no M-fold copy), others gather
     inputs = [Z0 if span.stop - span.start == N else Z0.take(order[span], axis=0)
               for span in spans]
-    hidden, out = np.empty((N * k, model.dims.h)), np.empty((N * k, model.dims.d))
+    # with no backward to come, every expert's hidden rows pass through one scratch block
+    rows = N * k if backward else max(span.stop - span.start for span in spans)
+    hidden, out = np.empty((rows, model.dims.h)), np.empty((N * k, model.dims.d))
     for m, (span, Z_m) in enumerate(zip(spans, inputs)):  # an idle expert's span is empty
-        expert_forward(p, m, Z_m, hidden[span], out[span])
+        expert_forward(p, m, Z_m, hidden[span if backward else slice(span.stop - span.start)],
+                       out[span])
     routing = RoutingRecord(probs, flat if k == 1 else None)
     y_moe = fold_pairs(slots, out, probs[order, experts])
-    return y_moe, routing, {"order": order, "experts": experts, "spans": spans,
-                            "slots": slots, "inputs": inputs, "hidden": hidden, "out": out}
+    return y_moe, routing, {"order": order, "experts": experts, "spans": spans, "slots": slots,
+                            "inputs": inputs, "hidden": hidden if backward else None, "out": out}
 
 
-def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
-    """Full forward over a raw batch; returns (logits, BatchTape), fingerprinted if ``guard``."""
+def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True, backward: bool = True):
+    """Full forward over a raw batch; returns (logits, BatchTape).
+
+    The tape is fingerprinted if ``guard``, for a backward that runs after the model
+    may have changed. ``backward=False`` is for a forward whose tape never reaches
+    backward: its tape keeps no hidden activations and no fingerprint, and backward
+    refuses it. The logits, routing and pair layout are the same bits either way.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
@@ -248,10 +262,10 @@ def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True):
         raise ContractViolation("batch must contain at least one row")
     p = model.params
     Z0 = X @ p["input_map.W"].T + p["input_map.b"]
-    y_moe, routing, caches = moe_block_forward(model, Z0)
+    y_moe, routing, caches = moe_block_forward(model, Z0, backward)
     logits = y_moe @ p["head.W"].T + p["head.b"]
     tape = BatchTape(X=X, Z0=Z0, routing=routing, **caches, y_moe=y_moe, logits=logits,
-                     fingerprint=model.fingerprint() if guard else None)
+                     fingerprint=model.fingerprint() if guard and backward else None)
     return logits, tape
 
 

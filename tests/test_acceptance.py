@@ -7,15 +7,17 @@ lines. Shared training runs are computed once per session.
 import json
 import statistics
 import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from omoe_lab import (OrthoProjector, Rng, compare_optimizers, diverse_degree,
                       direct_projector, grad_check, init_model, make_config, model_forward,
-                      make_optimizer, new_omoe_state, predict_o_step_macs, run, step_dispatch)
+                      make_optimizer, new_omoe_state, optim, predict_o_step_macs, run,
+                      step_dispatch)
 from omoe_lab.cli import main as cli_main
-from omoe_lab.harness import ablate_skip
+from omoe_lab.harness import ablate_skip, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.metrics import model_param_variance
 from omoe_lab.model import ModelDims
@@ -263,3 +265,79 @@ def test_criterion_11_determinism(tmp_path):
     ok = payloads[0] == payloads[1]
     report_line(11, ok, "two train executions, numeric payloads byte-identical "
                         "after dropping the timing section: " + ("yes" if ok else "NO"))
+
+
+def relative_error(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def record_projector_run(monkeypatch, cfg):
+    """Train the config's first seed, recording every mean the projectors consume with
+    the alpha it was consumed at and its batch index, and the expert weights and
+    gradients around the run's last O step. Returns (SeedResult, record)."""
+    rls_update, o_step = OrthoProjector.rls_update, optim.o_step
+    record = {"consumed": defaultdict(list), "batch": defaultdict(list), "o_step": None}
+
+    def recording_update(proj, xbar, alpha):
+        record["consumed"][id(proj)].append((np.array(xbar), alpha))
+        rls_update(proj, xbar, alpha)
+
+    def recording_o_step(state, model, grads):
+        for key, entries in state.buffers.items():  # o_step drains them first
+            record["batch"][key].extend(i for i, _xbar in entries)
+        keys = list(state.projectors)  # (expert, layer) of every weight matrix
+        before = {key: model.params["expert%d.W%d" % key].copy() for key in keys}
+        outcome = o_step(state, model, grads)
+        record["o_step"] = {key: (before[key], grads.grads["expert%d.W%d" % key].copy(),
+                                  model.params["expert%d.W%d" % key].copy()) for key in keys}
+        return outcome
+
+    with monkeypatch.context() as patched:
+        patched.setattr(OrthoProjector, "rls_update", recording_update)
+        patched.setattr(optim, "o_step", recording_o_step)
+        result = train_single(cfg, cfg["seeds"][0])
+    return result, record
+
+
+def test_criterion_13_run_level_projector_oracle(monkeypatch):
+    t0 = time.perf_counter()
+    worst_alpha = worst_proj = worst_step = 0.0
+    updates = 0
+    runs = {"top1": {}, "dense s=2": {"model": {"routing": "dense"}, "omoe": {"s": 2}}}
+    for overrides in runs.values():
+        cfg = make_config({**overrides, "seeds": [0]})
+        omoe = cfg["omoe"]
+        result, record = record_projector_run(monkeypatch, cfg)
+        state = result.state
+        assert state.means_consumed == sum(map(len, record["batch"].values())) > 0
+        # each (expert, layer) projector against the closed form over the means it
+        # consumed, at the alphas the decay schedule gives their batch indices
+        oracle = {}
+        for key, proj in state.projectors.items():
+            consumed = record["consumed"][id(proj)]
+            assert len(consumed) == len(record["batch"][key]) == proj.updates_applied
+            alphas = np.array([omoe["alpha0"] * omoe["lambda"] ** (i / state.n_total)
+                               for i in record["batch"][key]])
+            if consumed:
+                used = np.array([alpha for _xbar, alpha in consumed])
+                worst_alpha = max(worst_alpha, float(np.max(np.abs(used - alphas) / alphas)))
+                cols = np.column_stack([xbar for xbar, _alpha in consumed])
+            else:
+                cols = np.zeros((proj.d, 0))
+            oracle[key] = direct_projector(cols, alphas)
+            worst_proj = max(worst_proj, relative_error(proj.P, oracle[key]))
+            updates += len(consumed)
+        # the last O step drained every consumed mean, so the oracle projectors are the
+        # ones it used: W_m moves by -(o_lr / norm) G_m sum_{j != m} P_j
+        norm = state.M if omoe["avg_norm"] == "paper" else state.M - 1
+        for (m, layer), (before, G, after) in record["o_step"].items():
+            others = sum(oracle[(j, layer)] for j in range(state.M) if j != m)
+            want = -(omoe["o_lr"] / norm) * G @ others
+            worst_step = max(worst_step, relative_error(after - before, want))
+    elapsed = time.perf_counter() - t0
+    ok = (worst_alpha <= 1e-12 and worst_proj <= 1e-9 and worst_step <= 1e-9
+          and elapsed < 60.0)
+    report_line(13, ok, f"top-1 and dense s=2 seeds, {updates} RLS updates: consumed alphas "
+                        f"vs schedule {worst_alpha:.1e} (limit 1e-12), projectors vs closed "
+                        f"form {worst_proj:.1e} (limit 1e-9), last O step's weight deltas "
+                        f"{worst_step:.1e} (limit 1e-9), {elapsed:.2f}s (limit 60s)")

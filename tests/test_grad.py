@@ -111,6 +111,14 @@ class TestLoss:
 
 
 class TestBackward:
+    def test_tapeless_forward_refused(self):
+        # a tape made for evaluation keeps no hidden activations to differentiate
+        model = small_model()
+        X = np.ones((3, model.dims.d_raw))
+        _, tape = model_forward(model, X, backward=False)
+        with pytest.raises(ContractViolation, match="keeps no activations"):
+            backward(model, tape, np.zeros(3, dtype=int))
+
     def test_single_linear_layer_hand_gradient(self):
         # Arrange the network to behave as logits = head.W @ x for x = (1, 0):
         # identity input map, pass-through expert, probability-1 gate.

@@ -1,12 +1,21 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from omoe_lab import (diverse_degree, diversity_report, expert_param_variance,
-                      load_entropy, model_param_variance, model_similar_fraction,
+                      load_entropy, model_forward, model_param_variance, model_similar_fraction,
                       output_variance, similar_fraction)
 from omoe_lab.errors import ContractViolation
+from omoe_lab.metrics import SIMILARITY_THRESHOLD
 from omoe_lab.model import RoutingRecord
 from tests.test_model import small_model
+
+
+def expert_vector(model, m):
+    """Expert m's parameters as one vector, in its parameter order."""
+    return np.concatenate([model.params[n].ravel() for n in model.expert_names(m)])
 
 
 class TestExpertParamVariance:
@@ -82,13 +91,10 @@ class TestDiverseDegree:
         # v counts strict wins for a, w strict wins for b; ties (here: the
         # zero-initialized biases, equal in both models) make up the rest
         assert 0.0 <= v + w <= 1.0 + 1e-12
-        from itertools import combinations
-
-        from omoe_lab.metrics import _expert_vector
         ties = total = 0
         for i, j in combinations(range(3), 2):
-            da = np.abs(_expert_vector(a, i) - _expert_vector(a, j))
-            db = np.abs(_expert_vector(b, i) - _expert_vector(b, j))
+            da = np.abs(expert_vector(a, i) - expert_vector(a, j))
+            db = np.abs(expert_vector(b, i) - expert_vector(b, j))
             ties += int(np.sum(da == db))
             total += da.size
         assert v + w + ties / total == pytest.approx(1.0, abs=1e-12)
@@ -169,3 +175,74 @@ class TestDiversityDiagnostics:
                           "output_variance", "load_entropy"}
         assert d["param_variance"] == model_param_variance(model)
         assert d["load_entropy"] == pytest.approx(np.log(3))
+
+
+class TestBlockwiseEqualsWholeVector:
+    """The model-level metrics walk one parameter kind at a time; each must give the
+    bits of its formula over whole expert vectors."""
+
+    @staticmethod
+    def trained_looking(seed, M, init, d, h):
+        # spread the experts by several scales so every metric lands away from 0 and 1,
+        # with some entries inside and some outside the similarity threshold
+        model = small_model(seed=seed, d=d, h=h, M=M, init=init)
+        rng = np.random.default_rng(seed)
+        for name in model.theta_names():
+            arr = model.params[name]
+            arr += rng.normal(size=arr.shape) * 10.0 ** rng.integers(-5, 0, size=arr.shape)
+        return model
+
+    @pytest.mark.parametrize("init", ["replicate", "independent"])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("d, h", [(4, 5), (1, 1)])  # (1, 1): one-entry bias blocks
+    def test_exactly_equal(self, init, M, d, h):
+        a = self.trained_looking(M, M, init, d, h)
+        b = self.trained_looking(M + 100, M, init, d, h)
+        vecs_a = [expert_vector(a, m) for m in range(M)]
+        vecs_b = [expert_vector(b, m) for m in range(M)]
+        stacked = np.stack(vecs_a)
+        assert model_param_variance(a) == float(np.mean(np.var(stacked - stacked[0], axis=0)))
+        pairs = list(combinations(range(M), 2))
+        similar = [float(np.mean(np.abs(vecs_a[i] - vecs_a[j]) < SIMILARITY_THRESHOLD))
+                   for i, j in pairs]
+        assert model_similar_fraction(a) == float(np.mean(similar))
+        larger = sum(int(np.sum(np.abs(vecs_a[i] - vecs_a[j]) > np.abs(vecs_b[i] - vecs_b[j])))
+                     for i, j in pairs)
+        assert diverse_degree(a, b) == larger / (len(pairs) * vecs_a[0].size)
+
+    @pytest.mark.parametrize("M", [8, 12])
+    def test_one_entry_blocks(self, M):
+        # numpy sums a one-column stack pairwise from 8 rows up, which can round
+        # differently from the row-order sum of the whole-vector formula
+        for seed in range(40):
+            model = self.trained_looking(seed, M, "replicate", 1, 1)
+            stacked = np.stack([expert_vector(model, m) for m in range(M)])
+            assert model_param_variance(model) == float(
+                np.mean(np.var(stacked - stacked[0], axis=0))), seed
+
+    def test_replicate_untouched_is_zero_and_one(self):
+        model = small_model(M=8, init="replicate")
+        assert model_param_variance(model) == 0.0
+        assert model_similar_fraction(model) == 1.0
+        assert diverse_degree(model, model.clone()) == 0.0
+
+    def test_bad_threshold(self):
+        with pytest.raises(ContractViolation):
+            model_similar_fraction(small_model(M=2), threshold=0.0)
+
+    def test_wide_report_holds_no_whole_stack(self):
+        # at the wide benchmark shapes, stacking every expert's full parameter vector
+        # once costs M x expert floats x 8 B; the report's traced peak stays below that
+        model = small_model(d_raw=8, d=128, h=256, M=8, init="independent", routing="dense")
+        X = np.random.default_rng(0).normal(size=(400, 8))
+        _, tape = model_forward(model, X, backward=False)
+        diversity_report(model, X[0], tape.routing)  # warm up numpy's lazily built state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            diversity_report(model, X[0], tape.routing)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        whole_stack = model.M * expert_vector(model, 0).size * 8
+        assert peak < whole_stack, (peak, whole_stack)

@@ -329,6 +329,64 @@ class TestModelForward:
         np.testing.assert_allclose(softmax(z).sum(axis=1), np.ones(4), atol=1e-12)
 
 
+class TestTapelessForward:
+    """backward=False keeps no hidden activations and changes no bit of what it returns."""
+
+    @staticmethod
+    def assert_same_bits(model, X):
+        logits, tape = model_forward(model, X)
+        logits_bare, bare = model_forward(model, X, backward=False)
+        np.testing.assert_array_equal(logits_bare, logits)
+        np.testing.assert_array_equal(bare.routing.weights, tape.routing.weights)
+        if tape.routing.selected is None:
+            assert bare.routing.selected is None
+        else:
+            np.testing.assert_array_equal(bare.routing.selected, tape.routing.selected)
+        for name in ("experts", "slots", "out"):
+            np.testing.assert_array_equal(getattr(bare, name), getattr(tape, name))
+        assert bare.spans == tape.spans
+        assert bare.hidden is None and bare.fingerprint is None
+        return tape.spans
+
+    @pytest.mark.parametrize("routing", ["top1", "dense"])
+    @pytest.mark.parametrize("N", [1, 40])
+    def test_same_bits_as_taped(self, routing, N):
+        model = small_model(seed=N, M=4, routing=routing)
+        X = np.random.default_rng(N).normal(size=(N, model.dims.d_raw)) * 3.0
+        self.assert_same_bits(model, X)
+
+    def test_same_bits_with_idle_experts(self):
+        # experts 1 and 3 of 5 win every row, through an input map that passes the
+        # first two raw columns on as Z0; 0, 2 and 4 are idle
+        Wg = np.zeros((5, 2))
+        Wg[1], Wg[3] = [10.0, 0.0], [0.0, 10.0]
+        model = gated_model(Wg, "top1")
+        model.params["input_map.W"] = np.eye(2, model.dims.d_raw)
+        X = np.zeros((5, model.dims.d_raw))
+        X[:, :2] = [[0.0, 1.0], [1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.5, 1.0]]
+        spans = self.assert_same_bits(model, X)
+        assert spans == [slice(0, 0), slice(0, 2), slice(2, 2), slice(2, 5), slice(5, 5)]
+
+    def test_wide_peak_drops_by_the_hidden_buffer(self):
+        # the experts share one widest-span scratch block instead of a P x h buffer
+        model = small_model(d_raw=8, d=128, h=256, M=8, routing="dense")
+        X = np.random.default_rng(0).normal(size=(400, 8))
+        peaks = {}
+        for backward in (True, False):
+            model_forward(model, X, guard=False, backward=backward)  # warm up
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _, tape = model_forward(model, X, guard=False, backward=backward)
+                peaks[backward] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            del tape
+        # Python's own small objects move a traced peak by tens of bytes from call to call
+        P, widest, noise = 400 * 8, 400, 1024
+        assert peaks[True] - peaks[False] >= (P - widest) * model.dims.h * 8 - noise, peaks
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         model = small_model(seed=3, M=2)

@@ -16,7 +16,9 @@ The payloads, each printed as ``<digest>  <name>``:
 - ``checkpoint/<routing>/{model,optimizer}``: the ``save_model`` and
   ``save_optimizer`` files after 7 ``step_dispatch`` steps on the first seed,
   with top-1 and with dense routing (the optimizer's mean buffers are then
-  non-empty).
+  non-empty);
+- ``metrics``: the ``omoe-lab metrics`` JSON for those two model files, the
+  top-1 one as model A: both ``diversity_report``s and ``diverse_degree``.
 
 ``--seeds`` and ``--override key=value`` (repeatable) set the base config
 every payload starts from, as they do for ``omoe-lab train``; each payload's
@@ -38,6 +40,7 @@ from omoe_lab import (ModelDims, Rng, compare_optimizers, init_model, make_confi
                       make_optimizer, new_omoe_state, run, save_model, save_optimizer,
                       step_dispatch)
 from omoe_lab.cli import _load_config  # the CLI's --seeds and --override semantics
+from omoe_lab.cli import main as cli_main
 from omoe_lab.harness import build_dataset
 from omoe_lab.optim import OPTIMIZERS
 
@@ -74,6 +77,10 @@ def json_digest(payload) -> str:
     return hashlib.sha256(json.dumps(without_timing(payload), sort_keys=True).encode()).hexdigest()
 
 
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def checkpoint_digests(cfg: dict, workdir: Path) -> dict[str, str]:
     """Digests of the model and optimizer files after ``CHECKPOINT_STEPS`` steps."""
     seed = cfg["seeds"][0]
@@ -94,7 +101,7 @@ def checkpoint_digests(cfg: dict, workdir: Path) -> dict[str, str]:
     for name, (save, obj) in files.items():
         path = workdir / f"{mc['routing']}_{name}.json"
         save(obj, path)
-        out[f"checkpoint/{mc['routing']}/{name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        out[f"checkpoint/{mc['routing']}/{name}"] = file_digest(path)
     return out
 
 
@@ -111,6 +118,11 @@ def digests(base: dict) -> dict[str, str]:
         for routing in ("top1", "dense"):
             cfg = make_config(merge(base, {"model": {"routing": routing}}))
             out.update(checkpoint_digests(cfg, Path(tmp)))
+        models = [str(Path(tmp) / f"{routing}_model.json") for routing in ("top1", "dense")]
+        if cli_main(["metrics", "--model-a", models[0], "--model-b", models[1],
+                     "--out", tmp]) != 0:
+            raise SystemExit("payload_digest: omoe-lab metrics failed")
+        out["metrics"] = file_digest(Path(tmp) / "metrics.json")
     return out
 
 
