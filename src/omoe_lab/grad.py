@@ -78,7 +78,8 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
 def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     """Analytic gradients of the mean loss with respect to every parameter."""
     if tape.hidden is None:
-        raise ContractViolation("tape keeps no activations: its forward ran with backward=False")
+        raise ContractViolation("tape keeps no activations: its forward ran with "
+                                "backward=False, or a step spent it")
     if tape.fingerprint is not None and tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params

@@ -215,20 +215,26 @@ class SeedResult:
     state: object = None
 
 
-def train_single(cfg: dict, seed: int) -> SeedResult:
-    """Train one model for one seed; deterministic in (config, seed)."""
-    t0 = time.perf_counter()
-    data_rng, model_rng = Rng(seed).spawn(2)
-    dataset = build_dataset(cfg, data_rng)
+def _split_dataset(cfg: dict, seed: int, rng: np.random.Generator):
+    """(training set, eval rows, eval targets) of the seed's dataset, drawn from ``rng``.
+    The rows are copies: the unsplit dataset is freed when this returns."""
+    dataset = build_dataset(cfg, rng)
     perm = Rng([seed, 104729]).permutation(dataset.n)
     n_eval, n_train = _split(dataset.n, cfg["train"]["eval_fraction"])
     _check_batch(cfg["train"]["batch_size"], n_train)  # a CSV task's rows are counted here
     if dataset.n_classes > (c := cfg["model"]["c"]):  # and its classes
         raise ConfigError(f"model.c: {c} outputs, but the data has {dataset.n_classes} classes")
     eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
-    X_train, y_train = dataset.X[train_idx], dataset.y[train_idx]
-    X_eval, y_eval = dataset.X[eval_idx], dataset.y[eval_idx]
-    train_ds = Dataset(X_train, y_train, dataset.kind, dataset.n_classes)
+    train_ds = Dataset(dataset.X[train_idx], dataset.y[train_idx], dataset.kind,
+                       dataset.n_classes)
+    return train_ds, dataset.X[eval_idx], dataset.y[eval_idx]
+
+
+def train_single(cfg: dict, seed: int) -> SeedResult:
+    """Train one model for one seed; deterministic in (config, seed)."""
+    t0 = time.perf_counter()
+    data_rng, model_rng = Rng(seed).spawn(2)
+    train_ds, X_eval, y_eval = _split_dataset(cfg, seed, data_rng)
 
     mc = cfg["model"]
     loss_kind = cfg["train"]["loss"]

@@ -107,6 +107,8 @@ def diverse_degree(model_a: MoEModel, model_b: MoEModel) -> float:
     difference is strictly larger in model_a than in model_b."""
     if param_shapes(model_a.dims, model_a.M) != param_shapes(model_b.dims, model_b.M):
         raise ContractViolation("models have mismatched architecture")
+    if model_a.M < 2:  # one expert makes no pair to compare
+        raise ContractViolation(f"diverse_degree needs at least two experts, got M = {model_a.M}")
     pairs = list(combinations(range(model_a.M), 2))
     larger = 0
     for block_a, block_b in zip(_expert_blocks(model_a), _expert_blocks(model_b)):

@@ -13,8 +13,9 @@ M-fold copy); any other gathers its rows. The fold sums each row's gated pairs
 back onto it in expert order, one N-row gather per slot. The tape keeps the
 pair layout and both buffers, so backward reads the same spans. A forward that
 never reaches backward (``backward=False``: evaluation, diagnostics, the
-perturbed forwards of a gradient check) keeps no hidden activations: every
-expert's hidden rows pass through one scratch block as tall as the widest span.
+perturbed forwards of a gradient check) keeps neither buffer: every expert's
+rows pass through one scratch block as tall as the widest span, and its gated
+output is added onto its rows at once, in the expert order the fold sums in.
 
 Parameters live in a flat name -> float64 array dict; ``param_shapes`` gives
 each name's shape. Expert parameters are "theta"; everything else is "phi".
@@ -125,10 +126,10 @@ class BatchTape:
     experts: np.ndarray            # (P,) expert of each pair, ascending
     spans: list                    # [m] slice of the pairs expert m takes; empty if idle
     slots: np.ndarray              # (N, k) pair index of each row's k pairs, in expert order
-    inputs: list                   # [m] m's input rows: Z0 if its span holds them all
-    hidden: np.ndarray | None      # (P, h) post-ReLU hidden activations of each pair;
-                                   # None if the forward ran with backward=False
-    out: np.ndarray                # (P, d) expert output of each pair, before the gate
+    # the pair buffers; None if the forward ran with backward=False, or once a step spent them
+    inputs: list | None            # [m] m's input rows: Z0 if its span holds them all
+    hidden: np.ndarray | None      # (P, h) post-ReLU hidden activations of each pair
+    out: np.ndarray | None         # (P, d) expert output of each pair, before the gate
     y_moe: np.ndarray              # (N, d) combined MoE output
     logits: np.ndarray             # (N, c) head output
     fingerprint: float | None      # stale-tape guard; None if backward runs at once or never
@@ -215,7 +216,8 @@ def fold_pairs(slots: np.ndarray, pairs: np.ndarray, weights=None) -> np.ndarray
 def moe_block_forward(model: MoEModel, Z0: np.ndarray, backward: bool = True):
     """Gate + experts on pre-mapped rows Z0; returns (y_moe, routing, caches), where caches
     holds the ``BatchTape`` fields order, experts, spans, slots, inputs, hidden and out.
-    With ``backward=False`` the experts share one hidden scratch block and hidden is None."""
+    With ``backward=False`` the experts share one scratch block, each expert's gated output
+    is added into y_moe as it comes, and inputs, hidden and out are None."""
     if model.routing not in ROUTING_MODES:
         raise ContractViolation(f"unknown routing mode {model.routing!r}")
     p = model.params
@@ -232,19 +234,30 @@ def moe_block_forward(model: MoEModel, Z0: np.ndarray, backward: bool = True):
     slots = slots.reshape(N, k)  # where row n's k pairs sit, in expert order
     ends = np.cumsum(np.bincount(flat, minlength=M)).tolist()
     spans = [slice(start, end) for start, end in zip([0, *ends], ends)]
-    # an expert holding every row reads Z0 itself (dense: no M-fold copy), others gather
-    inputs = [Z0 if span.stop - span.start == N else Z0.take(order[span], axis=0)
-              for span in spans]
-    # with no backward to come, every expert's hidden rows pass through one scratch block
+    # with no backward to come, every expert's rows pass through one scratch block, and
+    # its gated output is added onto its rows in ascending expert order, as fold_pairs sums
     rows = N * k if backward else max(span.stop - span.start for span in spans)
-    hidden, out = np.empty((rows, model.dims.h)), np.empty((N * k, model.dims.d))
-    for m, (span, Z_m) in enumerate(zip(spans, inputs)):  # an idle expert's span is empty
-        expert_forward(p, m, Z_m, hidden[span if backward else slice(span.stop - span.start)],
-                       out[span])
+    hidden, out = np.empty((rows, model.dims.h)), np.empty((rows, model.dims.d))
+    inputs, y_moe = [], None if backward else np.zeros((N, model.dims.d))
+    for m, span in enumerate(spans):  # an idle expert's span is empty
+        n_m, rows_m = span.stop - span.start, order[span]
+        # an expert holding every row reads Z0 itself (dense: no M-fold copy), others gather
+        Z_m = Z0 if n_m == N else Z0.take(rows_m, axis=0)
+        block = span if backward else slice(n_m)
+        expert_forward(p, m, Z_m, hidden[block], out[block])
+        if backward:
+            inputs.append(Z_m)
+        else:
+            part = out[block]
+            part *= probs[rows_m, m, None]
+            y_moe[rows_m] += part
     routing = RoutingRecord(probs, flat if k == 1 else None)
-    y_moe = fold_pairs(slots, out, probs[order, experts])
+    if backward:
+        y_moe = fold_pairs(slots, out, probs[order, experts])
+    else:
+        inputs = hidden = out = None
     return y_moe, routing, {"order": order, "experts": experts, "spans": spans, "slots": slots,
-                            "inputs": inputs, "hidden": hidden if backward else None, "out": out}
+                            "inputs": inputs, "hidden": hidden, "out": out}
 
 
 def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True, backward: bool = True):
@@ -252,8 +265,9 @@ def model_forward(model: MoEModel, X: np.ndarray, guard: bool = True, backward: 
 
     The tape is fingerprinted if ``guard``, for a backward that runs after the model
     may have changed. ``backward=False`` is for a forward whose tape never reaches
-    backward: its tape keeps no hidden activations and no fingerprint, and backward
-    refuses it. The logits, routing and pair layout are the same bits either way.
+    backward: its tape keeps no pair buffers (inputs, hidden, out) and no fingerprint,
+    and backward refuses it. The logits, routing, pair layout and y_moe are the same bits
+    either way.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -316,6 +330,8 @@ def load_model(path) -> MoEModel:
     require_keys(path, "dims", doc["dims"], [f.name for f in fields(ModelDims)])
     for name, value in {"M": doc["M"], **doc["dims"]}.items():
         require_kind(path, name, value, "an integer")
+    if doc["M"] < 1:  # as init_model
+        raise ContractViolation(f"{path}: M: expert count must be >= 1, got {doc['M']}")
     dims = ModelDims(**doc["dims"])
     dims.validate()
     require_shapes(path, "params", doc["params"], param_shapes(dims, doc["M"]))

@@ -293,15 +293,17 @@ def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int,
 
 def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
            tape: BatchTape) -> StepOutcome:
-    """Base-optimizer update of all parameters, then each expert with rows in ``tape``
-    buffers the mean input of its two weight layers over those rows."""
-    state.base.step(model.params, grads.grads)
-    for m, (span, Z_m) in enumerate(zip(tape.spans, tape.inputs)):
+    """Each expert with rows in ``tape`` buffers the mean input of its two weight layers
+    over those rows, then the base optimizer updates every parameter. The tape is spent
+    once the means are buffered: its pair buffers are dropped, and backward refuses it."""
+    for m, span in enumerate(tape.spans):  # no loop variable outlives the tape's buffers
         n = span.stop - span.start
         if n:  # sum / count is what ndarray.mean computes, without its per-call overhead
-            state.buffers[(m, 1)].append((state.e, np.add.reduce(Z_m) / n))
+            state.buffers[(m, 1)].append((state.e, np.add.reduce(tape.inputs[m]) / n))
             state.buffers[(m, 2)].append((state.e, np.add.reduce(tape.hidden[span]) / n))
             state.means_produced += 2
+    tape.inputs = tape.hidden = tape.out = None
+    state.base.step(model.params, grads.grads)
     state.e += 1
     return StepOutcome("R", grads.loss)
 
@@ -361,16 +363,18 @@ def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets,
 
     A bare base optimizer, the baseline, takes one base step, reported as R. An
     OMoE state takes R or O by ``e mod s``; O steps use the current batch's
-    gradients but do not accumulate its input means.
+    gradients but do not accumulate its input means. No frame holds the tape's
+    pair buffers while the base step or the O step runs.
     """
     _, tape = model_forward(model, X, guard=False)
     grads = backward(model, tape, targets, loss_kind)
+    if isinstance(state, OMoEState) and state.e % state.s:
+        return r_step(state, model, grads, tape)  # which spends the tape before its base step
+    del tape
     if isinstance(state, BaseOptimizer):
         state.step(model.params, grads.grads)
         return StepOutcome("R", grads.loss)
-    if state.e % state.s == 0:
-        return o_step(state, model, grads)
-    return r_step(state, model, grads, tape)
+    return o_step(state, model, grads)
 
 
 # --- optimizer checkpoint io (the model checkpoint's codec) ---

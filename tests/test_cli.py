@@ -328,3 +328,12 @@ class TestOtherSubcommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"type": "ContractViolation",
                                 "message": "models have mismatched architecture"}
+
+    def test_metrics_one_expert_exit_3(self, tmp_path, capsys):
+        # a one-expert checkpoint loads, but has no expert pair to compare
+        save_model(init_model(Rng(1), ModelDims(6, 4, 4, 3), 1), tmp_path / "a.json")
+        assert main(["metrics", "--model-a", str(tmp_path / "a.json"),
+                     "--model-b", str(tmp_path / "a.json")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ContractViolation", "message":
+                                "diverse_degree needs at least two experts, got M = 1"}

@@ -1,5 +1,6 @@
 import copy
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from omoe_lab import (DEFAULT_CONFIG, ablate_experts, ablate_skip, compare_optim
                       make_config, overhead_report, predict_o_step_macs, run, train_single)
 from omoe_lab.errors import ConfigError
 from omoe_lab import harness
-from omoe_lab.harness import validate_config
+from omoe_lab.harness import build_dataset, step_dispatch, validate_config
 from omoe_lab.optim import (average_projector_macs, projection_macs, rls_update_macs)
 
 
@@ -150,6 +151,23 @@ class TestTrainSingle:
             assert key in rec
         assert len(rec["loss_curve"]) == 2
         assert rec["step_counts"]["O"] >= 1
+
+    def test_unsplit_dataset_freed_before_training(self, monkeypatch):
+        # only the split rows, which are copies, live through the training steps
+        refs, dead = [], []
+
+        def recording(cfg, rng):
+            dataset = build_dataset(cfg, rng)
+            refs.append(weakref.ref(dataset.X))
+            return dataset
+
+        def checking(*args, **kwargs):
+            dead.append(refs[-1]() is None)
+            return step_dispatch(*args, **kwargs)
+        monkeypatch.setattr(harness, "build_dataset", recording)
+        monkeypatch.setattr(harness, "step_dispatch", checking)
+        train_single(tiny_config(), 0)
+        assert len(refs) == 1 and dead and all(dead)
 
     def test_baseline_has_no_o_steps(self):
         rec = train_single(tiny_config(omoe__enabled=False), 0).record

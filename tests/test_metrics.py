@@ -103,6 +103,11 @@ class TestDiverseDegree:
         with pytest.raises(ContractViolation):
             diverse_degree(small_model(M=2), small_model(M=3))
 
+    def test_one_expert_rejected(self):
+        # one expert makes no pair: named, not a division by zero
+        with pytest.raises(ContractViolation, match="at least two experts, got M = 1"):
+            diverse_degree(small_model(M=1), small_model(M=1))
+
 
 class TestOutputVariance:
     def test_replicate_zero(self):

@@ -330,7 +330,7 @@ class TestModelForward:
 
 
 class TestTapelessForward:
-    """backward=False keeps no hidden activations and changes no bit of what it returns."""
+    """backward=False keeps no pair buffers and changes no bit of what it returns."""
 
     @staticmethod
     def assert_same_bits(model, X):
@@ -342,10 +342,10 @@ class TestTapelessForward:
             assert bare.routing.selected is None
         else:
             np.testing.assert_array_equal(bare.routing.selected, tape.routing.selected)
-        for name in ("experts", "slots", "out"):
+        for name in ("experts", "slots", "y_moe"):
             np.testing.assert_array_equal(getattr(bare, name), getattr(tape, name))
         assert bare.spans == tape.spans
-        assert bare.hidden is None and bare.fingerprint is None
+        assert bare.hidden is None and bare.out is None and bare.fingerprint is None
         return tape.spans
 
     @pytest.mark.parametrize("routing", ["top1", "dense"])
@@ -368,7 +368,8 @@ class TestTapelessForward:
         assert spans == [slice(0, 0), slice(0, 2), slice(2, 2), slice(2, 5), slice(5, 5)]
 
     def test_wide_peak_drops_by_the_hidden_buffer(self):
-        # the experts share one widest-span scratch block instead of a P x h buffer
+        # the experts share one widest-span scratch block instead of the P x h hidden
+        # and P x d output buffers
         model = small_model(d_raw=8, d=128, h=256, M=8, routing="dense")
         X = np.random.default_rng(0).normal(size=(400, 8))
         peaks = {}
@@ -384,7 +385,8 @@ class TestTapelessForward:
             del tape
         # Python's own small objects move a traced peak by tens of bytes from call to call
         P, widest, noise = 400 * 8, 400, 1024
-        assert peaks[True] - peaks[False] >= (P - widest) * model.dims.h * 8 - noise, peaks
+        saved = (P - widest) * (model.dims.h + model.dims.d) * 8
+        assert peaks[True] - peaks[False] >= saved - noise, peaks
 
 
 class TestCheckpoint:
@@ -434,6 +436,8 @@ class TestCheckpoint:
         (lambda doc: doc["dims"].update(w=1), "dims: unexpected key 'w'"),
         (lambda doc: doc.pop("routing"), "checkpoint: missing key 'routing'"),
         (lambda doc: doc.update(M="2"), "M: expected an integer, got '2'"),
+        (lambda doc: doc.update(M=0), r"model\.json: M: expert count must be >= 1, got 0"),
+        (lambda doc: doc.update(M=-1), "M: expert count must be >= 1, got -1"),
         (lambda doc: doc["dims"].update(h=5.0), r"model\.json: h: expected an integer, got 5\.0"),
         # the format tag is checked before the keys
         (lambda doc: doc.update(format="omoe-lab-optimizer-v1"), "unknown checkpoint format"),
@@ -442,8 +446,9 @@ class TestCheckpoint:
         (lambda doc: doc["params"].update({"head.b": [0.0, 0.0, 0.0]}),
          r"model\.json: params head\.b: expected an array"),
     ], ids=["missing", "unexpected", "wrong_shape", "wrong_M", "wrong_dims", "zero_dim",
-            "extra_dim", "missing_routing", "string_M", "float_dim", "wrong_format",
-            "payload_shape_not_a_list", "params_not_an_object", "param_not_an_array"])
+            "extra_dim", "missing_routing", "string_M", "zero_M", "negative_M", "float_dim",
+            "wrong_format", "payload_shape_not_a_list", "params_not_an_object",
+            "param_not_an_array"])
     def test_bad_parameters_named(self, tmp_path, edit, field):
         # small_model: d_raw=6, d=4, h=5, c=3, M=3
         path = tmp_path / "model.json"

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from omoe_lab import (Rng, average_projector, grad_check, load_optimizer, make_optimizer,
                       model_forward, new_omoe_state, o_step, r_step, save_model, save_optimizer,
                       step_dispatch)
-from omoe_lab import harness
+from omoe_lab import harness, optim
 from omoe_lab.cli import main
 from omoe_lab.errors import ConfigError, ContractViolation
 from omoe_lab.grad import Gradients, backward
@@ -168,13 +169,15 @@ class TestRStep:
             state = make_state(model)
             X = np.random.default_rng(1).normal(size=(4, model.dims.d_raw))
             grads, tape = grads_for(model, X, [0, 1, 2, 0])
+            hidden = tape.hidden  # r_step spends the tape, dropping its pair buffers
             r_step(state, model, grads, tape)
+            assert tape.inputs is None and tape.hidden is None and tape.out is None
             spans = tape.spans
             assert any(s.start == s.stop for s in spans) == (routing == "top1")
             for m, span in enumerate(spans):
                 busy = span.stop > span.start
                 rows = tape.Z0[tape.order[span]]  # the batch rows of m's pairs
-                for layer, acts in ((1, rows), (2, tape.hidden[span])):
+                for layer, acts in ((1, rows), (2, hidden[span])):
                     entries = state.buffers[(m, layer)]
                     assert len(entries) == busy
                     if busy:
@@ -452,6 +455,36 @@ class TestDispatchSchedule:
         assert result.record["step_counts"] == {"R": 4, "O": 0}  # 16 training rows, 2 epochs
         assert len(calls) == 4 and all(isinstance(c, OPTIMIZERS["adamw"]) for c in calls)
         assert result.state is None and result.record["means_produced"] == 0
+
+    @pytest.mark.parametrize("arm, kind", [("baseline", "R"), ("omoe", "R"), ("omoe", "O")])
+    def test_pair_buffers_dead_inside_the_step(self, monkeypatch, arm, kind):
+        # no frame keeps the tape's pair buffers while the base step or the O step runs
+        model = small_model(seed=2, M=3, routing="top1")
+        base = make_optimizer("adam", 1e-3)
+        state = base if arm == "baseline" else new_omoe_state(base, model, s=2, n_total=10)
+        if kind == "O":
+            state.e = 2
+        refs, dead = [], []
+
+        def recording(*args, **kwargs):
+            logits, tape = model_forward(*args, **kwargs)
+            gathered = [Z_m for Z_m in tape.inputs if Z_m is not tape.Z0]
+            refs[:] = [weakref.ref(a) for a in (tape.hidden, tape.out, *gathered)]
+            return logits, tape
+
+        def checking(fn):
+            def checked(*args, **kwargs):
+                dead.append([ref() is None for ref in refs])
+                return fn(*args, **kwargs)
+            return checked
+        monkeypatch.setattr(optim, "model_forward", recording)
+        monkeypatch.setattr(optim.BaseOptimizer, "step", checking(optim.BaseOptimizer.step))
+        monkeypatch.setattr(optim, "o_step", checking(o_step))
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(12, model.dims.d_raw)), rng.integers(0, model.dims.c, size=12)
+        assert step_dispatch(state, model, X, y).kind == kind
+        assert len(refs) >= 3  # hidden, out and at least one gathered expert input
+        assert dead == [[True] * len(refs)]
 
     def test_parity_when_s_exceeds_horizon(self):
         model_a = small_model(seed=9, M=2, routing="dense")

@@ -126,15 +126,20 @@ def digests(base: dict) -> dict[str, str]:
     return out
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def base_config(argv, description: str) -> dict:
+    """The base config that ``--seeds`` and each ``--override`` in ``argv`` set."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--seeds", default="0,1,2,3,4",
                         help="comma-separated training seeds (default 0,1,2,3,4)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="base config override, e.g. train.epochs=1 (repeatable)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    base = _load_config(argparse.Namespace(config=None, seeds=seeds, override=args.override))
+    return _load_config(argparse.Namespace(config=None, seeds=seeds, override=args.override))
+
+
+def main(argv=None) -> None:
+    base = base_config(argv, __doc__.splitlines()[0])
     for name, digest in digests(base).items():
         print(f"{digest}  {name}")
 
