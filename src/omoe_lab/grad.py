@@ -7,22 +7,58 @@ gate multiply, the dL/d(gate probability) row sums, the ReLU mask and the fold
 of the input gradient back to batch rows run once per batch, and each expert
 runs its matmuls on its span of the pair buffers. An idle expert's span is
 empty, so its gradients come out exactly zero from the same code.
+
+An expert weight gradient is the product ``U.T @ X`` of two pair-row factors:
+the upstream gradient of the expert's pairs and their input rows. ``backward``
+keeps the two factors and does not form the product; reading the entry from
+``Gradients.grads`` forms it, so an optimizer that reads one weight at a time
+holds one such gradient at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 from .linalg import Rng
-from .model import BatchTape, MoEModel, fold_pairs, model_forward, softmax
+from .model import (BatchTape, ModelDims, MoEModel, fold_pairs, model_forward, param_shapes,
+                    softmax)
+
+
+class FactoredGradients(Mapping):
+    """Read-only parameter name -> gradient, iterated in ``param_shapes`` order.
+
+    Each expert weight's entry is held as its factors (U, X) and read as
+    ``U.T @ X``, formed anew on every read and not kept. Every other entry is
+    an array.
+    """
+
+    def __init__(self, dims: ModelDims, M: int, arrays: dict, factors: dict):
+        self._layout = dims, M  # the name order is built only when the mapping is iterated
+        self._arrays, self._factors = arrays, factors
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        factors = self._factors.get(name)
+        if factors is None:
+            return self._arrays[name]
+        return factors[0].T @ factors[1]
+
+    def __contains__(self, name) -> bool:  # Mapping's would form the product
+        return name in self._arrays or name in self._factors
+
+    def __iter__(self):
+        return iter(param_shapes(*self._layout))
+
+    def __len__(self) -> int:
+        return len(self._arrays) + len(self._factors)
 
 
 @dataclass
 class Gradients:
-    grads: dict[str, np.ndarray]
+    grads: Mapping[str, np.ndarray]  # backward gives a FactoredGradients
     loss: float
 
 
@@ -76,7 +112,14 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
 
 
 def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
-    """Analytic gradients of the mean loss with respect to every parameter."""
+    """Analytic gradients of the mean loss with respect to every parameter.
+
+    Each expert weight gradient stays as two pair-row factors: ``expert{m}.W2``
+    as (gated upstream gradient, hidden rows) and ``expert{m}.W1`` as
+    (pre-ReLU gradient, input rows), over expert m's span. The factors keep the
+    tape's hidden buffer and input rows alive, but read no parameter, so the
+    parameters may move before the entries are read.
+    """
     if tape.hidden is None:
         raise ContractViolation("tape keeps no activations: its forward ran with "
                                 "backward=False, or a step spent it")
@@ -95,14 +138,15 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     dP[order, experts] = np.add.reduce(dOut * tape.out, axis=1)
     dOut *= probs[order, experts, None]
     dPre1 = np.empty(hidden.shape)
+    factors = {}  # expert weight -> (U, X), its gradient U.T @ X
     for m, span in enumerate(tape.spans):  # np.add.reduce is ndarray.sum without its wrapper
-        g[f"expert{m}.W2"] = dOut[span].T @ hidden[span]
+        factors[f"expert{m}.W2"] = dOut[span], hidden[span]
         g[f"expert{m}.b2"] = np.add.reduce(dOut[span])
         np.matmul(dOut[span], p[f"expert{m}.W2"], out=dPre1[span])
     dPre1 *= hidden > 0
     dZ_pairs = np.empty(dOut.shape)
     for m, (span, Z_m) in enumerate(zip(tape.spans, tape.inputs)):
-        g[f"expert{m}.W1"] = dPre1[span].T @ Z_m
+        factors[f"expert{m}.W1"] = dPre1[span], Z_m
         g[f"expert{m}.b1"] = np.add.reduce(dPre1[span])
         np.matmul(dPre1[span], p[f"expert{m}.W1"], out=dZ_pairs[span])
     dZ0 = fold_pairs(tape.slots, dZ_pairs)
@@ -113,7 +157,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     dZ0 += dGl @ p["gate.W"]
     g["input_map.W"] = dZ0.T @ tape.X
     g["input_map.b"] = dZ0.sum(axis=0)
-    return Gradients(g, loss_value)
+    return Gradients(FactoredGradients(model.dims, model.M, g, factors), loss_value)
 
 
 @dataclass
@@ -145,20 +189,27 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
         pick = rng.choice(len(coords), size=n_samples, replace=False)
         coords = [coords[i] for i in sorted(pick)]
 
+    by_name = {}  # coords runs in parameter order, so each name's coords stay in order
+    for name, i in coords:
+        by_name.setdefault(name, []).append(i)
+
     max_err = 0.0
     excluded = []
-    for name, i in coords:
+    for name, flat_ids in by_name.items():
         flat = model.params[name].reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + h
-        lp, tp = model_forward(model, X, backward=False)
-        flat[i] = orig - h
-        lm, tm = model_forward(model, X, backward=False)
-        flat[i] = orig
-        if not all(np.array_equal(t.experts[t.slots], chosen) for t in (tp, tm)):
-            excluded.append((name, i))
-            continue
-        numeric = (loss(lp, targets, kind) - loss(lm, targets, kind)) / (2 * h)
-        a = analytic.grads[name].reshape(-1)[i]
-        max_err = max(max_err, abs(a - numeric) / max(1.0, abs(numeric)))
+        # read once: an expert weight's gradient is formed from its factors on every read
+        analytic_flat = analytic.grads[name].reshape(-1)
+        for i in flat_ids:
+            orig = flat[i]
+            flat[i] = orig + h
+            lp, tp = model_forward(model, X, backward=False)
+            flat[i] = orig - h
+            lm, tm = model_forward(model, X, backward=False)
+            flat[i] = orig
+            if not all(np.array_equal(t.experts[t.slots], chosen) for t in (tp, tm)):
+                excluded.append((name, i))
+                continue
+            numeric = (loss(lp, targets, kind) - loss(lm, targets, kind)) / (2 * h)
+            a = analytic_flat[i]
+            max_err = max(max_err, abs(a - numeric) / max(1.0, abs(numeric)))
     return GradCheckResult(max_err, len(coords) - len(excluded), excluded)

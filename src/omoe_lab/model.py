@@ -335,4 +335,6 @@ def load_model(path) -> MoEModel:
     dims = ModelDims(**doc["dims"])
     dims.validate()
     require_shapes(path, "params", doc["params"], param_shapes(dims, doc["M"]))
+    for name, arr in doc["params"].items():
+        require_finite(arr, f"{path}: params {name}")
     return MoEModel(dims, doc["M"], doc["routing"], doc["params"])

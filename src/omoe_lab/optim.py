@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolation
 from .grad import Gradients, backward
+from .linalg import require_finite
 from .model import (BatchTape, MoEModel, layer_widths, model_forward, param_shapes,
                     read_checkpoint, require_fields, require_keys, require_kind, require_shapes,
                     write_checkpoint)
@@ -54,7 +56,7 @@ class BaseOptimizer:
         self.state: dict[str, dict[str, np.ndarray]] = {}
         self._layout = None  # built by _gather_layout on the first step
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         self.t += 1
         if (self._layout is None or self._layout[0] != tuple(params)
                 or self._layout[1] is not self.state):
@@ -295,7 +297,9 @@ def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
            tape: BatchTape) -> StepOutcome:
     """Each expert with rows in ``tape`` buffers the mean input of its two weight layers
     over those rows, then the base optimizer updates every parameter. The tape is spent
-    once the means are buffered: its pair buffers are dropped, and backward refuses it."""
+    once the means are buffered: it drops its pair buffers, and backward refuses it. The
+    hidden buffer and the input rows stay alive only as factors of ``grads``' expert
+    weight entries, each formed when the base step reads it."""
     for m, span in enumerate(tape.spans):  # no loop variable outlives the tape's buffers
         n = span.stop - span.start
         if n:  # sum / count is what ndarray.mean computes, without its per-call overhead
@@ -347,10 +351,10 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
         step = np.empty_like(model.params[f"expert0.W{layer}"])
         for m in range(state.M):
             np.subtract(total, state.projectors[(m, layer)].P, out=others)
-            G = grads.grads[f"expert{m}.W{layer}"]
-            np.matmul(G, others, out=step)
+            # the gradient is formed by this read and freed before the next expert's
+            np.matmul(grads.grads[f"expert{m}.W{layer}"], others, out=step)
             step *= lr / norm
-            state.mac_counter.project += projection_macs(*G.shape)
+            state.mac_counter.project += projection_macs(*step.shape)
             model.params[f"expert{m}.W{layer}"] -= step
             model.params[f"expert{m}.b{layer}"] -= lr * grads.grads[f"expert{m}.b{layer}"]
     state.e += 1
@@ -364,7 +368,8 @@ def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets,
     A bare base optimizer, the baseline, takes one base step, reported as R. An
     OMoE state takes R or O by ``e mod s``; O steps use the current batch's
     gradients but do not accumulate its input means. No frame holds the tape's
-    pair buffers while the base step or the O step runs.
+    output pair buffer while the base step or the O step runs; its hidden buffer
+    and input rows live on as the factors of the expert weight gradients.
     """
     _, tape = model_forward(model, X, guard=False)
     grads = backward(model, tape, targets, loss_kind)
@@ -447,6 +452,7 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
             proj = OrthoProjector(item["d"], item["P"], item["updates_applied"])
         except ContractViolation as exc:
             raise ContractViolation(f"{path}: projectors[{n}]: {exc}") from None
+        require_finite(proj.P, f"{path}: projectors[{n}].P")
         state.projectors[_new_key(path, f"projectors[{n}]", item, state.projectors)] = proj
     for n, item in enumerate(doc["buffers"]):
         require_fields(path, f"buffers[{n}]", item, _BUFFER_FIELDS)
@@ -463,6 +469,8 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
         for name, moments in base.state.items():
             require_shapes(path, f"base.state {name} moment", moments,
                            dict.fromkeys(base.moments, shapes[name]))
+            for k, arr in moments.items():
+                require_finite(arr, f"{path}: base.state {name} moment {k}")
     if state.buffers.keys() != state.projectors.keys():
         raise ContractViolation(f"{path}: buffers and projectors differ in (expert, layer) keys")
     for key, entries in state.buffers.items():
@@ -473,4 +481,5 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
             if np.shape(xbar) != (state.projectors[key].d,):
                 raise ContractViolation(f"{path}: mean {i} buffered for {key} has shape "
                                         f"{np.shape(xbar)}, not ({state.projectors[key].d},)")
+            require_finite(xbar, f"{path}: mean {i} buffered for {key}")
     return state

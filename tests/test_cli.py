@@ -329,6 +329,19 @@ class TestOtherSubcommands:
         assert err["error"] == {"type": "ContractViolation",
                                 "message": "models have mismatched architecture"}
 
+    def test_metrics_non_finite_checkpoint_exit_3(self, tmp_path, capsys):
+        # refused when the file loads, before either forward pass
+        model = init_model(Rng(1), ModelDims(6, 4, 4, 3), 3)
+        save_model(model, tmp_path / "a.json")
+        model.params["head.W"][0, 0] = math.nan
+        save_model(model, tmp_path / "b.json")
+        assert main(["metrics", "--model-a", str(tmp_path / "a.json"),
+                     "--model-b", str(tmp_path / "b.json")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ContractViolation", "message":
+                                f"{tmp_path / 'b.json'}: params head.W contains "
+                                "non-finite entries"}
+
     def test_metrics_one_expert_exit_3(self, tmp_path, capsys):
         # a one-expert checkpoint loads, but has no expert pair to compare
         save_model(init_model(Rng(1), ModelDims(6, 4, 4, 3), 1), tmp_path / "a.json")

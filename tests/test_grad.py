@@ -1,9 +1,12 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from omoe_lab import Rng, grad_check, model_forward
 from omoe_lab.errors import ContractViolation
-from omoe_lab.grad import _loss_with_grad, backward, loss
+from omoe_lab.grad import FactoredGradients, _loss_with_grad, backward, loss
 from omoe_lab.model import expert_forward
 from tests.test_model import small_model
 
@@ -256,7 +259,85 @@ class TestBackward:
             backward(model, tape, [0, 1], "ce")
 
 
+def expert_weight_names(M):
+    return [f"expert{m}.W{layer}" for m in range(M) for layer in (1, 2)]
+
+
+class TestFactoredGradients:
+    @pytest.mark.parametrize("routing", ["top1", "dense"])
+    def test_read_only_ordered_and_same_bits_twice(self, routing):
+        model = small_model(seed=4, M=4, routing=routing)
+        rng = np.random.default_rng(4)
+        X, y = rng.normal(size=(6, model.dims.d_raw)), rng.integers(0, model.dims.c, size=6)
+        _, tape = model_forward(model, X)
+        grads = backward(model, tape, y).grads
+        assert list(grads) == model.param_names() and len(grads) == len(model.param_names())
+        assert "head.b" in grads and "expert0.W1" in grads and "expert9.W1" not in grads
+        with pytest.raises(TypeError):
+            grads["head.b"] = np.zeros(model.dims.c)
+        with pytest.raises(TypeError):
+            del grads["expert0.W1"]
+        first = {name: grads[name] for name in grads}
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], first[name], err_msg=name)
+            assert grads[name].shape == model.params[name].shape
+        for name in expert_weight_names(model.M):  # formed on every read, never kept
+            assert grads[name] is not grads[name]
+        with pytest.raises(KeyError):
+            grads["expert9.W1"]
+
+    def test_entries_do_not_read_the_parameters(self):
+        # the factors come from the tape and backward's buffers, so a step that has
+        # moved some parameters reads the same gradients for the rest
+        model = small_model(seed=6, M=3, routing="top1")
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(9, model.dims.d_raw)), rng.integers(0, model.dims.c, size=9)
+        _, tape = model_forward(model, X)
+        grads = backward(model, tape, y).grads
+        before = {name: grads[name] for name in grads}
+        for arr in model.params.values():
+            arr *= -2.0
+        for name, want in before.items():
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+    def test_wide_backward_peak_below_the_expert_weight_gradients(self):
+        # at the wide benchmark shapes (dense, M=8, 32 rows) backward forms no expert
+        # weight gradient: its traced peak above entry, its pair-sized temporaries, is
+        # smaller than the 2M expert weight gradients it once built at once
+        model = small_model(d_raw=8, d=128, h=256, M=8, routing="dense")
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(32, 8)), rng.integers(0, model.dims.c, size=32)
+        _, tape = model_forward(model, X, guard=False)
+        backward(model, tape, y)  # warm up numpy's lazily built state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = backward(model, tape, y)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        all_weights = sum(model.params[name].nbytes for name in expert_weight_names(model.M))
+        assert isinstance(grads.grads, FactoredGradients)
+        assert peak < all_weights, (peak, all_weights)
+
+
 class TestGradCheck:
+    def test_reads_each_gradient_once(self, monkeypatch):
+        reads = Counter()
+        read = FactoredGradients.__getitem__
+
+        def counting(self, name):
+            reads[name] += 1
+            return read(self, name)
+        monkeypatch.setattr(FactoredGradients, "__getitem__", counting)
+        model = small_model(seed=5, M=3, routing="dense")
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(6, model.dims.d_raw))
+        total = sum(v.size for v in model.params.values())
+        result = grad_check(model, X, rng.integers(0, model.dims.c, size=6), n_samples=total)
+        assert result.checked == total  # every coordinate of every parameter
+        assert reads == Counter(model.param_names())
+
     @pytest.mark.parametrize("routing", ["dense", "top1"])
     @pytest.mark.parametrize("kind", ["ce", "mse"])
     def test_analytic_matches_numeric(self, routing, kind):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -423,6 +424,18 @@ class TestCheckpoint:
         save_model(small_model(), path)
         path.write_text(path.read_text()[:300])
         with pytest.raises(ContractViolation, match="model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["head.W", "expert1.b2", "gate.W"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_named(self, tmp_path, name, bad):
+        # a file's payload can hold any float64; training would start from it
+        model = small_model()
+        model.params[name].reshape(-1)[-1] = bad
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with pytest.raises(ContractViolation,
+                           match=rf"model\.json: params {re.escape(name)} contains non-finite"):
             load_model(path)
 
     @pytest.mark.parametrize("edit, field", [

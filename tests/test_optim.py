@@ -15,7 +15,7 @@ from omoe_lab import (Rng, average_projector, grad_check, load_optimizer, make_o
 from omoe_lab import harness, optim
 from omoe_lab.cli import main
 from omoe_lab.errors import ConfigError, ContractViolation
-from omoe_lab.grad import Gradients, backward
+from omoe_lab.grad import FactoredGradients, Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.model import MoEModel
@@ -457,34 +457,49 @@ class TestDispatchSchedule:
         assert result.state is None and result.record["means_produced"] == 0
 
     @pytest.mark.parametrize("arm, kind", [("baseline", "R"), ("omoe", "R"), ("omoe", "O")])
-    def test_pair_buffers_dead_inside_the_step(self, monkeypatch, arm, kind):
-        # no frame keeps the tape's pair buffers while the base step or the O step runs
-        model = small_model(seed=2, M=3, routing="top1")
+    def test_one_expert_weight_gradient_alive_inside_the_step(self, monkeypatch, arm, kind):
+        # no frame keeps the tape's output buffer while the base step or the O step runs,
+        # and each expert weight gradient the step reads is freed before its next read.
+        # Expert weights of 64 x 64 floats step alone in the base step: a parameter under
+        # GATHER_BELOW floats is read together with the other small ones
+        model = small_model(seed=2, d=64, h=64, M=3, routing="top1")
+        assert model.params["expert0.W1"].size >= GATHER_BELOW
         base = make_optimizer("adam", 1e-3)
         state = base if arm == "baseline" else new_omoe_state(base, model, s=2, n_total=10)
         if kind == "O":
             state.e = 2
-        refs, dead = [], []
+        out_ref, dead, read_refs, alive_at_read = [], [], [], []
+        weights = {f"expert{m}.W{layer}" for m in range(model.M) for layer in (1, 2)}
 
         def recording(*args, **kwargs):
             logits, tape = model_forward(*args, **kwargs)
-            gathered = [Z_m for Z_m in tape.inputs if Z_m is not tape.Z0]
-            refs[:] = [weakref.ref(a) for a in (tape.hidden, tape.out, *gathered)]
+            out_ref[:] = [weakref.ref(tape.out)]
             return logits, tape
 
         def checking(fn):
             def checked(*args, **kwargs):
-                dead.append([ref() is None for ref in refs])
+                dead.append(out_ref[0]() is None)
                 return fn(*args, **kwargs)
             return checked
+
+        read = FactoredGradients.__getitem__
+
+        def reading(self, name):
+            if name not in weights:
+                return read(self, name)
+            alive_at_read.append(sum(ref() is not None for ref in read_refs))
+            G = read(self, name)
+            read_refs.append(weakref.ref(G))
+            return G
         monkeypatch.setattr(optim, "model_forward", recording)
         monkeypatch.setattr(optim.BaseOptimizer, "step", checking(optim.BaseOptimizer.step))
         monkeypatch.setattr(optim, "o_step", checking(o_step))
+        monkeypatch.setattr(FactoredGradients, "__getitem__", reading)
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(12, model.dims.d_raw)), rng.integers(0, model.dims.c, size=12)
         assert step_dispatch(state, model, X, y).kind == kind
-        assert len(refs) >= 3  # hidden, out and at least one gathered expert input
-        assert dead == [[True] * len(refs)]
+        assert dead == [True]
+        assert alive_at_read == [0] * len(weights)  # each weight read once, alone
 
     def test_parity_when_s_exceeds_horizon(self):
         model_a = small_model(seed=9, M=2, routing="dense")
@@ -716,6 +731,29 @@ class TestOptimizerCheckpoint:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolation, match=field):
+            load_optimizer(path, model)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda state: state.projectors[(0, 2)].P.__setitem__((1, 1), math.inf),
+         r"projectors\[1\]\.P"),
+        (lambda state: state.projectors[(1, 1)].P.__setitem__((0, 3), -math.inf),
+         r"projectors\[2\]\.P"),
+        (lambda state: state.buffers[(1, 1)][1][1].__setitem__(2, NAN),
+         r"mean 2 buffered for \(1, 1\)"),
+        (lambda state: state.base.state["expert0.W1"]["v"].__setitem__((0, 0), NAN),
+         r"base\.state expert0\.W1 moment v"),
+        (lambda state: state.base.state["head.b"]["m"].__setitem__(0, math.inf),
+         r"base\.state head\.b moment m"),
+    ], ids=["inf_projector", "minus_inf_projector", "nan_mean", "nan_moment",
+            "inf_gathered_moment"])
+    def test_non_finite_array_named(self, tmp_path, edit, field):
+        # caught when the file loads, not by rls_update or a diverging step mid-run
+        path = tmp_path / "opt.json"
+        model, state = self.buffered_state()
+        edit(state)
+        save_optimizer(state, path)
+        with pytest.raises(ContractViolation,
+                           match=rf"opt\.json: {field} contains non-finite entries"):
             load_optimizer(path, model)
 
     def test_single_expert_file_rejected(self, tmp_path):
