@@ -3,7 +3,8 @@
 All metrics use population variance and are invariant to expert ordering;
 ``diverse_degree`` compares all unordered expert pairs exhaustively. The
 model-level parameter metrics walk the experts one parameter kind (W1, b1,
-W2, b2) at a time, so none of them holds a copy of every expert's parameters.
+W2, b2) at a time and read the experts' arrays in place: none of them holds a
+copy of every expert's parameters, or a stack of one kind's.
 """
 
 from __future__ import annotations
@@ -43,38 +44,45 @@ def expert_param_variance(experts: list[np.ndarray]) -> float:
     return float(np.mean(np.var(stacked, axis=0)))
 
 
-def _anchored_variance(stack: np.ndarray, out: np.ndarray) -> None:
-    """Write ``np.var(stack - stack[0], axis=0)`` of an (M, n) stack into ``out``,
-    overwriting ``stack``.
+def _anchored_variance(block: list[np.ndarray], out: np.ndarray) -> None:
+    """Write ``np.var(stack - stack[0], axis=0)`` of the experts' flattened arrays
+    into ``out``, reading them in place: no (M, n) stack is built.
 
-    The rows are summed one at a time, in order, as ``np.var`` sums a stack two or
-    more columns wide. A one-column block, which ``np.var`` would sum pairwise,
-    so gets the bits it has inside the whole-vector stack.
+    Each expert's offset from the first is formed in one reused n-vector. The
+    offsets are summed one at a time, in order, as ``np.var`` sums a stack two or
+    more columns wide, so the bits are the stack's. A one-column block, which
+    ``np.var`` would sum pairwise, so gets the bits it has inside the whole-vector
+    stack. A non-finite anchor entry gives NaN, as ``stack - stack[0]`` does.
     """
-    stack -= stack[0].copy()
-    mean = stack[0].copy()
-    for row in stack[1:]:
-        mean += row
-    mean /= len(stack)
-    stack -= mean
-    stack *= stack
-    out[...] = stack[0]
-    for row in stack[1:]:
-        out += row
-    out /= len(stack)
+    anchor = block[0].reshape(-1)
+    diff = np.empty_like(anchor)
+    mean = anchor - anchor
+    for x in block[1:]:
+        mean += np.subtract(x.reshape(-1), anchor, out=diff)
+    mean /= len(block)
+    np.subtract(anchor, anchor, out=out)
+    out -= mean
+    out *= out
+    for x in block[1:]:
+        np.subtract(x.reshape(-1), anchor, out=diff)
+        diff -= mean
+        diff *= diff
+        out += diff
+    out /= len(block)
 
 
 def model_param_variance(model: MoEModel) -> float:
     """``expert_param_variance`` of the experts' parameter vectors, bit for bit: one
-    parameter kind's (M, n) stack at a time, one ``np.mean`` over every position."""
+    parameter kind at a time, read in place with two n-vectors of scratch, and one
+    ``np.mean`` over every position."""
     if model.M < 2:
         raise ContractViolation("need at least two experts")
     variances = np.empty(_expert_size(model))
     start = 0
     for block in _expert_blocks(model):
-        stack = np.stack(block).reshape(model.M, -1)
-        _anchored_variance(stack, variances[start:start + stack.shape[1]])
-        start += stack.shape[1]
+        size = block[0].size
+        _anchored_variance(block, variances[start:start + size])
+        start += size
     return float(np.mean(variances))
 
 

@@ -18,7 +18,7 @@ def test_every_phase_reported_on_a_tiny_config():
     assert [line for line in lines if not line.startswith(" ")] == ["base (seeds 0)",
                                                                    "wide (seeds 0)"]
     rows = [line.split() for line in lines if line.startswith("  ") and "calls" not in line]
-    assert [" ".join(row[:-3]) for row in rows] == PHASES * 2
+    assert [" ".join(row[:-4]) for row in rows] == PHASES * 2
     for row in rows:
-        calls, live, peak = int(row[-3]), float(row[-2]), float(row[-1])
-        assert calls > 0 and 0 < live <= peak, row
+        calls, live, peak, rss_rise = int(row[-4]), float(row[-3]), float(row[-2]), float(row[-1])
+        assert calls > 0 and 0 < live <= peak and rss_rise >= 0, row

@@ -251,3 +251,29 @@ class TestBlockwiseEqualsWholeVector:
             tracemalloc.stop()
         whole_stack = model.M * expert_vector(model, 0).size * 8
         assert peak < whole_stack, (peak, whole_stack)
+
+    def test_wide_variance_holds_no_kind_stack(self):
+        # at the wide benchmark shapes one parameter kind's (M, n) stack, W1's, is
+        # M x h x d x 8 B = 2 MiB; the experts' arrays are read in place instead
+        model = small_model(d_raw=8, d=128, h=256, M=8, init="independent")
+        model_param_variance(model)  # warm up numpy's lazily built state
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model_param_variance(model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kind_stack = model.M * model.params["expert0.W1"].nbytes
+        assert peak < kind_stack, (peak, kind_stack)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_non_finite_entry_gives_nan(self, value, m):
+        # as the whole-vector formula's stack - stack[0] does, the anchor expert included
+        model = self.trained_looking(0, 3, "independent", 4, 5)
+        model.params[f"expert{m}.W1"].flat[1] = value
+        stacked = np.stack([expert_vector(model, k) for k in range(3)])
+        with np.errstate(invalid="ignore"):
+            whole = float(np.mean(np.var(stacked - stacked[0], axis=0)))
+            assert np.isnan(model_param_variance(model)) and np.isnan(whole)

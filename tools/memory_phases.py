@@ -1,4 +1,4 @@
-"""Print where a training seed's traced memory sits, phase by phase.
+"""Print where a training seed's memory sits, phase by phase.
 
     PYTHONPATH=src python tools/memory_phases.py --seeds 7
 
@@ -19,12 +19,22 @@ call starts, and the largest traced peak inside a call, in MB (2^20 bytes).
 The forward's entry is the step's entry, so its first column is the live set a
 training step starts from. Only allocations made after the seed's set-up
 begins are traced: imported modules are not counted, and numpy's arrays are.
+
+The last column is how far the process's ``ru_maxrss`` rose during the phase's
+calls, summed over them. It comes from a second pass without ``tracemalloc``,
+in a fresh process for each shape, as the benchmark runs each workload in its
+own, so the phases with a rise are those that set ``peak_rss_mb``. Traced peaks
+do not rank them: a phase whose traced peak is below another's can still raise
+RSS, when its arrays get fresh pages instead of the heap's freed ones.
+
 ``--seeds`` and ``--override key=value`` (repeatable) set the base config, as
 they do for ``payload_digest.py``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import resource
 import tracemalloc
 
 from payload_digest import RUN_VARIANTS, base_config, merge
@@ -38,28 +48,38 @@ PHASES = {"forward": (optim, "model_forward"), "backward": (optim, "backward"),
           "eval": (harness, "_eval_score"), "diagnostics": (harness, "diversity_report")}
 
 
+def max_rss() -> int:
+    """The process's ``ru_maxrss`` in bytes (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
 def measured(fn, stats: list):
-    """``fn`` wrapped to add its call to ``stats``: [calls, max live at entry, max peak]."""
+    """``fn`` wrapped to add its call to ``stats``: [calls, max live at entry, max traced
+    peak, ru_maxrss rise]. The traced values read 0 when ``tracemalloc`` is off."""
     def wrapper(*args, **kwargs):
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
+        rss = max_rss()
         try:
             return fn(*args, **kwargs)
         finally:
             peak = tracemalloc.get_traced_memory()[1]
-            stats[:] = [stats[0] + 1, max(stats[1], live), max(stats[2], peak)]
+            stats[:] = [stats[0] + 1, max(stats[1], live), max(stats[2], peak),
+                        stats[3] + max_rss() - rss]
     return wrapper
 
 
-def phase_memory(cfg: dict) -> dict[str, list]:
-    """Phase -> [calls, max bytes live at entry, max traced peak] over ``cfg``'s seeds."""
-    stats = {phase: [0, 0, 0] for phase in PHASES}
+def phase_memory(cfg: dict, traced: bool = True) -> dict[str, list]:
+    """Phase -> [calls, max bytes live at entry, max traced peak, ru_maxrss rise] over
+    ``cfg``'s seeds, each trained under ``tracemalloc`` when ``traced``."""
+    stats = {phase: [0, 0, 0, 0] for phase in PHASES}
     originals = {phase: vars(owner)[attr] for phase, (owner, attr) in PHASES.items()}
     for phase, (owner, attr) in PHASES.items():
         setattr(owner, attr, measured(originals[phase], stats[phase]))
     try:
         for seed in cfg["seeds"]:
-            tracemalloc.start()
+            if traced:
+                tracemalloc.start()
             try:
                 harness.train_single(cfg, seed)
             finally:
@@ -76,10 +96,15 @@ def main(argv=None) -> None:
         cfg = make_config(merge(base, variant))
         if name == "wide":
             cfg["seeds"] = cfg["seeds"][:1]
+        with multiprocessing.get_context("spawn").Pool(1) as fresh:
+            untraced = fresh.apply(phase_memory, (cfg, False))
         print(f"{name} (seeds {','.join(map(str, cfg['seeds']))})")
-        print(f"  {'phase':<12} {'calls':>6} {'live at entry MB':>17} {'peak inside MB':>15}")
-        for phase, (calls, live, peak) in phase_memory(cfg).items():
-            print(f"  {phase:<12} {calls:>6} {live / MB:>17.2f} {peak / MB:>15.2f}")
+        print(f"  {'phase':<12} {'calls':>6} {'live at entry MB':>17} {'peak inside MB':>15}"
+              f" {'RSS rise MB':>12}")
+        for phase, (calls, live, peak, _) in phase_memory(cfg).items():
+            rise = untraced[phase][3]
+            print(f"  {phase:<12} {calls:>6} {live / MB:>17.2f} {peak / MB:>15.2f}"
+                  f" {rise / MB:>12.2f}")
 
 
 if __name__ == "__main__":
