@@ -22,10 +22,13 @@ begins are traced: imported modules are not counted, and numpy's arrays are.
 
 The last column is how far the process's ``ru_maxrss`` rose during the phase's
 calls, summed over them. It comes from a second pass without ``tracemalloc``,
-in a fresh process for each shape, as the benchmark runs each workload in its
-own, so the phases with a rise are those that set ``peak_rss_mb``. Traced peaks
-do not rank them: a phase whose traced peak is below another's can still raise
-RSS, when its arrays get fresh pages instead of the heap's freed ones.
+in a fresh process for each shape, and is indicative only: this process has
+none of the benchmark's set-up probes, host-speed kernels or earlier
+operations, so its heap is laid out differently, and a phase shown flat here
+can still raise a benchmark run's ``peak_rss_mb``. Confirm a memory claim with
+benchmark pairs. Traced peaks do not rank the rises either: a phase whose
+traced peak is below another's can still raise RSS, when its arrays get fresh
+pages instead of the heap's freed ones.
 
 ``--seeds`` and ``--override key=value`` (repeatable) set the base config, as
 they do for ``payload_digest.py``.
