@@ -70,10 +70,3 @@ def sym_eigvals(a) -> np.ndarray:
         raise ContractViolation("matrix is asymmetric beyond 1e-10")
     vals = np.linalg.eigvalsh(a)
     return vals[::-1].copy()
-
-
-def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int,
-                    mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    if std < 0:
-        raise ContractViolation("std must be non-negative")
-    return rng.normal(mean, std, size=(rows, cols))

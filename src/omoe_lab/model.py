@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import gaussian_matrix, require_finite
+from .linalg import require_finite
 
 CHECKPOINT_FORMAT = "omoe-lab-model-v1"
 
@@ -148,18 +148,8 @@ class MoEModel:
     def expert_names(self, m: int) -> list[str]:
         return [n for n in self.param_names() if n.startswith(f"expert{m}.")]
 
-    def theta_names(self) -> list[str]:
-        return [n for n in self.param_names() if n.startswith("expert")]
-
-    def phi_names(self) -> list[str]:
-        return [n for n in self.param_names() if not n.startswith("expert")]
-
     def fingerprint(self) -> float:
         return float(sum(float(np.abs(v).sum()) for v in self.params.values()))
-
-    def clone(self) -> "MoEModel":
-        return MoEModel(self.dims, self.M, self.routing,
-                        {k: v.copy() for k, v in self.params.items()})
 
 
 def init_model(rng: np.random.Generator, dims: ModelDims, M: int,
@@ -181,7 +171,7 @@ def init_model(rng: np.random.Generator, dims: ModelDims, M: int,
         else:  # std 1/sqrt(fan_in), or sqrt(2/fan_in) for the ReLU experts
             fan_in = shape[1]
             std = np.sqrt(2.0 / fan_in) if expert else 1.0 / np.sqrt(fan_in)
-            p[name] = gaussian_matrix(rng, *shape, 0.0, std)
+            p[name] = rng.normal(0.0, std, size=shape)
     for name, arr in p.items():
         require_finite(arr, name)
     return MoEModel(dims, M, "top1", p)

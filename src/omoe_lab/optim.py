@@ -173,12 +173,14 @@ class Adagrad(BaseOptimizer):
 OPTIMIZERS = {cls.kind: cls for cls in (SGD, Adam, AdamW, RMSProp, Adagrad)}
 
 _POSITIVE, _UNIT = (lambda v: v > 0, "be > 0"), (lambda v: 0 <= v < 1, "lie in [0, 1)")
-# each hyperparameter's range, keyed by its config name; check_ranges also refuses NaN and ±inf
+_NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
+# each hyperparameter's and counter's range, by its config or file name; NaN and ±inf fail too
 RANGES = {"lr": _POSITIVE, "eps": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT, "rho": _UNIT,
-          "weight_decay": (lambda v: v >= 0, "be >= 0"), "s": (lambda v: v >= 2, "be >= 2"),
+          "weight_decay": _NON_NEGATIVE, "s": (lambda v: v >= 2, "be >= 2"),
           "n_total": (lambda v: v >= 1, "be >= 1"), "alpha0": _POSITIVE,
           "lambda": (lambda v: 0 < v <= 1, "lie in (0, 1]"), "o_lr": _POSITIVE,
-          "e": (lambda v: v >= 1, "be >= 1")}
+          "e": (lambda v: v >= 1, "be >= 1"), "t": _NON_NEGATIVE,
+          "means_produced": _NON_NEGATIVE, "means_consumed": _NON_NEGATIVE}
 
 
 def check_ranges(values: dict, where: str = "", error: type = ContractViolation) -> None:
@@ -267,8 +269,8 @@ class OMoEState:
     mac_counter: MacCounter = field(default_factory=MacCounter)
 
     def __post_init__(self):
-        check_ranges({"s": self.s, "n_total": self.n_total, "alpha0": self.alpha0,
-                      "lambda": self.lam, "o_lr": self.o_lr, "e": self.e})
+        check_ranges({"lambda": self.lam, **{key: getattr(self, key) for key in (
+            "s", "n_total", "alpha0", "o_lr", "e", "means_produced", "means_consumed")}})
         if self.avg_norm not in AVG_NORMS:
             raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
         if self.M < 2:  # an O step projects each expert by the other experts' projectors
@@ -439,6 +441,7 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
         raise ContractViolation(f"{path}: base.kind: unknown optimizer kind {kind!r}")
     require_fields(path, "base.hyper", hyper, dict.fromkeys(hyperparameters(kind), "a number"))
     check_ranges(hyper, f"{path}: base.hyper.")
+    check_ranges({"t": doc["base"]["t"]}, f"{path}: base.")  # 0: saved before any base step
     base = make_optimizer(kind, **hyper)
     base.t = doc["base"]["t"]
     base.state = doc["base"]["state"]

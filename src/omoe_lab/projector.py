@@ -27,6 +27,8 @@ class OrthoProjector:
     def __post_init__(self):
         if self.d < 1:
             raise ContractViolation("projector dimension must be >= 1")
+        if self.updates_applied < 0:
+            raise ContractViolation(f"updates_applied: must be >= 0, got {self.updates_applied}")
         if self.P is None:
             self.P = np.eye(self.d)
         if np.shape(self.P) != (self.d, self.d):

@@ -145,13 +145,14 @@ def test_criterion_05_scope_invariants():
         idx = rng.integers(0, 64, size=8)
         is_o = state.e % state.s == 0
         if is_o:
-            before = {n: model.params[n].copy() for n in model.phi_names()}
+            before = {n: model.params[n].copy() for n in model.param_names()
+                      if not n.startswith("expert")}
         else:
             before = {k: p.P.copy() for k, p in state.projectors.items()}
         step_dispatch(state, model, X_all[idx], y_all[idx])
         if is_o:
             phi_violations += sum(not np.array_equal(model.params[n], before[n])
-                                  for n in model.phi_names())
+                                  for n in model.param_names() if not n.startswith("expert"))
         else:
             proj_violations += sum(not np.array_equal(state.projectors[k].P, before[k])
                                    for k in state.projectors)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omoe_lab import Rng, gaussian_matrix, solve_spd, sym_eigvals
+from omoe_lab import Rng, solve_spd, sym_eigvals
 from omoe_lab.errors import ContractViolation, SingularMatrixError
 
 
@@ -92,25 +92,6 @@ class TestRng:
         draws = [int(r.integers(2**32)) for r in (Rng(7), data_rng, model_rng, Rng([7, 104729]))]
         assert draws == [4058335883, 1311550352, 2926574226, 949345243]
         assert isinstance(Rng(7), np.random.Generator)
-
-
-class TestGaussianMatrix:
-    def test_zero_std_constant(self):
-        out = gaussian_matrix(Rng(0), 3, 4, mean=2.5, std=0.0)
-        np.testing.assert_array_equal(out, np.full((3, 4), 2.5))
-
-    def test_determinism(self):
-        np.testing.assert_array_equal(gaussian_matrix(Rng(42), 5, 5),
-                                      gaussian_matrix(Rng(42), 5, 5))
-
-    def test_moments(self):
-        out = gaussian_matrix(Rng(42), 1000, 1, mean=0.0, std=1.0)
-        assert abs(out.mean()) < 0.1
-        assert abs(out.std() - 1.0) < 0.1
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ContractViolation):
-            gaussian_matrix(Rng(0), 2, 2, std=-1.0)
 
 
 def test_import_loads_no_scipy():

@@ -53,7 +53,6 @@ class TestInit:
     def test_param_name_partition(self):
         model = small_model(M=2)
         assert set(model.param_names()) == set(model.params)
-        assert set(model.theta_names()) & set(model.phi_names()) == set()
 
     def test_bad_expert_count(self):
         with pytest.raises(ContractViolation):

@@ -1,4 +1,5 @@
 import base64
+import copy
 import hashlib
 import json
 import math
@@ -266,22 +267,22 @@ class TestAverageProjector:
 class TestOStep:
     def test_identity_projection_equals_sgd_on_theta(self):
         model = small_model(M=2, routing="dense")
-        twin = model.clone()
+        twin = copy.deepcopy(model)
         state = make_state(model, avg_norm="proper", lr=0.1)
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
         grads, _ = grads_for(model, X, [0, 1, 2, 0])
         out = o_step(state, model, grads)
         assert out.kind == "O"
-        for name in model.theta_names():
+        for name in [n for n in model.param_names() if n.startswith("expert")]:
             np.testing.assert_allclose(model.params[name],
                                        twin.params[name] - 0.1 * grads.grads[name],
                                        atol=1e-12)
-        for name in model.phi_names():
+        for name in [n for n in model.param_names() if not n.startswith("expert")]:
             np.testing.assert_array_equal(model.params[name], twin.params[name])
 
     def test_zero_projector_freezes_weights_not_biases(self):
         model = small_model(M=2, routing="dense")
-        twin = model.clone()
+        twin = copy.deepcopy(model)
         state = make_state(model, lr=0.1)
         for proj in state.projectors.values():
             proj.P[:] = 0.0
@@ -334,7 +335,8 @@ class TestOStep:
                 proj.rls_update(rng.normal(size=proj.d), 1e-2)
         X = rng.normal(size=(4, model.dims.d_raw))
         grads, _ = grads_for(model, X, [0, 1, 2, 0])
-        before = {n: model.params[n].copy() for n in model.theta_names()}
+        before = {n: model.params[n].copy() for n in model.param_names()
+                  if n.startswith("expert")}
         o_step(state, model, grads)
         for m in range(2):
             for layer in (1, 2):
@@ -350,7 +352,7 @@ class TestOStep:
     def test_matches_per_expert_average(self, M, avg_norm):
         # reference: each expert's average summed from the other experts' projectors
         model = small_model(seed=M, M=M, routing="dense")
-        twin = model.clone()
+        twin = copy.deepcopy(model)
         state = make_state(model, avg_norm=avg_norm, lr=0.1)
         rng = np.random.default_rng(M)
         for proj in state.projectors.values():
@@ -367,7 +369,7 @@ class TestOStep:
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
                 np.testing.assert_array_equal(model.params[b],
                                               twin.params[b] - 0.1 * grads.grads[b])
-        for name in model.phi_names():
+        for name in [n for n in model.param_names() if not n.startswith("expert")]:
             np.testing.assert_array_equal(model.params[name], twin.params[name])
 
     def test_attenuation_transfer(self):
@@ -382,7 +384,8 @@ class TestOStep:
                 state.projectors[(m, layer)].rls_update(u[layer], 1e-4)
         X = rng.normal(size=(6, model.dims.d_raw))
         grads, _ = grads_for(model, X, [0, 1, 2, 0, 1, 2])
-        before = {n: model.params[n].copy() for n in model.theta_names()}
+        before = {n: model.params[n].copy() for n in model.param_names()
+                  if n.startswith("expert")}
         o_step(state, model, grads)
         for m in range(3):
             for layer in (1, 2):
@@ -392,6 +395,25 @@ class TestOStep:
                     continue
                 assert (np.linalg.norm(delta @ u[layer])
                         <= 0.01 * np.linalg.norm(delta) * np.linalg.norm(u[layer]))
+
+    @pytest.mark.parametrize("init", ["replicate", "independent"])
+    def test_dense_layer1_projectors_identical(self, init):
+        # under dense routing every expert's layer-1 input is the whole batch, so every
+        # expert buffers the same layer-1 means and keeps the same layer-1 projector; the
+        # O step tells the experts apart only through their layer-2 projectors
+        M = 4
+        model = small_model(seed=3, M=M, init=init, routing="dense")
+        state = make_state(model, s=2, base_kind="adamw", lr=1e-2)
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            step_dispatch(state, model, rng.normal(size=(6, model.dims.d_raw)),
+                          rng.integers(0, model.dims.c, size=6))
+        first = {layer: state.projectors[(0, layer)] for layer in (1, 2)}
+        assert first[1].updates_applied == first[2].updates_applied == 4
+        for m in range(1, M):
+            np.testing.assert_array_equal(state.projectors[(m, 1)].P, first[1].P)
+        assert not all(np.array_equal(state.projectors[(m, 2)].P, first[2].P)
+                       for m in range(1, M))
 
 
 class TestDispatchSchedule:
@@ -423,7 +445,7 @@ class TestDispatchSchedule:
     def test_bare_base_steps_like_hand_loop(self, kind):
         # the baseline arm: forward, backward and one base step, bit for bit
         model = small_model(seed=5, M=3, routing="top1")
-        twin = model.clone()
+        twin = copy.deepcopy(model)
         base, hand = make_optimizer(kind, 1e-2), make_optimizer(kind, 1e-2)
         rng = np.random.default_rng(6)
         for _ in range(3):
@@ -503,7 +525,7 @@ class TestDispatchSchedule:
 
     def test_parity_when_s_exceeds_horizon(self):
         model_a = small_model(seed=9, M=2, routing="dense")
-        model_b = model_a.clone()
+        model_b = copy.deepcopy(model_a)
         base_a = make_optimizer("adamw", 1e-3)
         base_b = make_optimizer("adamw", 1e-3)
         state = new_omoe_state(base_a, model_a, s=1000, n_total=10)
@@ -631,7 +653,8 @@ class TestOptimizerCheckpoint:
     @pytest.mark.parametrize("key, bad", [("alpha0", 0.0), ("lam", 0.0), ("lam", 1.5),
                                           ("n_total", 0), ("alpha0", float("nan")), ("e", -7),
                                           ("e", 0), ("o_lr", 0.0), ("o_lr", -5.0),
-                                          ("n_total", 1)])
+                                          ("n_total", 1), ("means_produced", -1),
+                                          ("means_consumed", -1)])
     def test_bad_schedule_rejected(self, tmp_path, key, bad):
         path = tmp_path / "opt.json"
         model, state = self.buffered_state()
@@ -641,6 +664,21 @@ class TestOptimizerCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolation, match="opt.json"):
             load_optimizer(path, model)
+
+    def test_state_before_first_base_step_loads(self, tmp_path):
+        # t = 0 is a state saved before its first base step; it resumes bit for bit
+        model = small_model(M=2, routing="dense")
+        state = make_state(model, s=3, base_kind="adam", lr=1e-3)
+        save_optimizer(state, tmp_path / "opt.json")
+        assert json.loads((tmp_path / "opt.json").read_text())["base"]["t"] == 0
+        twin = copy.deepcopy(model)
+        resumed = load_optimizer(tmp_path / "opt.json", twin)
+        X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
+        step_dispatch(state, model, X, [0, 1, 2, 0])
+        step_dispatch(resumed, twin, X, [0, 1, 2, 0])
+        assert resumed.base.t == 1
+        for name in model.param_names():
+            np.testing.assert_array_equal(twin.params[name], model.params[name])
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -717,12 +755,16 @@ class TestOptimizerCheckpoint:
          r"opt\.json: projectors\[4\]: \(expert, layer\) \(0, 1\) is listed twice"),
         (lambda doc: doc["buffers"].append({**doc["buffers"][0], "entries": []}),
          r"opt\.json: buffers\[4\]: \(expert, layer\) \(0, 1\) is listed twice"),
+        # a negative t would make the next Adam step divide by 1 - beta1^0 = 0
+        (lambda doc: doc["base"].update(t=-1), r"opt\.json: base\.t: must be >= 0"),
+        (lambda doc: doc["projectors"][2].update(updates_applied=-1),
+         r"opt\.json: projectors\[2\]: updates_applied: must be >= 0, got -1"),
     ], ids=["missing_projector", "wrong_M", "wrong_projector_size", "projector_not_square",
             "projector_zero_d", "missing_buffer", "wrong_mean_length", "missing_scalar",
             "missing_base_field", "unknown_hyper", "misshapen_moment", "missing_moments",
             "missing_moment", "misshapen_input_moment", "string_M", "string_s", "string_t",
             "string_hyper", "missing_P", "P_not_an_array", "missing_xbar", "projector_twice",
-            "buffer_twice"])
+            "buffer_twice", "negative_t", "negative_updates_applied"])
     def test_bad_layout_named(self, tmp_path, edit, field):
         path = tmp_path / "opt.json"
         model, state = self.buffered_state()
@@ -777,12 +819,14 @@ class TestOptimizerCheckpoint:
 
 NAN = float("nan")
 # a bad value for each key of optim.RANGES, and the config section that holds the key
-# (None: n_total and e are worked out, not configured); NaN must fail every range
+# (None: n_total and e are worked out and the counters counted, not configured);
+# NaN must fail every range
 BAD_RANGES = [("lr", NAN, "optimizer"), ("lr", -1.0, "optimizer"), ("eps", 0.0, "optimizer"),
               ("beta1", 2.0, "optimizer"), ("beta2", NAN, "optimizer"),
               ("rho", 1.0, "optimizer"), ("weight_decay", -0.1, "optimizer"),
               ("s", 1, "omoe"), ("n_total", 0, None), ("alpha0", NAN, "omoe"),
-              ("lambda", 1.5, "omoe"), ("o_lr", 0.0, "omoe"), ("e", 0, None)]
+              ("lambda", 1.5, "omoe"), ("o_lr", 0.0, "omoe"), ("e", 0, None),
+              ("t", -1, None), ("means_produced", -1, None), ("means_consumed", -1, None)]
 BASE_KEYS = ("lr", "eps", "beta1", "beta2", "rho", "weight_decay")
 
 
@@ -813,7 +857,8 @@ class TestRanges:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must "):
             make_config(overrides)
 
-    @pytest.mark.parametrize("key, bad, section", BAD_RANGES)
+    # base.t is no constructor parameter: only steps and the loader set it
+    @pytest.mark.parametrize("key, bad, section", [case for case in BAD_RANGES if case[0] != "t"])
     def test_constructor_rejects(self, key, bad, section):
         with pytest.raises(ContractViolation, match=rf"^{key}: must "):
             if key in BASE_KEYS:
@@ -832,6 +877,8 @@ class TestRanges:
         doc = json.loads(path.read_text())
         if key in BASE_KEYS:
             doc["base"]["hyper"][key], field = bad, f"base.hyper.{key}"
+        elif key == "t":
+            doc["base"]["t"], field = bad, "base.t"
         else:  # OMoEState.lam is written as "lam" and named by its config name
             doc["lam" if key == "lambda" else key], field = bad, key
         path.write_text(json.dumps(doc))
