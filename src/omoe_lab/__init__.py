@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, ContractViolation, DataLoadError, SingularMatrixError
-from .linalg import Rng, solve_spd, sym_eigvals
+from .errors import ConfigError, ContractViolation, DataLoadError
+from .linalg import Rng, sym_eigvals
 from .projector import OrthoProjector, direct_projector
 from .model import (MoEModel, ModelDims, RoutingRecord, init_model, load_model,
                     model_forward, save_model)

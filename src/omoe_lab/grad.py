@@ -177,6 +177,8 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
     """
     if not (1e-6 <= h <= 1e-4):
         raise ContractViolation("h must lie in [1e-6, 1e-4]")
+    if n_samples < 1:
+        raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
     rng = rng or Rng(0)
     logits, tape = model_forward(model, X, guard=False)  # the tape goes straight to backward
     analytic = backward(model, tape, targets, kind)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import require_finite, solve_spd, sym_eigvals
+from .linalg import require_finite, sym_eigvals
 
 
 @dataclass
@@ -40,8 +40,8 @@ class OrthoProjector:
         A zero input is a no-op (zero gain). Symmetry holds up to rounding: the
         subtracted term is v (v / denom)^T with v = P x, formed in one temporary.
         """
-        if not alpha > 0:  # NaN fails this test too
-            raise ContractViolation("alpha must be positive")
+        if not 0 < alpha < np.inf:  # NaN fails this test too
+            raise ContractViolation("alpha must be positive and finite")
         x = np.asarray(xbar, dtype=np.float64).ravel()
         if x.shape[0] != self.d:
             raise ContractViolation(f"input dim {x.shape[0]} != projector dim {self.d}")
@@ -66,9 +66,9 @@ def direct_projector(a: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
     does not matter.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.all(alpha > 0):  # NaN fails this test too
-        raise ContractViolation("alpha must be positive")
-    a = np.asarray(a, dtype=np.float64)
+    if not np.all((0 < alpha) & (alpha < np.inf)):  # NaN fails this test too
+        raise ContractViolation("alpha must be positive and finite")
+    a = require_finite(np.asarray(a, dtype=np.float64), "projector columns")
     if a.ndim == 1:
         a = a[:, None]
     d, m = a.shape
@@ -77,5 +77,4 @@ def direct_projector(a: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
     if m == 0:
         return np.eye(d)
     inner = alpha * np.eye(m) + a.T @ a
-    x = solve_spd(inner, a.T)
-    return np.eye(d) - a @ x
+    return require_finite(np.eye(d) - a @ np.linalg.solve(inner, a.T), "closed-form projector")

@@ -160,8 +160,8 @@ def _require(ok: np.ndarray, values: np.ndarray, columns: list[str], need: str) 
 def batches(dataset: Dataset, seed: int, epoch: int, batch_size: int):
     """One epoch of mini-batches, shuffled deterministically in (seed, epoch);
     the final partial batch is kept."""
-    if batch_size > dataset.n:
-        raise ContractViolation("batch_size cannot exceed dataset size")
+    if not 1 <= batch_size <= dataset.n:
+        raise ContractViolation(f"batch_size must lie in [1, {dataset.n}], got {batch_size}")
     perm = Rng([seed, epoch]).permutation(dataset.n)
     for start in range(0, dataset.n, batch_size):
         idx = perm[start:start + batch_size]

@@ -403,6 +403,12 @@ class TestGradCheck:
         with pytest.raises(ContractViolation):
             grad_check(model, np.ones((1, model.dims.d_raw)), [0], h=1e-2)
 
+    def test_non_positive_n_samples(self):
+        model = small_model()
+        for n in (0, -1):  # a check of no coordinates would pass vacuously
+            with pytest.raises(ContractViolation, match="n_samples"):
+                grad_check(model, np.ones((1, model.dims.d_raw)), [0], n_samples=n)
+
     def test_model_unchanged_by_check(self):
         model = small_model(M=2)
         before = {k: v.copy() for k, v in model.params.items()}

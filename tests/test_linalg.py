@@ -6,58 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omoe_lab import Rng, solve_spd, sym_eigvals
-from omoe_lab.errors import ContractViolation, SingularMatrixError
-
-
-class TestSolveSpd:
-    def test_identity_system(self):
-        b = np.array([[1.0], [2.0], [3.0]])
-        np.testing.assert_allclose(solve_spd(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        out = solve_spd(np.diag([2.0, 4.0]), np.array([[2.0], [8.0]]))
-        np.testing.assert_allclose(out, np.array([[1.0], [2.0]]))
-        out = solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        assert out.shape == (2,)
-        np.testing.assert_allclose(out, np.array([1.0, 2.0]))
-
-    def test_2x2_adjugate_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(2, 2))
-        spd = a.T @ a + np.eye(2)
-        rhs = rng.normal(size=(2, 1))
-        # closed-form 2x2 inverse via the adjugate
-        det = spd[0, 0] * spd[1, 1] - spd[0, 1] * spd[1, 0]
-        inv = np.array([[spd[1, 1], -spd[0, 1]], [-spd[1, 0], spd[0, 0]]]) / det
-        np.testing.assert_allclose(solve_spd(spd, rhs), inv @ rhs, atol=1e-10)
-
-    def test_recovers_solution(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = rng.normal(size=(6, 6))
-            spd = a @ a.T + 0.5 * np.eye(6)
-            x = rng.normal(size=(6, 2))
-            got = solve_spd(spd, spd @ x)
-            assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
-
-    def test_residual_bound(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(8, 8))
-        spd = a @ a.T + np.eye(8)
-        b = rng.normal(size=(8, 3))
-        x = solve_spd(spd, b)
-        assert np.linalg.norm(spd @ x - b) <= 1e-9 * np.linalg.norm(b)
-
-    def test_singularity_names_pivot(self):
-        bad = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(SingularMatrixError) as exc:
-            solve_spd(bad, np.ones((3, 1)))
-        assert exc.value.pivot_index == 1
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ContractViolation):
-            solve_spd(np.ones((2, 3)), np.ones((2, 1)))
+from omoe_lab import Rng, sym_eigvals
+from omoe_lab.errors import ContractViolation
 
 
 class TestSymEigvals:

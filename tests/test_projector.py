@@ -74,7 +74,7 @@ class TestRlsUpdate:
         np.testing.assert_allclose(p.P, direct_projector(np.eye(2), 1.0), atol=1e-12)
 
     def test_rejects_bad_alpha(self):
-        for alpha in (0.0, float("nan")):  # NaN would fill P with NaN
+        for alpha in (0.0, float("nan"), float("inf")):  # NaN would fill P with NaN
             p = OrthoProjector(2)
             with pytest.raises(ContractViolation, match="alpha"):
                 p.rls_update(np.ones(2), alpha=alpha)
@@ -93,11 +93,19 @@ class TestRlsUpdate:
 
 class TestDirectProjector:
     def test_rejects_bad_alpha(self):
-        # a scalar or one per column: each must be > 0 (NaN fails), and the lengths must agree
-        for alpha in (0.0, -1.0, float("nan"), [1.0, 0.0, 1.0], [1.0, float("nan"), 1.0],
-                      [1.0, 1.0], np.ones((3, 1))):
+        # a scalar or one per column: each must be finite and > 0, and the lengths must agree
+        for alpha in (0.0, -1.0, float("nan"), float("inf"), [1.0, 0.0, 1.0],
+                      [1.0, float("nan"), 1.0], [1.0, float("inf"), 1.0], [1.0, 1.0],
+                      np.ones((3, 1))):
             with pytest.raises(ContractViolation, match="alpha"):
                 direct_projector(np.eye(3), alpha)
+
+    def test_rejects_non_finite_columns(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            a = np.random.default_rng(0).normal(size=(4, 3))
+            a[2, 1] = bad
+            with pytest.raises(ContractViolation, match="columns"):
+                direct_projector(a, 1e-3)
 
     def test_empty_is_identity(self):
         np.testing.assert_array_equal(direct_projector(np.zeros((4, 0)), 1.0), np.eye(4))

@@ -177,6 +177,12 @@ class TestBatches:
         with pytest.raises(ContractViolation):
             list(batches(ds, seed=0, epoch=0, batch_size=6))
 
+    def test_non_positive_batch_rejected(self):
+        ds = toy_dataset(n=5)
+        for size in (0, -4):  # no batch can hold fewer than one row
+            with pytest.raises(ContractViolation, match="batch_size"):
+                list(batches(ds, seed=0, epoch=0, batch_size=size))
+
 
 class TestDatasetValidation:
     def test_empty_rejected(self):
