@@ -6,7 +6,8 @@ parameter. It reads the tape's (batch row, expert) pairs as
 gate multiply, the dL/d(gate probability) row sums, the ReLU mask and the fold
 of the input gradient back to batch rows run once per batch, and each expert
 runs its matmuls on its span of the pair buffers. An idle expert's span is
-empty, so its gradients come out exactly zero from the same code.
+empty, so its gradients come out exactly zero from the same code. With
+``experts_only`` it stops at the experts' gradients, all an O step reads.
 
 An expert weight gradient is the product ``U.T @ X`` of two pair-row factors:
 the upstream gradient of the expert's pairs and their input rows. ``backward``
@@ -33,7 +34,8 @@ class FactoredGradients(Mapping):
 
     Each expert weight's entry is held as its factors (U, X) and read as
     ``U.T @ X``, formed anew on every read and not kept. Every other entry is
-    an array.
+    an array. Iteration, ``len`` and ``in`` cover only the names it holds: all
+    of them, or the experts' alone from an ``experts_only`` backward.
     """
 
     def __init__(self, dims: ModelDims, M: int, arrays: dict, factors: dict):
@@ -50,7 +52,7 @@ class FactoredGradients(Mapping):
         return name in self._arrays or name in self._factors
 
     def __iter__(self):
-        return iter(param_shapes(*self._layout))
+        return (name for name in param_shapes(*self._layout) if name in self)
 
     def __len__(self) -> int:
         return len(self._arrays) + len(self._factors)
@@ -111,7 +113,8 @@ def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
     return _loss_with_grad(logits, targets, kind)[0]
 
 
-def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
+def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce",
+             experts_only: bool = False):
     """Analytic gradients of the mean loss with respect to every parameter.
 
     Each expert weight gradient stays as two pair-row factors: ``expert{m}.W2``
@@ -119,6 +122,11 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     (pre-ReLU gradient, input rows), over expert m's span. The factors keep the
     tape's hidden buffer and input rows alive, but read no parameter, so the
     parameters may move before the entries are read.
+
+    ``experts_only`` gives the loss and the expert parameters' gradients alone,
+    all an O step reads: the head, gate and input-map gradients, the gate
+    probabilities' gradient and the pairs' input gradients are not computed,
+    and the mapping holds only the expert names.
     """
     if tape.hidden is None:
         raise ContractViolation("tape keeps no activations: its forward ran with "
@@ -128,14 +136,15 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
     p = model.params
     loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
 
-    g = {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
+    g = {} if experts_only else {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
     dY = dlog @ p["head.W"]
 
     # the experts' part works on pairs: each expert's matmuls on its span of them
     probs, order, experts, hidden = tape.routing.weights, tape.order, tape.experts, tape.hidden
     dOut = dY[order]  # the pairs' upstream gradients, gated in place below
-    dP = np.zeros(probs.shape)  # dL/d(gate probability); zero where a row skipped an expert
-    dP[order, experts] = np.add.reduce(dOut * tape.out, axis=1)
+    if not experts_only:
+        dP = np.zeros(probs.shape)  # dL/d(gate probability); zero where a row skipped an expert
+        dP[order, experts] = np.add.reduce(dOut * tape.out, axis=1)
     dOut *= probs[order, experts, None]
     dPre1 = np.empty(hidden.shape)
     factors = {}  # expert weight -> (U, X), its gradient U.T @ X
@@ -144,19 +153,20 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce"):
         g[f"expert{m}.b2"] = np.add.reduce(dOut[span])
         np.matmul(dOut[span], p[f"expert{m}.W2"], out=dPre1[span])
     dPre1 *= hidden > 0
-    dZ_pairs = np.empty(dOut.shape)
     for m, (span, Z_m) in enumerate(zip(tape.spans, tape.inputs)):
         factors[f"expert{m}.W1"] = dPre1[span], Z_m
         g[f"expert{m}.b1"] = np.add.reduce(dPre1[span])
-        np.matmul(dPre1[span], p[f"expert{m}.W1"], out=dZ_pairs[span])
-    dZ0 = fold_pairs(tape.slots, dZ_pairs)
-    # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
-    dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
-
-    g["gate.W"] = dGl.T @ tape.Z0
-    dZ0 += dGl @ p["gate.W"]
-    g["input_map.W"] = dZ0.T @ tape.X
-    g["input_map.b"] = dZ0.sum(axis=0)
+    if not experts_only:
+        dZ_pairs = np.empty(dOut.shape)
+        for m, span in enumerate(tape.spans):
+            np.matmul(dPre1[span], p[f"expert{m}.W1"], out=dZ_pairs[span])
+        dZ0 = fold_pairs(tape.slots, dZ_pairs)
+        # softmax Jacobian: dL/dlogit_j = p_j (dP_j - sum_k p_k dP_k)
+        dGl = probs * (dP - np.sum(probs * dP, axis=1, keepdims=True))
+        g["gate.W"] = dGl.T @ tape.Z0
+        dZ0 += dGl @ p["gate.W"]
+        g["input_map.W"] = dZ0.T @ tape.X
+        g["input_map.b"] = dZ0.sum(axis=0)
     return Gradients(FactoredGradients(model.dims, model.M, g, factors), loss_value)
 
 

@@ -10,7 +10,11 @@ OMoE alternates two kinds of steps over mini-batches (counter ``e`` starts at
 * O step (``e mod s == 0``): buffered means are drained into the per-expert
   RLS projectors, then each expert's weight matrices take a plain gradient
   step projected by the averaged projector of the *other* experts. Only
-  expert parameters move; base-optimizer moments are not advanced.
+  expert parameters move; base-optimizer moments are not advanced, and the
+  step's backward builds the expert gradients alone.
+
+Adam and AdamW keep the textbook moment updates bit for bit and evaluate the
+bias-corrected parameter step re-associated, in place, in one temporary.
 """
 
 from __future__ import annotations
@@ -121,13 +125,22 @@ class Adam(BaseOptimizer):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def _update(self, p, g, st):
-        st["m"] *= self.beta1
-        st["m"] += (1 - self.beta1) * g
-        st["v"] *= self.beta2
-        st["v"] += (1 - self.beta2) * g * g
-        mhat = st["m"] / (1 - self.beta1 ** self.t)
-        vhat = st["v"] / (1 - self.beta2 ** self.t)
-        p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        """The moments take the textbook expressions' bits; the step is evaluated as
+        ``lr/c1 · m / (√v · (1/√c2) + eps)`` with c_i = 1 − beta_i^t, in one temporary."""
+        m, v = st["m"], st["v"]
+        tmp = np.multiply(g, 1 - self.beta1)
+        m *= self.beta1
+        m += tmp
+        np.multiply(g, 1 - self.beta2, out=tmp)
+        tmp *= g
+        v *= self.beta2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp *= 1 / math.sqrt(1 - self.beta2 ** self.t)
+        tmp += self.eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= self.lr / (1 - self.beta1 ** self.t)
+        p -= tmp
 
 
 class AdamW(Adam):
@@ -138,9 +151,8 @@ class AdamW(Adam):
         self.weight_decay = weight_decay
 
     def _update(self, p, g, st):
-        decay = self.lr * self.weight_decay * p  # a new array, taken before p moves
+        p *= 1 - self.lr * self.weight_decay  # the decoupled decay, before the Adam step
         super()._update(p, g, st)
-        p -= decay
 
 
 class RMSProp(BaseOptimizer):
@@ -369,19 +381,22 @@ def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets,
 
     A bare base optimizer, the baseline, takes one base step, reported as R. An
     OMoE state takes R or O by ``e mod s``; O steps use the current batch's
-    gradients but do not accumulate its input means. No frame holds the tape's
-    output pair buffer while the base step or the O step runs; its hidden buffer
-    and input rows live on as the factors of the expert weight gradients.
+    gradients but do not accumulate its input means. The step's kind is known
+    before ``backward`` runs, so an O step's backward builds only the expert
+    gradients it reads (``experts_only``). No frame holds the tape's output pair
+    buffer while the base step or the O step runs; its hidden buffer and input
+    rows live on as the factors of the expert weight gradients.
     """
+    o_next = isinstance(state, OMoEState) and not state.e % state.s
     _, tape = model_forward(model, X, guard=False)
-    grads = backward(model, tape, targets, loss_kind)
-    if isinstance(state, OMoEState) and state.e % state.s:
+    grads = backward(model, tape, targets, loss_kind, experts_only=o_next)
+    if isinstance(state, OMoEState) and not o_next:
         return r_step(state, model, grads, tape)  # which spends the tape before its base step
     del tape
-    if isinstance(state, BaseOptimizer):
-        state.step(model.params, grads.grads)
-        return StepOutcome("R", grads.loss)
-    return o_step(state, model, grads)
+    if o_next:
+        return o_step(state, model, grads)
+    state.step(model.params, grads.grads)
+    return StepOutcome("R", grads.loss)
 
 
 # --- optimizer checkpoint io (the model checkpoint's codec) ---

@@ -1,10 +1,12 @@
+import copy
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from omoe_lab import Rng, grad_check, model_forward
+from omoe_lab import (Rng, grad_check, make_optimizer, model_forward, new_omoe_state, o_step,
+                      step_dispatch)
 from omoe_lab.errors import ContractViolation
 from omoe_lab.grad import FactoredGradients, _loss_with_grad, backward, loss
 from omoe_lab.model import expert_forward
@@ -319,6 +321,50 @@ class TestFactoredGradients:
         all_weights = sum(model.params[name].nbytes for name in expert_weight_names(model.M))
         assert isinstance(grads.grads, FactoredGradients)
         assert peak < all_weights, (peak, all_weights)
+
+
+    # top-1 with four rows over eight experts leaves some idle
+    @pytest.mark.parametrize("routing, M, rows", [("top1", 8, 4), ("dense", 4, 6)])
+    def test_experts_only_holds_the_full_backward_expert_entries(self, routing, M, rows):
+        model = small_model(seed=3, M=M, routing=routing)
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(rows, model.dims.d_raw)), rng.integers(0, model.dims.c, rows)
+        _, tape = model_forward(model, X)
+        if routing == "top1":
+            assert any(span.start == span.stop for span in tape.spans)
+        full = backward(model, tape, y)
+        part = backward(model, tape, y, experts_only=True)
+        assert part.loss == full.loss
+        held = [name for name in model.param_names() if name.startswith("expert")]
+        assert list(part.grads) == held and len(part.grads) == len(held)
+        for name in model.param_names():
+            assert (name in part.grads) == (name in held), name
+        for name in held:
+            np.testing.assert_array_equal(part.grads[name], full.grads[name], err_msg=name)
+        for name in ("input_map.W", "input_map.b", "gate.W", "head.W", "head.b"):
+            with pytest.raises(KeyError):
+                part.grads[name]
+
+    @pytest.mark.parametrize("routing, M, rows", [("top1", 8, 4), ("dense", 4, 6)])
+    def test_o_step_moves_the_same_bits_from_either_backward(self, routing, M, rows):
+        model = small_model(seed=8, M=M, routing=routing)
+        state = new_omoe_state(make_optimizer("adamw", 1e-2), model, s=3, n_total=10)
+        rng = np.random.default_rng(8)
+        for _ in range(2):  # two R steps buffer means, so the projectors move
+            step_dispatch(state, model, rng.normal(size=(rows, model.dims.d_raw)),
+                          rng.integers(0, model.dims.c, rows))
+        X, y = rng.normal(size=(rows, model.dims.d_raw)), rng.integers(0, model.dims.c, rows)
+        _, tape = model_forward(model, X)
+        full = backward(model, tape, y)
+        part = backward(model, tape, y, experts_only=True)
+        twin_model, twin_state = copy.deepcopy((model, state))
+        o_step(state, model, full)
+        o_step(twin_state, twin_model, part)
+        for name in model.param_names():
+            np.testing.assert_array_equal(twin_model.params[name], model.params[name], name)
+        assert any(proj.updates_applied for proj in state.projectors.values())
+        for key, proj in state.projectors.items():
+            np.testing.assert_array_equal(twin_state.projectors[key].P, proj.P, str(key))
 
 
 class TestGradCheck:

@@ -40,7 +40,7 @@ import multiprocessing
 import resource
 import tracemalloc
 
-from payload_digest import RUN_VARIANTS, base_config, merge
+from payload_digest import RUN_VARIANTS, base_config, config_parser, merge
 
 from omoe_lab import harness, make_config, optim
 
@@ -94,7 +94,7 @@ def phase_memory(cfg: dict, traced: bool = True) -> dict[str, list]:
 
 
 def main(argv=None) -> None:
-    base = base_config(argv, __doc__.splitlines()[0])
+    base = base_config(config_parser(__doc__.splitlines()[0]).parse_args(argv))
     for name, variant in (("base", {}), ("wide", RUN_VARIANTS["run/wide"])):
         cfg = make_config(merge(base, variant))
         if name == "wide":

@@ -23,6 +23,12 @@ The payloads, each printed as ``<digest>  <name>``:
 ``--seeds`` and ``--override key=value`` (repeatable) set the base config
 every payload starts from, as they do for ``omoe-lab train``; each payload's
 own settings apply over it, so a small base config gives a quick run.
+
+A change that moves the payloads on purpose states its drift as a tolerance.
+``--dump DIR`` also writes each payload's hashed bytes to ``DIR/<name>.json``;
+``drift_lines(base_dir, head_dir)`` names each payload whose dumps differ and
+its largest relative float difference. To dump the parent checkout's payloads
+with this tool, run it with ``PYTHONPATH`` pointing at the parent's ``src/``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -42,6 +49,7 @@ from omoe_lab import (ModelDims, Rng, compare_optimizers, init_model, make_confi
 from omoe_lab.cli import _load_config  # the CLI's --seeds and --override semantics
 from omoe_lab.cli import main as cli_main
 from omoe_lab.harness import build_dataset
+from omoe_lab.model import _decode  # the checkpoint codec's array hook
 from omoe_lab.optim import OPTIMIZERS
 
 RUN_VARIANTS = {
@@ -73,16 +81,12 @@ def without_timing(payload):
     return payload
 
 
-def json_digest(payload) -> str:
-    return hashlib.sha256(json.dumps(without_timing(payload), sort_keys=True).encode()).hexdigest()
+def json_bytes(payload) -> bytes:
+    return json.dumps(without_timing(payload), sort_keys=True).encode()
 
 
-def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def checkpoint_digests(cfg: dict, workdir: Path) -> dict[str, str]:
-    """Digests of the model and optimizer files after ``CHECKPOINT_STEPS`` steps."""
+def checkpoint_payloads(cfg: dict, workdir: Path) -> dict[str, bytes]:
+    """The model and optimizer files after ``CHECKPOINT_STEPS`` steps."""
     seed = cfg["seeds"][0]
     data_rng, model_rng = Rng(seed).spawn(2)
     data = build_dataset(cfg, data_rng)
@@ -101,47 +105,96 @@ def checkpoint_digests(cfg: dict, workdir: Path) -> dict[str, str]:
     for name, (save, obj) in files.items():
         path = workdir / f"{mc['routing']}_{name}.json"
         save(obj, path)
-        out[f"checkpoint/{mc['routing']}/{name}"] = file_digest(path)
+        out[f"checkpoint/{mc['routing']}/{name}"] = path.read_bytes()
     return out
 
 
-def digests(base: dict) -> dict[str, str]:
-    """Payload name -> sha256, for every payload over the base config ``base``."""
+def payloads(base: dict) -> dict[str, bytes]:
+    """Payload name -> the bytes its digest hashes, for every payload over ``base``."""
     out = {}
     for name, variant in RUN_VARIANTS.items():
         cfg = make_config(merge(base, variant))
         if name == "run/wide":
             cfg["seeds"] = cfg["seeds"][:1]
-        out[name] = json_digest(run(cfg))
-    out["compare_optimizers"] = json_digest(compare_optimizers(base, list(OPTIMIZERS)))
+        out[name] = json_bytes(run(cfg))
+    out["compare_optimizers"] = json_bytes(compare_optimizers(base, list(OPTIMIZERS)))
     with tempfile.TemporaryDirectory() as tmp:
         for routing in ("top1", "dense"):
             cfg = make_config(merge(base, {"model": {"routing": routing}}))
-            out.update(checkpoint_digests(cfg, Path(tmp)))
+            out.update(checkpoint_payloads(cfg, Path(tmp)))
         models = [str(Path(tmp) / f"{routing}_model.json") for routing in ("top1", "dense")]
         if cli_main(["metrics", "--model-a", models[0], "--model-b", models[1],
                      "--out", tmp]) != 0:
             raise SystemExit("payload_digest: omoe-lab metrics failed")
-        out["metrics"] = file_digest(Path(tmp) / "metrics.json")
+        out["metrics"] = (Path(tmp) / "metrics.json").read_bytes()
     return out
 
 
-def base_config(argv, description: str) -> dict:
-    """The base config that ``--seeds`` and each ``--override`` in ``argv`` set."""
+def float_drift(base, head) -> float:
+    """Largest relative difference |a - b| / max(|a|, |b|) over the floats and float
+    arrays of two decoded payloads; inf where they differ in layout or in any other value."""
+    if isinstance(base, float | np.ndarray) and isinstance(head, float | np.ndarray):
+        a, b = np.asarray(base), np.asarray(head)
+        if a.shape != b.shape:
+            return math.inf
+        scale, diff = np.maximum(np.abs(a), np.abs(b)), np.abs(a - b)
+        return float(np.divide(diff, scale, out=np.zeros(diff.shape), where=diff > 0).max(
+            initial=0.0))
+    if isinstance(base, dict) and isinstance(head, dict):
+        if base.keys() != head.keys():
+            return math.inf
+        return max((float_drift(base[k], head[k]) for k in base), default=0.0)
+    if isinstance(base, list) and isinstance(head, list):
+        if len(base) != len(head):
+            return math.inf
+        return max(map(float_drift, base, head), default=0.0)
+    return 0.0 if type(base) is type(head) and base == head else math.inf
+
+
+def drift_lines(base_dir: Path, head_dir: Path) -> list[str]:
+    """How many payloads of two ``--dump`` directories differ, then one line for each:
+    its largest relative float difference, or that it differs in more than floats."""
+    names = sorted({path.relative_to(root).as_posix() for root in (base_dir, head_dir)
+                    for path in root.rglob("*.json")})
+    lines = []
+    for name in names:
+        a, b = base_dir / name, head_dir / name
+        if not (a.exists() and b.exists()):
+            lines.append(f"  {name[:-5]}: only in {'head' if b.exists() else 'base'}")
+        elif a.read_bytes() != b.read_bytes():
+            drift = float_drift(*(json.loads(p.read_bytes(), object_hook=_decode) for p in (a, b)))
+            lines.append(f"  {name[:-5]}: " + (f"largest relative float difference {drift:.3g}"
+                         if math.isfinite(drift) else "differs in more than float values"))
+    return [f"{len(lines) or 'none'} of {len(names)} payloads differ", *lines]
+
+
+def config_parser(description: str) -> argparse.ArgumentParser:
+    """A parser of ``--seeds`` and ``--override``, which ``base_config`` reads."""
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--seeds", default="0,1,2,3,4",
                         help="comma-separated training seeds (default 0,1,2,3,4)")
     parser.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                         help="base config override, e.g. train.epochs=1 (repeatable)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def base_config(args: argparse.Namespace) -> dict:
+    """The base config that ``args.seeds`` and each ``args.override`` set."""
     seeds = [int(s) for s in args.seeds.split(",")]
     return _load_config(argparse.Namespace(config=None, seeds=seeds, override=args.override))
 
 
 def main(argv=None) -> None:
-    base = base_config(argv, __doc__.splitlines()[0])
-    for name, digest in digests(base).items():
-        print(f"{digest}  {name}")
+    parser = config_parser(__doc__.splitlines()[0])
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each payload's hashed bytes to DIR/<name>.json")
+    args = parser.parse_args(argv)
+    for name, data in payloads(base_config(args)).items():
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+        if args.dump:
+            path = args.dump / f"{name}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
 
 
 if __name__ == "__main__":
