@@ -314,41 +314,33 @@ def run(cfg: dict, return_models: bool = False):
     return report
 
 
-def _variant(cfg: dict, section: str, **values) -> dict:
-    """A deep copy of ``cfg`` with ``values`` replacing keys of its ``section``."""
-    variant = copy.deepcopy(cfg)
-    variant[section].update(values)
-    return variant
-
-
-def _run_pairs(variants: dict) -> dict:
-    """Run reports of each variant config on its plain base optimizer and wrapped
-    in OMoE, keyed as ``variants``; every config is validated before any trains."""
-    pairs = {key: {"baseline": _variant(v, "omoe", enabled=False),
-                   "omoe": _variant(v, "omoe", enabled=True)} for key, v in variants.items()}
-    for pair in pairs.values():
-        for v in pair.values():
-            validate_config(v)
-    return {key: {side: run(v) for side, v in pair.items()} for key, pair in pairs.items()}
-
-
-def _require_distinct(name: str, values: list) -> None:
+def _sweep(cfg: dict, name: str, values: list, sections, arms=("baseline", "omoe")) -> dict:
+    """Run reports ``{value: {arm: report}}`` of ``cfg`` with the sections ``sections(value)``
+    returns in place of its own and OMoE on in the ``"omoe"`` arm only; every config is
+    validated before any trains. A numpy scalar value is keyed and set as a Python value."""
     if not values:
         raise ConfigError(f"{name} must be non-empty")
     if len(set(values)) != len(values):
         raise ConfigError(f"duplicate {name} rejected: {values!r}")
+    configs = {}
+    for value in values:
+        value = value.item() if isinstance(value, np.generic) else value
+        variant = {**cfg, **sections(value)}
+        configs[value] = {arm: copy.deepcopy({**variant, "omoe": {**variant["omoe"],
+                                                                  "enabled": arm == "omoe"}})
+                          for arm in arms}
+    for variant in (v for by_arm in configs.values() for v in by_arm.values()):
+        validate_config(variant)
+    return {value: {arm: run(v) for arm, v in by_arm.items()} for value, by_arm in configs.items()}
 
 
 def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
     """One run per skipping step; emits raw and normalized variance series."""
-    _require_distinct("s_values", s_values)
     if not cfg["omoe"]["enabled"]:
         raise ConfigError("omoe must be enabled for the skip-step ablation")
-    # OMoE only: the baseline does not depend on s
-    variants = {s: _variant(cfg, "omoe", s=s) for s in map(int, s_values)}
-    for variant in variants.values():  # every variant is checked before any trains
-        validate_config(variant)
-    reports = {s: run(v) for s, v in variants.items()}
+    reports = _sweep(cfg, "s_values", s_values, lambda s: {"omoe": {**cfg["omoe"], "s": s}},
+                     arms=("omoe",))  # OMoE only: the baseline does not depend on s
+    reports = {s: by_arm["omoe"] for s, by_arm in reports.items()}
     rows = [{"s": s,
              "param_variance": rep["aggregate"]["param_variance_mean"],
              "eval_score": rep["aggregate"]["eval_score_mean"]}
@@ -362,8 +354,7 @@ def ablate_skip(cfg: dict, s_values: list[int]) -> dict:
 
 def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
     """Baseline + OMoE run per expert count; emits the improvement table."""
-    _require_distinct("m_values", m_values)
-    reports = _run_pairs({m: _variant(cfg, "model", M=m) for m in map(int, m_values)})
+    reports = _sweep(cfg, "m_values", m_values, lambda m: {"model": {**cfg["model"], "M": m}})
     rows = []
     for m, pair in reports.items():
         base = pair["baseline"]["aggregate"]["eval_score_mean"]
@@ -375,15 +366,12 @@ def ablate_experts(cfg: dict, m_values: list[int]) -> dict:
 
 def compare_optimizers(cfg: dict, kinds: list[str]) -> dict:
     """Paired baseline / OMoE-wrapped scores for each base optimizer kind."""
-    _require_distinct("kinds", kinds)
-    unknown = [k for k in kinds if k not in OPTIMIZERS]
-    if unknown:
-        raise ConfigError(f"optimizer.kind: unknown kind {unknown[0]!r}")
-    # each kind replaces the whole section: the user's optimizer keys, such as
-    # adamw's weight_decay, are not parameters of every kind
-    reports = _run_pairs({kind: {**cfg, "optimizer": {"kind": kind,
-                                                      "lr": hyperparameters(kind)["lr"]}}
-                          for kind in kinds})
+    def sections(kind):  # the whole section: adamw's weight_decay is not a parameter of sgd
+        if kind not in OPTIMIZERS:
+            raise ConfigError(f"optimizer.kind: unknown kind {kind!r}")
+        return {"optimizer": {"kind": kind, "lr": hyperparameters(kind)["lr"]}}
+
+    reports = _sweep(cfg, "kinds", kinds, sections)
     rows = [{"optimizer": kind,
              "baseline_score": pair["baseline"]["aggregate"]["eval_score_mean"],
              "omoe_score": pair["omoe"]["aggregate"]["eval_score_mean"],

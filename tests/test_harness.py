@@ -280,6 +280,64 @@ class TestAblations:
         assert list(train_single(cfg, 0).record["diversity_curve"][0]) == [
             "param_variance", "similar_fraction", "output_variance", "load_entropy"]
 
+    @pytest.mark.parametrize("sweep, field", [
+        (lambda cfg: ablate_skip(cfg, [2.7]), "omoe.s"),
+        (lambda cfg: ablate_skip(cfg, [2, 3.0]), "omoe.s"),
+        (lambda cfg: ablate_experts(cfg, [2, 2.5]), "model.M"),
+        (lambda cfg: ablate_experts(cfg, [np.float64(3)]), "model.M"),
+    ], ids=["skip_fraction", "skip_float", "experts_fraction", "experts_numpy_float"])
+    def test_non_integer_value_rejected_before_training(self, monkeypatch, sweep, field):
+        # a value is validated as given, not truncated to an int
+        def never(cfg, seed):
+            raise AssertionError("a sweep trained on a non-integer value")
+        monkeypatch.setattr(harness, "train_single", never)
+        with pytest.raises(ConfigError, match=f"{field}: expected a value like the default"):
+            sweep(tiny_config())
+
+    def test_numpy_integer_values_become_plain_ints(self):
+        cfg = tiny_config(train__epochs=1)
+        skip = ablate_skip(cfg, list(np.array([3, 2])))
+        experts = ablate_experts(cfg, [np.int64(2)])
+        assert list(skip["reports"]) == [3, 2] and list(experts["reports"]) == [2]
+        values = [*skip["reports"], *experts["reports"], *(row["s"] for row in skip["table"]),
+                  *(row["s"] for row in skip["normalized"]), experts["table"][0]["M"],
+                  *(rep["config"]["omoe"]["s"] for rep in skip["reports"].values()),
+                  *(rep["config"]["model"]["M"] for rep in experts["reports"][2].values())]
+        assert all(type(v) is int for v in values)
+        json.dumps([skip, experts], allow_nan=False)
+
+    def test_each_report_is_the_plain_run_of_its_variant(self):
+        # every (value, arm) report is what run gives on its hand-built config, timing aside
+        cfg = tiny_config(optimizer__weight_decay=0.1, train__epochs=1)
+
+        def plain_run(arm, section, replacement):
+            variant = copy.deepcopy(cfg)
+            variant[section] = replacement
+            variant["omoe"]["enabled"] = arm == "omoe"
+            return run(variant)
+
+        both = ("baseline", "omoe")
+        cases = [
+            # the whole optimizer section is replaced: the kind's default lr, no weight_decay
+            (compare_optimizers(cfg, ["sgd", "adam"])["reports"],
+             {kind: {arm: plain_run(arm, "optimizer", {"kind": kind, "lr": lr}) for arm in both}
+              for kind, lr in (("sgd", 0.1), ("adam", 1e-3))}),
+            (ablate_experts(cfg, [2, 4])["reports"],
+             {m: {arm: plain_run(arm, "model", {**cfg["model"], "M": m}) for arm in both}
+              for m in (2, 4)}),
+            # OMoE only, one report per s
+            (ablate_skip(cfg, [3, 2])["reports"],
+             {s: plain_run("omoe", "omoe", {**cfg["omoe"], "s": s}) for s in (3, 2)}),
+        ]
+
+        def untimed(reports):
+            if "timing" in reports:
+                return {k: v for k, v in reports.items() if k != "timing"}
+            return {k: untimed(v) for k, v in reports.items()}
+
+        for got, want in cases:
+            assert json.dumps(untimed(got)) == json.dumps(untimed(want))
+
 
 class TestOverhead:
     def test_predict_matches_formula_single_mean(self):

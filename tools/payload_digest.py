@@ -11,8 +11,9 @@ The payloads, each printed as ``<digest>  <name>``:
   for the default config over ``--seeds``, dense routing with s=2,
   independent init with M=6, OMoE disabled, and the first seed at the wide
   shape (d=128, h=256, M=8, dense, s=2, 3 epochs);
-- ``compare_optimizers``: all five base optimizers, baseline and OMoE, with
-  every report's ``timing`` dropped;
+- ``compare_optimizers``: all five base optimizers, baseline and OMoE, and
+  ``ablate_skip`` over s = 2, 5 and ``ablate_experts`` over M = 2, 3, with every
+  report's ``timing`` dropped;
 - ``checkpoint/<routing>/{model,optimizer}``: the ``save_model`` and
   ``save_optimizer`` files after 7 ``step_dispatch`` steps on the first seed,
   with top-1 and with dense routing (the optimizer's mean buffers are then
@@ -43,9 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from omoe_lab import (ModelDims, Rng, compare_optimizers, init_model, make_config,
-                      make_optimizer, new_omoe_state, run, save_model, save_optimizer,
-                      step_dispatch)
+from omoe_lab import (ModelDims, Rng, ablate_experts, ablate_skip, compare_optimizers,
+                      init_model, make_config, make_optimizer, new_omoe_state, run, save_model,
+                      save_optimizer, step_dispatch)
 from omoe_lab.cli import _load_config  # the CLI's --seeds and --override semantics
 from omoe_lab.cli import main as cli_main
 from omoe_lab.harness import build_dataset
@@ -118,6 +119,8 @@ def payloads(base: dict) -> dict[str, bytes]:
             cfg["seeds"] = cfg["seeds"][:1]
         out[name] = json_bytes(run(cfg))
     out["compare_optimizers"] = json_bytes(compare_optimizers(base, list(OPTIMIZERS)))
+    out["ablate_skip"] = json_bytes(ablate_skip(base, [2, 5]))
+    out["ablate_experts"] = json_bytes(ablate_experts(base, [2, 3]))
     with tempfile.TemporaryDirectory() as tmp:
         for routing in ("top1", "dense"):
             cfg = make_config(merge(base, {"model": {"routing": routing}}))
