@@ -1,6 +1,6 @@
 """Exact reverse-mode gradients for the MoE model, plus finite-difference checks.
 
-``backward`` differentiates the mean batch loss with respect to every
+``backward`` differentiates the mean batch cross-entropy with respect to every
 parameter. It reads the tape's (batch row, expert) pairs as
 ``moe_block_forward`` laid them out: the upstream gradient of each pair, its
 gate multiply, the dL/d(gate probability) row sums, the ReLU mask and the fold
@@ -64,14 +64,11 @@ class Gradients:
     loss: float
 
 
-LOSS_KINDS = ("ce", "mse")  # cross-entropy over class indices, 0.5 squared error
-
-
 def _class_indices(targets, n: int, c: int) -> np.ndarray:
     """``targets`` as n int64 class indices; each must be a whole number in [0, c)."""
     t = np.asarray(targets).ravel()
     if t.shape[0] != n:
-        raise ContractViolation("target count does not match batch size")
+        raise ContractViolation(f"{t.shape[0]} targets for {n} rows")
     if t.dtype.kind in "iu":
         idx = t.astype(np.int64, copy=False)
         bad = idx.view(np.uint64) >= c  # a negative index reads as a huge unsigned one
@@ -86,35 +83,24 @@ def _class_indices(targets, n: int, c: int) -> np.ndarray:
     return idx
 
 
-def _loss_with_grad(logits: np.ndarray, targets, kind: str):
-    """(mean batch loss, its gradient with respect to the logits)."""
-    if kind not in LOSS_KINDS:
-        raise ContractViolation(f"unknown loss kind {kind!r}")
+def _loss_with_grad(logits: np.ndarray, targets):
+    """(mean batch cross-entropy, its gradient with respect to the logits)."""
     logits = np.asarray(logits, dtype=np.float64)
     n = logits.shape[0]
-    if kind == "ce":
-        targets = _class_indices(targets, n, logits.shape[1])
-        probs = softmax(logits)
-        rows = np.arange(n)
-        value = float(-np.mean(np.log(probs[rows, targets])))
-        probs[rows, targets] -= 1.0
-        return value, probs / n
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[:, None]
-    if t.shape != logits.shape:
-        raise ContractViolation(f"target shape {t.shape} != logits shape {logits.shape}")
-    residual = logits - t
-    return float(np.mean(0.5 * np.sum(residual ** 2, axis=1))), residual / n
+    targets = _class_indices(targets, n, logits.shape[1])
+    probs = softmax(logits)
+    rows = np.arange(n)
+    value = float(-np.mean(np.log(probs[rows, targets])))
+    probs[rows, targets] -= 1.0
+    return value, probs / n
 
 
-def loss(logits: np.ndarray, targets, kind: str = "ce") -> float:
-    """Mean batch loss: cross-entropy over class indices or 0.5 squared error."""
-    return _loss_with_grad(logits, targets, kind)[0]
+def loss(logits: np.ndarray, targets) -> float:
+    """Mean batch cross-entropy over class indices."""
+    return _loss_with_grad(logits, targets)[0]
 
 
-def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce",
-             experts_only: bool = False):
+def backward(model: MoEModel, tape: BatchTape, targets, experts_only: bool = False):
     """Analytic gradients of the mean loss with respect to every parameter.
 
     Each expert weight gradient stays as two pair-row factors: ``expert{m}.W2``
@@ -134,7 +120,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, kind: str = "ce",
     if tape.fingerprint is not None and tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params
-    loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
+    loss_value, dlog = _loss_with_grad(tape.logits, targets)
 
     g = {} if experts_only else {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
     dY = dlog @ p["head.W"]
@@ -177,8 +163,8 @@ class GradCheckResult:
     excluded: list  # (param name, flat index) coords skipped: some row's experts changed
 
 
-def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
-               n_samples: int = 200, rng: np.random.Generator | None = None) -> GradCheckResult:
+def grad_check(model: MoEModel, X, targets, h: float = 1e-5, n_samples: int = 200,
+               rng: np.random.Generator | None = None) -> GradCheckResult:
     """Central-difference check over a random subsample of parameter coords.
 
     A coordinate whose perturbation by +h or -h changes any row's chosen experts
@@ -191,7 +177,7 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
         raise ContractViolation(f"n_samples must be >= 1, got {n_samples}")
     rng = rng or Rng(0)
     logits, tape = model_forward(model, X, guard=False)  # the tape goes straight to backward
-    analytic = backward(model, tape, targets, kind)
+    analytic = backward(model, tape, targets)
     chosen = tape.experts[tape.slots]  # (N, k): each row's experts, ascending
 
     coords = []
@@ -221,7 +207,7 @@ def grad_check(model: MoEModel, X, targets, kind: str = "ce", h: float = 1e-5,
             if not all(np.array_equal(t.experts[t.slots], chosen) for t in (tp, tm)):
                 excluded.append((name, i))
                 continue
-            numeric = (loss(lp, targets, kind) - loss(lm, targets, kind)) / (2 * h)
+            numeric = (loss(lp, targets) - loss(lm, targets)) / (2 * h)
             a = analytic_flat[i]
             max_err = max(max_err, abs(a - numeric) / max(1.0, abs(numeric)))
     return GradCheckResult(max_err, len(coords) - len(excluded), excluded)

@@ -22,14 +22,14 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 # unused here; perfbench/spans.py wraps harness.backward until it drops that site
-from .grad import LOSS_KINDS, backward, loss as loss_fn
+from .grad import backward
 from .linalg import Rng
 from .metrics import diversity_report
 from .model import (INIT_MODES, ROUTING_MODES, MoEModel, ModelDims, init_model, layer_widths,
                     model_forward, param_shapes)
 from .optim import (AVG_NORMS, OPTIMIZERS, check_ranges, hyperparameters, make_optimizer,
                     new_omoe_state, predict_o_step_macs, step_dispatch)
-from .tasks import Dataset, batches, gen_piecewise_regression, gen_subspace_clusters, load_csv
+from .tasks import Dataset, batches, gen_subspace_clusters, load_csv
 
 DEFAULT_CONFIG = {
     "task": {"kind": "subspace_clusters", "K": 4, "d_raw": 32, "subspace_dim": 6,
@@ -38,15 +38,14 @@ DEFAULT_CONFIG = {
     "optimizer": {"kind": "adamw", "lr": 1e-3},
     "omoe": {"enabled": True, "s": 5, "alpha0": 1.0, "lambda": 0.9,
              "avg_norm": "paper", "o_lr": 2.5},
-    "train": {"epochs": 10, "batch_size": 32, "eval_fraction": 0.2, "loss": "ce"},
+    "train": {"epochs": 10, "batch_size": 32, "eval_fraction": 0.2},
     "seeds": [0, 1, 2, 3, 4],
 }
 
-TASK_KINDS = ("subspace_clusters", "piecewise_regression", "csv")
+TASK_KINDS = ("subspace_clusters", "csv")
 # task keys beyond the defaults, required by the kinds that use them; the
 # example values give each key its type
-_TASK_REQUIRED = {"piecewise_regression": {"pieces": 3, "n": 1000},
-                  "csv": {"path": "data.csv", "feature_columns": ["x0"], "target_column": "y"}}
+_TASK_REQUIRED = {"csv": {"path": "data.csv", "feature_columns": ["x0"], "target_column": "y"}}
 # the keys each section takes, typed by their values; the optimizer's keys
 # depend on optimizer.kind and are checked in validate_config
 _FIELDS = {
@@ -133,7 +132,6 @@ def validate_config(cfg: dict) -> None:
     for field, value, choices in (("task.kind", task["kind"], TASK_KINDS),
                                   ("model.routing", model["routing"], ROUTING_MODES),
                                   ("model.init", model["init"], INIT_MODES),
-                                  ("train.loss", train["loss"], LOSS_KINDS),
                                   ("omoe.avg_norm", omoe["avg_norm"], AVG_NORMS)):
         if value not in choices:
             raise ConfigError(f"{field}: unknown value {value!r}, expected one of {choices}")
@@ -144,8 +142,6 @@ def validate_config(cfg: dict) -> None:
               "train.epochs": 1, "train.batch_size": 1, "task.noise_std": 0}
     if task["kind"] == "subspace_clusters":
         minima.update({"task.K": 2, "task.n_per_cluster": 1, "task.subspace_dim": 1})
-    if task["kind"] == "piecewise_regression":
-        minima.update({"task.pieces": 2, "task.n": 1})
     for field, low in minima.items():
         section, key = field.split(".")
         if not low <= cfg[section][key] < math.inf:  # NaN and ±inf fail too
@@ -155,22 +151,18 @@ def validate_config(cfg: dict) -> None:
     check_ranges(omoe if omoe["enabled"] else {**omoe, "s": None}, "omoe.", ConfigError)
     if not 0 < (fraction := train["eval_fraction"]) < 1:  # written so that NaN fails too
         raise ConfigError(f"train.eval_fraction: must lie in (0, 1), got {fraction!r}")
-    if task["kind"] in ("subspace_clusters", "piecewise_regression"):  # CSV rows: counted on read
-        n = task["K"] * task["n_per_cluster"] if task["kind"] == "subspace_clusters" else task["n"]
+    if task["kind"] == "subspace_clusters":  # a CSV task's rows and classes: counted on read
+        n = task["K"] * task["n_per_cluster"]
         _check_batch(train["batch_size"], _split(n, train["eval_fraction"])[1])
-    if task["kind"] == "subspace_clusters" and task["subspace_dim"] > task["d_raw"]:
-        raise ConfigError(f"task.subspace_dim: {task['subspace_dim']} exceeds "
-                          f"task.d_raw = {task['d_raw']}")
-    if task["kind"] == "subspace_clusters" and task["K"] > model["c"]:
-        raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} classes")
+        if task["subspace_dim"] > task["d_raw"]:
+            raise ConfigError(f"task.subspace_dim: {task['subspace_dim']} exceeds "
+                              f"task.d_raw = {task['d_raw']}")
+        if task["K"] > model["c"]:
+            raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} "
+                              f"classes")
     if task["kind"] == "csv" and len(task["feature_columns"]) != task["d_raw"]:
         raise ConfigError(f"task.feature_columns: {len(task['feature_columns'])} columns "
                           f"but task.d_raw = {task['d_raw']}")
-    loss = train["loss"]
-    if task["kind"] == "piecewise_regression" and loss != "mse":
-        raise ConfigError(f"train.loss: task.kind 'piecewise_regression' needs 'mse', got {loss!r}")
-    if loss == "mse" and model["c"] != 1:
-        raise ConfigError(f"train.loss: 'mse' needs model.c = 1 output, got {model['c']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):  # a repeat would count twice in aggregate
@@ -185,12 +177,8 @@ def build_dataset(cfg: dict, rng: np.random.Generator) -> Dataset:
         return gen_subspace_clusters(rng, task["K"], task["d_raw"],
                                      task["n_per_cluster"], task["subspace_dim"],
                                      task["noise_std"])
-    if task["kind"] == "piecewise_regression":
-        return gen_piecewise_regression(rng, task["pieces"], task["d_raw"],
-                                        task["n"], task.get("noise_std", 0.0))
     if task["kind"] == "csv":
-        kind = "regression" if cfg["train"]["loss"] == "mse" else "classification"
-        return load_csv(task["path"], task["feature_columns"], task["target_column"], kind)
+        return load_csv(task["path"], task["feature_columns"], task["target_column"])
     raise ConfigError(f"task.kind: unknown kind {task['kind']!r}")
 
 
@@ -198,13 +186,10 @@ def _optimizer_from_config(cfg: dict):
     return make_optimizer(**cfg["optimizer"])
 
 
-def _eval_score(model: MoEModel, X, y, loss_kind: str):
+def _eval_score(model: MoEModel, X, y):
+    """(accuracy on the rows ``X`` with class indices ``y``, their routing record)."""
     logits, tape = model_forward(model, X, backward=False)
-    if loss_kind == "ce":
-        score = float(np.mean(np.argmax(logits, axis=1) == y))
-    else:
-        score = -loss_fn(logits, y, "mse")  # higher is better, uniformly
-    return score, tape.routing
+    return float(np.mean(np.argmax(logits, axis=1) == y)), tape.routing
 
 
 @dataclass
@@ -225,8 +210,7 @@ def _split_dataset(cfg: dict, seed: int, rng: np.random.Generator):
     if dataset.n_classes > (c := cfg["model"]["c"]):  # and its classes
         raise ConfigError(f"model.c: {c} outputs, but the data has {dataset.n_classes} classes")
     eval_idx, train_idx = perm[:n_eval], perm[n_eval:]
-    train_ds = Dataset(dataset.X[train_idx], dataset.y[train_idx], dataset.kind,
-                       dataset.n_classes)
+    train_ds = Dataset(dataset.X[train_idx], dataset.y[train_idx], dataset.n_classes)
     return train_ds, dataset.X[eval_idx], dataset.y[eval_idx]
 
 
@@ -237,7 +221,6 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     train_ds, X_eval, y_eval = _split_dataset(cfg, seed, data_rng)
 
     mc = cfg["model"]
-    loss_kind = cfg["train"]["loss"]
     dims = ModelDims(d_raw=cfg["task"]["d_raw"], d=mc["d"], h=mc["h"], c=mc["c"])
     model = init_model(model_rng, dims, mc["M"], mc["init"])
     model.routing = mc["routing"]
@@ -258,10 +241,10 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     for epoch in range(epochs):
         epoch_losses = []
         for Xb, yb in batches(train_ds, seed, epoch, bs):
-            outcome = step_dispatch(state or base, model, Xb, yb, loss_kind)
+            outcome = step_dispatch(state or base, model, Xb, yb)
             step_counts[outcome.kind] += 1
             epoch_losses.append(outcome.loss)
-        score, routing = _eval_score(model, X_eval, y_eval, loss_kind)
+        score, routing = _eval_score(model, X_eval, y_eval)
         report = diversity_report(model, probe, routing)
         loss_curve.append(float(np.mean(epoch_losses)))
         eval_curve.append(score)

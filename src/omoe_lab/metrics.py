@@ -1,8 +1,7 @@
 """Diversity and balance diagnostics for expert populations.
 
-All metrics use population variance and are invariant to expert ordering. Both
-parameter variances run one kernel, ``_anchored_variance``, and the pairwise
-metrics read one walk, ``_pair_gaps``, over all unordered expert pairs. The
+All metrics use population variance and are invariant to expert ordering. The
+pairwise metrics read one walk, ``_pair_gaps``, over all unordered expert pairs. The
 model-level metrics go one parameter kind (W1, b1, W2, b2) at a time and read
 the experts' arrays in place: none holds a copy of every expert's parameters,
 or a stack of one kind's.
@@ -30,22 +29,22 @@ def _expert_size(model: MoEModel) -> int:
     return sum(model.params[name].size for name in model.expert_names(0))
 
 
-def _anchored_variance(blocks: list[list[np.ndarray]]) -> float:
-    """``np.mean(np.var(stack - stack[0], axis=0))`` of the experts' vectors, computed
-    without building the stack. ``blocks`` holds one list of the M experts' float64
-    arrays per parameter kind; expert m's vector is its arrays flattened and joined.
+def model_param_variance(model: MoEModel) -> float:
+    """Mean over positions of the across-expert population variance of the experts'
+    parameter vectors, ``np.mean(np.var(stack - stack[0], axis=0))`` of their stack,
+    computed without building the stack.
 
-    Each expert's offset from the first is formed in one reused n-vector, and the
-    offsets are summed in order, as ``np.var`` sums a stack two or more columns wide
-    (a one-column one it sums pairwise from 8 rows up). Anchoring makes identical
-    experts give exactly zero, and a non-finite anchor entry gives NaN, as
-    ``stack - stack[0]`` does.
+    The experts' arrays are read in place, one parameter kind at a time. Each expert's
+    offset from the first is formed in one reused n-vector, and the offsets are summed
+    in order, as ``np.var`` sums a stack two or more columns wide (a one-column one it
+    sums pairwise from 8 rows up). Anchoring makes identical experts give exactly zero,
+    and a non-finite anchor entry gives NaN, as ``stack - stack[0]`` does.
     """
-    if len(blocks[0]) < 2:
+    if model.M < 2:
         raise ContractViolation("need at least two experts")
-    variances = np.empty(sum(block[0].size for block in blocks))
+    variances = np.empty(_expert_size(model))
     start = 0
-    for block in blocks:
+    for block in _expert_blocks(model):
         anchor = block[0].reshape(-1)
         out = variances[start:start + anchor.size]
         start += anchor.size
@@ -64,20 +63,6 @@ def _anchored_variance(blocks: list[list[np.ndarray]]) -> float:
     return float(np.mean(variances))
 
 
-def expert_param_variance(experts: list[np.ndarray]) -> float:
-    """Mean over positions of the across-expert population variance."""
-    flat = [np.asarray(e, dtype=np.float64).ravel() for e in experts]
-    if len({f.size for f in flat}) > 1:
-        raise ContractViolation("expert parameter sets have mismatched shapes")
-    return _anchored_variance([flat])
-
-
-def model_param_variance(model: MoEModel) -> float:
-    """``expert_param_variance`` of the experts' parameter vectors, bit for bit, read
-    one parameter kind at a time."""
-    return _anchored_variance(_expert_blocks(model))
-
-
 def _pair_gaps(model: MoEModel):
     """For each unordered expert pair, in ``combinations`` order, yield its
     ``|a_i - a_j|`` arrays lazily, one parameter kind at a time."""
@@ -86,17 +71,9 @@ def _pair_gaps(model: MoEModel):
         yield (np.abs(block[i] - block[j]) for block in blocks)
 
 
-def similar_fraction(a, b) -> float:
-    """Fraction of positions where |a - b| is below ``SIMILARITY_THRESHOLD``."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ContractViolation("parameter sets have mismatched shapes")
-    return float(np.mean(np.abs(a - b) < SIMILARITY_THRESHOLD))
-
-
 def model_similar_fraction(model: MoEModel) -> float:
-    """Mean similar fraction over all unordered expert pairs."""
+    """Mean over all unordered expert pairs of the fraction of positions where the
+    pair's parameters differ by less than ``SIMILARITY_THRESHOLD``."""
     size = _expert_size(model)
     fractions = [sum(int(np.count_nonzero(gap < SIMILARITY_THRESHOLD)) for gap in gaps) / size
                  for gaps in _pair_gaps(model)]

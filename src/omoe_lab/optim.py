@@ -375,8 +375,7 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
     return StepOutcome("O", grads.loss)
 
 
-def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets,
-                  loss_kind: str = "ce") -> StepOutcome:
+def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets) -> StepOutcome:
     """One training step: forward + backward, then a step of ``state``.
 
     A bare base optimizer, the baseline, takes one base step, reported as R. An
@@ -389,7 +388,7 @@ def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets,
     """
     o_next = isinstance(state, OMoEState) and not state.e % state.s
     _, tape = model_forward(model, X, guard=False)
-    grads = backward(model, tape, targets, loss_kind, experts_only=o_next)
+    grads = backward(model, tape, targets, experts_only=o_next)
     if isinstance(state, OMoEState) and not o_next:
         return r_step(state, model, grads, tape)  # which spends the tape before its base step
     del tape

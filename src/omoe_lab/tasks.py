@@ -1,39 +1,35 @@
-"""Synthetic datasets rewarding expert specialization, CSV ingestion, batching.
+"""The synthetic classification task, CSV ingestion, batching.
 
 ``gen_subspace_clusters`` places each class inside its own random linear
 subspace (pairwise orthogonal when they fit), so a router + specialist
-experts can carve the input space cleanly. ``gen_piecewise_regression`` is
-the regression counterpart: a different linear map per input region.
+experts can carve the input space cleanly. ``load_csv`` reads a classification
+dataset from a file.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, DataLoadError
+from .grad import _class_indices
 from .linalg import Rng
 
 
 @dataclass
 class Dataset:
     X: np.ndarray           # (N, d_raw)
-    y: np.ndarray           # class indices or real targets
-    kind: str               # "classification" or "regression"
-    n_classes: int = 0      # valid for classification
-    metadata: dict = field(default_factory=dict)
+    y: np.ndarray           # (N,) class indices in [0, n_classes)
+    n_classes: int
 
     def __post_init__(self):
         if self.X.shape[0] < 1:
             raise ContractViolation("dataset must contain at least one row")
         if not np.all(np.isfinite(self.X)):
             raise ContractViolation("features contain non-finite values")
-        if self.kind == "classification":
-            yi = self.y.astype(np.int64)
-            if yi.min() < 0 or yi.max() >= self.n_classes:
-                raise ContractViolation("class indices out of range")
+        self.y = _class_indices(self.y, self.X.shape[0], self.n_classes)
 
     @property
     def n(self) -> int:
@@ -46,14 +42,13 @@ def gen_subspace_clusters(rng: np.random.Generator, K: int, d_raw: int, n_per_cl
 
     Bases come from one QR factorization, so they are exactly orthogonal when
     K * subspace_dim <= d_raw; otherwise each basis is sampled independently
-    and the dataset carries an ``overlapping_subspaces`` warning flag.
+    and the subspaces overlap.
     """
     if K < 2:
         raise ContractViolation("need at least K=2 clusters")
     if subspace_dim > d_raw:
         raise ContractViolation("subspace_dim cannot exceed d_raw")
-    overlapping = K * subspace_dim > d_raw
-    if overlapping:
+    if K * subspace_dim > d_raw:
         bases = []
         for _ in range(K):
             q, _ = np.linalg.qr(rng.normal(size=(d_raw, subspace_dim)))
@@ -70,41 +65,12 @@ def gen_subspace_clusters(rng: np.random.Generator, K: int, d_raw: int, n_per_cl
             pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
         xs.append(pts)
         ys.append(np.full(n_per_cluster, k, dtype=np.int64))
-    return Dataset(np.vstack(xs), np.concatenate(ys), "classification", K,
-                   {"overlapping_subspaces": overlapping, "bases": bases})
+    return Dataset(np.vstack(xs), np.concatenate(ys), K)
 
 
-def gen_piecewise_regression(rng: np.random.Generator, pieces: int, d_raw: int, n: int,
-                             noise_std: float = 0.0) -> Dataset:
-    """Targets follow a region-specific linear map; regions are the cells of
-    a nearest-anchor partition (boundaries are hyperplane bisectors)."""
-    if pieces < 2:
-        raise ContractViolation("need at least 2 pieces")
-    anchors = rng.normal(size=(pieces, d_raw))
-    maps = rng.normal(size=(pieces, d_raw)) / np.sqrt(d_raw)
-    X = rng.normal(size=(n, d_raw))
-    dist = ((X[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-    region = np.argmin(dist, axis=1)
-    y = np.einsum("nd,nd->n", X, maps[region])
-    if noise_std > 0:
-        y = y + rng.normal(0.0, noise_std, size=n)
-    return Dataset(X, y, "regression", 0, {"regions": region})
-
-
-def write_csv(dataset: Dataset, path) -> None:
-    """Full-precision decimal CSV: feature columns f0..f{d-1} plus target."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        d = dataset.X.shape[1]
-        writer.writerow([f"f{i}" for i in range(d)] + ["target"])
-        for row, target in zip(dataset.X, dataset.y):
-            tgt = int(target) if dataset.kind == "classification" else repr(float(target))
-            writer.writerow([repr(float(v)) for v in row] + [tgt])
-
-
-def load_csv(path, feature_columns: list[str], target_column: str,
-             kind: str = "classification") -> Dataset:
-    """Strict CSV ingestion; errors carry row and column coordinates."""
+def load_csv(path, feature_columns: list[str], target_column: str) -> Dataset:
+    """Strict CSV ingestion of float features and a class-index target; errors carry
+    row and column coordinates."""
     try:
         f = open(path, newline="")
     except OSError as exc:
@@ -120,7 +86,7 @@ def load_csv(path, feature_columns: list[str], target_column: str,
                 raise DataLoadError(f"missing column {col!r}")
         # (column index, parser) per cell read: float features, then the target
         cells = [(header.index(c), float) for c in feature_columns]
-        cells.append((header.index(target_column), int if kind == "classification" else float))
+        cells.append((header.index(target_column), int))
         xs, ys = [], []
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
@@ -138,13 +104,9 @@ def load_csv(path, feature_columns: list[str], target_column: str,
         raise DataLoadError("no data rows")
     X = np.asarray(xs, dtype=np.float64)
     _require(np.isfinite(X), X, feature_columns, "a finite number")
-    if kind == "classification":
-        y = np.asarray(ys, dtype=np.int64)
-        _require(y >= 0, y, [target_column], "a class index >= 0")
-        return Dataset(X, y, "classification", int(y.max()) + 1)
-    y = np.asarray(ys, dtype=np.float64)
-    _require(np.isfinite(y), y, [target_column], "a finite number")
-    return Dataset(X, y, "regression")
+    y = np.asarray(ys, dtype=np.int64)
+    _require(y >= 0, y, [target_column], "a class index >= 0")
+    return Dataset(X, y, int(y.max()) + 1)
 
 
 def _require(ok: np.ndarray, values: np.ndarray, columns: list[str], need: str) -> None:

@@ -107,7 +107,7 @@ def test_criterion_03_gradient_correctness():
         targets = rng.integers(0, 4, size=16)
         for routing in ("dense", "top1"):
             model.routing = routing
-            result = grad_check(model, X, targets, "ce", h=1e-5, n_samples=200,
+            result = grad_check(model, X, targets, h=1e-5, n_samples=200,
                                 rng=np.random.default_rng(seed))
             assert result.checked > 0
             worst = max(worst, result.max_rel_error)

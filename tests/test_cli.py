@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from omoe_lab import (Rng, gen_piecewise_regression, gen_subspace_clusters, init_model,
-                      save_model, write_csv)
+from omoe_lab import Rng, gen_subspace_clusters, harness, init_model, save_model
 from omoe_lab.cli import main
 from omoe_lab.model import ModelDims
+from tests.test_tasks import write_csv
 
 
 TINY = {
@@ -17,7 +17,7 @@ TINY = {
 }
 
 
-# a tiny piecewise-regression task; later overrides of the same key win
+# the options of the deleted piecewise-regression task
 REGRESSION = ["--override", "task.kind=piecewise_regression", "--override", "task.pieces=3",
               "--override", "task.n=100", "--override", "train.loss=mse",
               "--override", "model.c=1"]
@@ -28,6 +28,14 @@ def tiny_config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY))
     return str(path)
+
+
+@pytest.fixture
+def no_training_steps(monkeypatch):
+    """Any training step fails (exit 3 through ``main``): a refusal comes before the first."""
+    def no_step(*_args):
+        raise AssertionError("a training step ran before the input was refused")
+    monkeypatch.setattr(harness, "step_dispatch", no_step)
 
 
 class TestTrain:
@@ -116,9 +124,9 @@ class TestErrorPaths:
           "--override", "optimizer.beta1=0.5"], "optimizer.beta1"),
         (["train", "--override", "omoe.bogus=1"], "omoe.bogus"),
         (["train", "--override", "nosection.s=1"], "nosection"),
+        # cross-entropy is the only loss: train.loss is an unknown key
         (["train", "--override", "train.loss=mse"], "train.loss"),
-        (["train", "--override", "task.kind=piecewise_regression", "--override", "task.pieces=3",
-          "--override", "task.n=100"], "train.loss"),
+        (["train", "--override", "train.loss=ce"], "train.loss"),
         (["train", "--override", "task.kind=piecewise_regression", "--override", 'task.pieces="a"',
           "--override", "task.n=100", "--override", "train.loss=mse", "--override", "model.c=1"],
          "task.pieces"),
@@ -134,7 +142,7 @@ class TestErrorPaths:
         (["train", "--override", "omoe.alpha0=0"], "omoe.alpha0"),
         (["train", "--override", "omoe.lambda=0"], "omoe.lambda"),
         (["train", "--override", "omoe.lambda=1.5"], "omoe.lambda"),
-        (["train", *REGRESSION, "--override", "task.n=0"], "task.n"),
+        (["train", "--override", "task.n=0"], "task.n"),
         (["train", "--override", "task.n_per_cluster=0"], "task.n_per_cluster"),
         (["train", *REGRESSION, "--override", "task.pieces=1"], "task.pieces"),
         (["train", "--override", "task.K=1"], "task.K"),
@@ -143,7 +151,7 @@ class TestErrorPaths:
         (["train", "--override", "train.eval_fraction=1.0"], "train.eval_fraction"),
         (["train", "--override", "task.noise_std=-1"], "task.noise_std"),
         (["train", "--override", "train.batch_size=5000"], "train.batch_size"),
-        (["train", *REGRESSION, "--override", "task.n=1"], "train.batch_size"),
+        (["train", "--override", "task.n_per_cluster=5"], "train.batch_size"),  # 12 rows
         (["train", "--override", "model.M=1"], "model.M"),
         (["ablate-skip", "--s-values", "2", "--override", "model.M=1"], "model.M"),
         (["overhead", "--override", "task.kind=bogus"], "task.kind"),
@@ -176,8 +184,10 @@ class TestErrorPaths:
         (["overhead", "--override", "omoe.enabled=false", "--override", "omoe.s=-3"],
          "omoe.s: must be >= 2"),
         (["train", "--seeds", "0,0"], "seeds: duplicate seeds rejected"),
+        (["train", "--override", "task.kind=piecewise_regression"], "task.kind"),
     ])
-    def test_bad_config_value_exit_2(self, tiny_config_path, capsys, args, field):
+    def test_bad_config_value_exit_2(self, tiny_config_path, capsys, no_training_steps, args,
+                                     field):
         assert main([*args, "--config", tiny_config_path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
@@ -234,33 +244,30 @@ class TestErrorPaths:
 
 
 class TestRegression:
+    """The regression path is deleted: its task and real-valued CSV targets are
+    refused with exit 2, before any training."""
+
     @staticmethod
-    def check(report, n_rows, s):
-        """A finite report whose step counts follow the s-schedule and whose
-        eval score, the negated mean squared error, is at most 0."""
-        rec = report["per_seed"][0]
-        n_train = n_rows - max(1, int(n_rows * report["config"]["train"]["eval_fraction"]))
-        steps = math.ceil(n_train / report["config"]["train"]["batch_size"])
-        assert rec["step_counts"] == {"R": steps - steps // s, "O": steps // s}
-        assert rec["final_eval_score"] <= 0
-        assert all(math.isfinite(v) for v in rec["loss_curve"] + rec["eval_curve"])
+    def refused(args, capsys) -> dict:
+        assert main(args) == 2
+        return json.loads(capsys.readouterr().err)["error"]
 
-    def test_piecewise_mse(self, tiny_config_path, capsys):
-        assert main(["train", "--config", tiny_config_path, *REGRESSION,
-                     "--override", "omoe.s=2"]) == 0
-        self.check(json.loads(capsys.readouterr().out), 100, 2)
+    def test_piecewise_mse(self, tiny_config_path, no_training_steps, capsys):
+        # the deleted task's options, the first of them unknown
+        error = self.refused(["train", "--config", tiny_config_path, *REGRESSION], capsys)
+        assert error == {"type": "ConfigError", "message": "unknown config key: task.pieces"}
 
-    def test_csv_real_targets(self, tiny_config_path, tmp_path, capsys):
-        # a CSV task's targets are parsed as reals when train.loss is mse
+    def test_csv_real_targets(self, tiny_config_path, tmp_path, no_training_steps, capsys):
+        # a real-valued target cell is not truncated to a class index
         path = tmp_path / "regression.csv"
-        write_csv(gen_piecewise_regression(Rng(0), 3, 12, 100), path)
-        columns = json.dumps([f"f{i}" for i in range(12)])
-        assert main(["train", "--config", tiny_config_path, "--override", "task.kind=csv",
-                     "--override", f"task.path={path}",
-                     "--override", f"task.feature_columns={columns}",
-                     "--override", "task.target_column=target", "--override", "train.loss=mse",
-                     "--override", "model.c=1", "--override", "omoe.s=2"]) == 0
-        self.check(json.loads(capsys.readouterr().out), 100, 2)
+        path.write_text("f0,f1,target\n0.5,1.5,2\n1.0,-0.5,0.75\n")
+        error = self.refused(["train", "--config", tiny_config_path,
+                              "--override", "task.kind=csv", "--override", f"task.path={path}",
+                              "--override", 'task.feature_columns=["f0", "f1"]',
+                              "--override", "task.d_raw=2",
+                              "--override", "task.target_column=target"], capsys)
+        assert error == {"type": "DataLoadError",
+                         "message": "row 2, column 'target': unparsable cell '0.75'"}
 
 
 class TestOtherSubcommands:

@@ -13,14 +13,14 @@ from omoe_lab.model import expert_forward
 from tests.test_model import small_model
 
 
-def reference_gate_grad(model, tape, targets, kind="ce"):
+def reference_gate_grad(model, tape, targets):
     """Gate-weight gradient by the per-routing-mode formulas backward once used.
 
     top1: each row's softmax Jacobian restricted to its selected probability,
     accumulated expert by expert. dense: the full Jacobian over every expert.
     """
     p = model.params
-    dY = _loss_with_grad(tape.logits, targets, kind)[1] @ p["head.W"]
+    dY = _loss_with_grad(tape.logits, targets)[1] @ p["head.W"]
     probs = tape.routing.weights
     if model.routing == "top1":
         dGl = np.zeros_like(probs)
@@ -39,11 +39,11 @@ def reference_gate_grad(model, tape, targets, kind="ce"):
     return dGl.T @ tape.Z0
 
 
-def reference_backward(model, tape, targets, kind="ce"):
+def reference_backward(model, tape, targets):
     """Gradients by the per-row fancy-index formulation: each expert gathers its batch
     rows and scatters its input and gate gradients back into them."""
     p = model.params
-    loss_value, dlog = _loss_with_grad(tape.logits, targets, kind)
+    loss_value, dlog = _loss_with_grad(tape.logits, targets)
     g = {"head.W": dlog.T @ tape.y_moe, "head.b": dlog.sum(axis=0)}
     dY = dlog @ p["head.W"]
     probs = tape.routing.weights
@@ -74,45 +74,39 @@ def reference_backward(model, tape, targets, kind="ce"):
 
 
 class TestLoss:
-    def test_mse_zero_residual(self):
-        y = np.random.default_rng(0).normal(size=(4, 3))
-        assert loss(y, y, "mse") == 0.0
-
     def test_ce_uniform_logits(self):
         c = 5
         logits = np.zeros((3, c))
-        assert loss(logits, [0, 2, 4], "ce") == pytest.approx(np.log(c))
+        assert loss(logits, [0, 2, 4]) == pytest.approx(np.log(c))
 
     def test_ce_hand_value(self):
         # logits (2, 0), target class 0: -ln(e^2 / (e^2 + 1))
-        val = loss(np.array([[2.0, 0.0]]), [0], "ce")
+        val = loss(np.array([[2.0, 0.0]]), [0])
         e2 = np.exp(2.0)
         assert val == pytest.approx(-np.log(e2 / (e2 + 1)))
         assert val == pytest.approx(0.1269, abs=5e-5)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ContractViolation):
-            loss(np.zeros((1, 2)), [0], "hinge")
-
     def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            loss(np.zeros((2, 3)), np.zeros((2, 2)), "mse")
+        # one class index per row of logits
+        for targets in ([0], [0, 1, 2]):
+            with pytest.raises(ContractViolation, match=f"{len(targets)} targets for 2 rows"):
+                loss(np.zeros((2, 3)), targets)
 
     # a class index must be a whole number in [0, c): -1 once scored class c - 1,
     # c raised a bare IndexError and 0.7 was truncated to class 0
     @pytest.mark.parametrize("bad", [-1, 4, 0.7, np.nan])
     def test_ce_bad_target_named(self, bad):
         with pytest.raises(ContractViolation, match=rf"target {bad!r} in row 1 .*\[0, 4\)"):
-            loss(np.zeros((2, 4)), [0, bad], "ce")
+            loss(np.zeros((2, 4)), [0, bad])
         model = small_model(c=4)
         _, tape = model_forward(model, np.ones((2, model.dims.d_raw)))
         with pytest.raises(ContractViolation, match=rf"target {bad!r}"):
-            backward(model, tape, np.array([bad, 0]), "ce")
+            backward(model, tape, np.array([bad, 0]))
 
     def test_ce_whole_float_and_unsigned_targets_accepted(self):
-        want = loss(np.zeros((2, 4)), [1, 3], "ce")
-        assert loss(np.zeros((2, 4)), [1.0, 3.0], "ce") == want
-        assert loss(np.zeros((2, 4)), np.array([1, 3], dtype=np.uint8), "ce") == want
+        want = loss(np.zeros((2, 4)), [1, 3])
+        assert loss(np.zeros((2, 4)), [1.0, 3.0]) == want
+        assert loss(np.zeros((2, 4)), np.array([1, 3], dtype=np.uint8)) == want
 
 
 class TestBackward:
@@ -141,9 +135,10 @@ class TestBackward:
         x = np.array([[1.0, 0.0]])
         logits, tape = model_forward(model, x)
         np.testing.assert_allclose(logits, x)
-        grads = backward(model, tape, np.zeros((1, 2)), "mse")
-        # d(0.5 * |Wx - t|^2)/dW = (Wx - t) x^T
-        np.testing.assert_allclose(grads.grads["head.W"], np.array([[1.0, 0.0], [0.0, 0.0]]))
+        grads = backward(model, tape, [0])
+        # d(cross-entropy)/dW = (softmax(Wx) - e_0) x^T, softmax((1, 0)) = (e, 1) / (e + 1)
+        q = 1.0 / (np.e + 1.0)
+        np.testing.assert_allclose(grads.grads["head.W"], np.array([[-q, 0.0], [q, 0.0]]))
 
     def test_zero_token_expert_gets_zero_gradient(self):
         model = small_model(M=3, routing="top1")
@@ -154,7 +149,7 @@ class TestBackward:
         model.params["gate.W"][1:] = -1.0
         X = np.random.default_rng(0).normal(size=(6, model.dims.d_raw))
         _, tape = model_forward(model, X)
-        grads = backward(model, tape, [0, 1, 2, 0, 1, 2], "ce")
+        grads = backward(model, tape, [0, 1, 2, 0, 1, 2])
         assert set(grads.grads) == set(model.param_names())
         for m in (1, 2):
             assert tape.spans[m] == slice(6, 6)
@@ -171,7 +166,7 @@ class TestBackward:
         _, tape = model_forward(model, X)
         idle = [m for m, span in enumerate(tape.spans) if span.start == span.stop]
         assert idle  # four rows over eight experts
-        grads = backward(model, tape, rng.integers(0, model.dims.c, size=4), "ce")
+        grads = backward(model, tape, rng.integers(0, model.dims.c, size=4))
         for m in idle:
             for name in model.expert_names(m):
                 got = grads.grads[name]
@@ -183,31 +178,25 @@ class TestBackward:
         X = np.random.default_rng(2).normal(size=(4, model.dims.d_raw))
         y = [0, 1, 2, 0]
         _, tape1 = model_forward(model, X)
-        g1 = backward(model, tape1, y, "ce")
+        g1 = backward(model, tape1, y)
         _, tape2 = model_forward(model, np.vstack([X, X]))
-        g2 = backward(model, tape2, y + y, "ce")
+        g2 = backward(model, tape2, y + y)
         for name in model.param_names():
             np.testing.assert_allclose(g1.grads[name], g2.grads[name], atol=1e-12)
 
     def test_zero_loss_head_gradient_zero(self):
+        # a margin of 1000 on the target class rounds its softmax to exactly 1 and every
+        # other class's to exactly 0: the loss and the head's gradient are exact zeros
         model = small_model(M=2, routing="dense")
+        model.params["head.W"][:] = 0.0
+        model.params["head.b"][:] = 0.0
+        model.params["head.b"][1] = 1000.0
         X = np.random.default_rng(3).normal(size=(3, model.dims.d_raw))
-        logits, tape = model_forward(model, X)
-        grads = backward(model, tape, logits, "mse")  # targets equal outputs
+        _, tape = model_forward(model, X)
+        grads = backward(model, tape, [1, 1, 1])
         assert grads.loss == 0.0
-        np.testing.assert_allclose(grads.grads["head.W"], 0.0, atol=1e-12)
-        np.testing.assert_allclose(grads.grads["head.b"], 0.0, atol=1e-12)
-
-    def test_scaled_residual_scales_gradient(self):
-        # MSE gradient is linear in the residual: doubling it doubles every entry
-        model = small_model(M=2, routing="dense")
-        X = np.random.default_rng(4).normal(size=(3, model.dims.d_raw))
-        logits, tape = model_forward(model, X)
-        delta = np.random.default_rng(5).normal(size=logits.shape)
-        g1 = backward(model, tape, logits - delta, "mse")
-        g2 = backward(model, tape, logits - 2 * delta, "mse")
-        for name in model.param_names():
-            np.testing.assert_allclose(g2.grads[name], 2 * g1.grads[name], atol=1e-12)
+        np.testing.assert_array_equal(grads.grads["head.W"], 0.0)
+        np.testing.assert_array_equal(grads.grads["head.b"], 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_top1_gate_grad_matches_reference(self, seed):
@@ -219,7 +208,7 @@ class TestBackward:
         y = rng.integers(0, model.dims.c, size=5)
         _, tape = model_forward(model, X)
         assert any(s.start == s.stop for s in tape.spans)  # some expert gets no rows
-        grads = backward(model, tape, y, "ce")
+        grads = backward(model, tape, y)
         ref = reference_gate_grad(model, tape, y)
         got = grads.grads["gate.W"]
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -230,23 +219,21 @@ class TestBackward:
         X = rng.normal(size=(6, model.dims.d_raw))
         y = rng.integers(0, model.dims.c, size=6)
         _, tape = model_forward(model, X)
-        grads = backward(model, tape, y, "ce")
+        grads = backward(model, tape, y)
         np.testing.assert_array_equal(grads.grads["gate.W"], reference_gate_grad(model, tape, y))
 
     @pytest.mark.parametrize("routing", ["top1", "dense"])
     @pytest.mark.parametrize("M, N", [(2, 1), (4, 5), (4, 32), (8, 17), (8, 4)])
-    @pytest.mark.parametrize("kind", ["ce", "mse"])
-    def test_equals_per_row_reference(self, routing, M, N, kind):
+    def test_equals_per_row_reference(self, routing, M, N):
         # the pair layout changes no matrix an expert sees, so not one bit may differ;
         # (8, 4) leaves top-1 experts idle
         model = small_model(seed=N, M=M, routing=routing)
         rng = np.random.default_rng(N)
         X = rng.normal(size=(N, model.dims.d_raw)) * 3.0
-        y = (rng.integers(0, model.dims.c, size=N) if kind == "ce"
-             else rng.normal(size=(N, model.dims.c)))
+        y = rng.integers(0, model.dims.c, size=N)
         _, tape = model_forward(model, X)
-        grads = backward(model, tape, y, kind)
-        ref, ref_loss = reference_backward(model, tape, y, kind)
+        grads = backward(model, tape, y)
+        ref, ref_loss = reference_backward(model, tape, y)
         assert grads.loss == ref_loss
         assert set(grads.grads) == set(ref)
         for name, want in ref.items():
@@ -258,7 +245,7 @@ class TestBackward:
         _, tape = model_forward(model, X)
         model.params["head.b"] += 1.0
         with pytest.raises(ContractViolation):
-            backward(model, tape, [0, 1], "ce")
+            backward(model, tape, [0, 1])
 
 
 def expert_weight_names(M):
@@ -385,16 +372,12 @@ class TestGradCheck:
         assert reads == Counter(model.param_names())
 
     @pytest.mark.parametrize("routing", ["dense", "top1"])
-    @pytest.mark.parametrize("kind", ["ce", "mse"])
-    def test_analytic_matches_numeric(self, routing, kind):
+    def test_analytic_matches_numeric(self, routing):
         model = small_model(seed=11, M=3, routing=routing)
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, model.dims.d_raw))
-        if kind == "ce":
-            targets = rng.integers(0, model.dims.c, size=8)
-        else:
-            targets = rng.normal(size=(8, model.dims.c))
-        result = grad_check(model, X, targets, kind, h=1e-5, n_samples=150,
+        targets = rng.integers(0, model.dims.c, size=8)
+        result = grad_check(model, X, targets, h=1e-5, n_samples=150,
                             rng=np.random.default_rng(0))
         assert result.checked > 0
         assert result.max_rel_error <= 1e-5

@@ -5,9 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from omoe_lab import (diverse_degree, diversity_report, expert_param_variance,
-                      load_entropy, model_forward, model_param_variance, model_similar_fraction,
-                      output_variance, similar_fraction)
+from omoe_lab import (diverse_degree, diversity_report, load_entropy, model_forward,
+                      model_param_variance, model_similar_fraction, output_variance)
 from omoe_lab.errors import ContractViolation
 from omoe_lab.metrics import SIMILARITY_THRESHOLD
 from omoe_lab.model import RoutingRecord
@@ -19,33 +18,43 @@ def expert_vector(model, m):
     return np.concatenate([model.params[n].ravel() for n in model.expert_names(m)])
 
 
+def with_experts(vectors, h=1):
+    """A model of d = 1 and ``h`` hidden units whose experts hold ``vectors``, one
+    (3h + 1)-vector each, laid out in an expert's parameter order."""
+    model = small_model(d_raw=1, d=1, h=h, c=1, M=len(vectors))
+    for m, vector in enumerate(vectors):
+        start = 0
+        for name in model.expert_names(m):
+            arr = model.params[name]
+            arr.reshape(-1)[:] = vector[start:start + arr.size]
+            start += arr.size
+        assert start == len(vector)
+    return model
+
+
 class TestExpertParamVariance:
     def test_identical_experts_zero(self):
-        assert expert_param_variance([np.ones(5), np.ones(5)]) == 0.0
+        assert model_param_variance(with_experts([np.ones(4), np.ones(4)])) == 0.0
 
     def test_hand_population_variance(self):
-        assert expert_param_variance([np.array([1.0]), np.array([3.0])]) == 1.0
+        assert model_param_variance(with_experts([np.ones(4), np.full(4, 3.0)])) == 1.0
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
-        experts = [rng.normal(size=6) for _ in range(3)]
-        base = expert_param_variance(experts)
-        shifted = expert_param_variance([e + 7.5 for e in experts])
+        experts = [rng.normal(size=7) for _ in range(3)]
+        base = model_param_variance(with_experts(experts, h=2))
+        shifted = model_param_variance(with_experts([e + 7.5 for e in experts], h=2))
         assert shifted == pytest.approx(base, rel=1e-12)
 
     def test_ordering_invariance(self):
         rng = np.random.default_rng(1)
         experts = [rng.normal(size=4) for _ in range(4)]
-        assert expert_param_variance(experts) == pytest.approx(
-            expert_param_variance(experts[::-1]), rel=1e-12)
+        assert model_param_variance(with_experts(experts)) == pytest.approx(
+            model_param_variance(with_experts(experts[::-1])), rel=1e-12)
 
     def test_single_expert_rejected(self):
-        with pytest.raises(ContractViolation):
-            expert_param_variance([np.ones(3)])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            expert_param_variance([np.ones(3), np.ones(4)])
+        with pytest.raises(ContractViolation, match="at least two experts"):
+            model_param_variance(small_model(M=1))
 
     def test_model_variant_replicate_zero(self):
         assert model_param_variance(small_model(init="replicate", M=3)) == 0.0
@@ -53,27 +62,32 @@ class TestExpertParamVariance:
     @pytest.mark.parametrize("M", [2, 3, 8])
     @pytest.mark.parametrize("n", [2, 7, 64])
     def test_bits_of_stacked_formula(self, M, n):
-        # the experts are read in place, with the bits of the stacked formula
+        # experts of n hidden units each, whose entries span eight decades, are read in
+        # place with the bits of an inline np.var of their stacked vectors
+        size = 3 * n + 1
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            experts = [rng.normal(size=n) * 10.0 ** rng.integers(-5, 3, size=n)
+            experts = [rng.normal(size=size) * 10.0 ** rng.integers(-5, 3, size=size)
                        for _ in range(M)]
             stack = np.stack(experts)
-            assert expert_param_variance(experts) == float(
+            assert model_param_variance(with_experts(experts, h=n)) == float(
                 np.mean(np.var(stack - stack[0], axis=0))), seed
 
 
 class TestSimilarFraction:
     def test_equal_vectors(self):
-        assert similar_fraction(np.ones(4), np.ones(4)) == 1.0
+        assert model_similar_fraction(with_experts([np.ones(4), np.ones(4)])) == 1.0
 
     def test_hand_half(self):
         assert SIMILARITY_THRESHOLD == 1e-3
-        assert similar_fraction([0.0, 0.0], [5e-4, 5e-3]) == 0.5
+        half = with_experts([np.zeros(4), np.array([5e-4, 5e-3, 5e-4, 5e-3])])
+        assert model_similar_fraction(half) == 0.5
 
     def test_unequal_within_threshold(self):
-        assert similar_fraction([0.0, 0.0], [9e-4, -9e-4]) == 1.0
-        assert similar_fraction([0.0], [SIMILARITY_THRESHOLD]) == 0.0  # strictly below
+        near = with_experts([np.zeros(4), np.array([9e-4, -9e-4, 9e-4, -9e-4])])
+        assert model_similar_fraction(near) == 1.0
+        at = with_experts([np.zeros(4), np.full(4, SIMILARITY_THRESHOLD)])
+        assert model_similar_fraction(at) == 0.0  # strictly below
 
     def test_model_similar_fraction_replicate(self):
         assert model_similar_fraction(small_model(init="replicate", M=3)) == 1.0

@@ -153,10 +153,10 @@ def make_state(model, s=5, n_total=100, base_kind="sgd", lr=0.1, **kw):
     return new_omoe_state(base, model, s, n_total, **kw)
 
 
-def grads_for(model, X, y, kind="ce"):
+def grads_for(model, X, y):
     """(gradients, tape) of one forward and backward pass."""
     _, tape = model_forward(model, X)
-    return backward(model, tape, y, kind), tape
+    return backward(model, tape, y), tape
 
 
 class TestRStep:
@@ -594,7 +594,7 @@ class TestDispatchSchedule:
             raise AssertionError("fingerprint computed")
         monkeypatch.setattr(MoEModel, "fingerprint", refuse)
         assert [step_dispatch(state, model, X, y).kind for _ in range(2)] == ["R", "O"]
-        _eval_score(model, X, y, "ce")
+        _eval_score(model, X, y)
         # the baseline arm of train_single steps through step_dispatch too
         cfg = make_config({"task": {"K": 2, "d_raw": 4, "subspace_dim": 2, "n_per_cluster": 10},
                            "model": {"d": 4, "h": 4, "M": 2, "c": 2},

@@ -76,3 +76,18 @@ def test_drift_lines_name_each_differing_dump(tmp_path):
         "2 of 3 payloads differ", "  extra: only in head",
         f"  run/moved: largest relative float difference {2 ** -40 / (1 + 2 ** -40):.3g}"]
     assert tool.drift_lines(base, base) == ["none of 2 payloads differ"]
+
+
+def test_json_bytes_are_the_cli_bytes_in_payload_order(tmp_path):
+    from omoe_lab import make_config, overhead_report
+    from omoe_lab.cli import main
+    json_bytes = load_tool().json_bytes
+    assert main(["overhead", "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "overhead.json").read_bytes()
+    assert json_bytes(overhead_report(make_config())) == written
+    payload = {"config": {"b": 1, "a": [2.5, None]}, "timing": {"total_s": 0.1}, "n": 3}
+    assert json_bytes(payload) == json_bytes({"config": payload["config"], "n": 3})
+    # the same keys and values in another order are other bytes, with another digest
+    reordered = {"n": 3, "config": {"a": [2.5, None], "b": 1}}
+    assert hashlib.sha256(json_bytes(reordered)).digest() != \
+        hashlib.sha256(json_bytes(payload)).digest()

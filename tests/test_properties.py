@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omoe_lab import OrthoProjector, direct_projector, similar_fraction
+from omoe_lab import (OrthoProjector, direct_projector, model_param_variance,
+                      model_similar_fraction)
 from omoe_lab.linalg import sym_eigvals
-from omoe_lab.metrics import expert_param_variance
+from tests.test_metrics import with_experts
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # entries within a few similarity thresholds (1e-3) of each other, or far apart
@@ -39,24 +40,24 @@ def test_recursion_matches_direct_oracle(d, m, seed, alpha):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(near, min_size=1, max_size=20), st.lists(near, min_size=1, max_size=20))
-def test_similar_fraction_bounds_and_symmetry(a, b):
-    n = min(len(a), len(b))
-    a, b = np.array(a[:n]), np.array(b[:n])
-    v = similar_fraction(a, b)
+@given(st.integers(1, 6), st.data())
+def test_similar_fraction_bounds_and_symmetry(h, data):
+    entries = st.lists(near, min_size=3 * h + 1, max_size=3 * h + 1)  # one expert's
+    a, b = np.array(data.draw(entries)), np.array(data.draw(entries))
+    v = model_similar_fraction(with_experts([a, b], h=h))
     assert 0.0 <= v <= 1.0
-    assert v == similar_fraction(b, a)
-    assert similar_fraction(a, a) == 1.0
+    assert v == model_similar_fraction(with_experts([b, a], h=h))
+    assert model_similar_fraction(with_experts([a, a], h=h)) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(2, 5), st.integers(1, 12), st.integers(0, 2 ** 32 - 1), finite)
-def test_variance_translation_and_permutation_invariance(m, size, seed, shift):
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1), finite)
+def test_variance_translation_and_permutation_invariance(m, h, seed, shift):
     rng = np.random.default_rng(seed)
-    experts = [rng.normal(size=size) for _ in range(m)]
-    base = expert_param_variance(experts)
+    experts = [rng.normal(size=3 * h + 1) for _ in range(m)]
+    base = model_param_variance(with_experts(experts, h=h))
     assert base >= 0.0
-    shifted = expert_param_variance([e + shift for e in experts])
+    shifted = model_param_variance(with_experts([e + shift for e in experts], h=h))
     assert abs(shifted - base) <= 1e-9 * max(1.0, base)
-    permuted = expert_param_variance(experts[::-1])
+    permuted = model_param_variance(with_experts(experts[::-1], h=h))
     assert abs(permuted - base) <= 1e-12 * max(1.0, base)

@@ -5,7 +5,9 @@ and on its own, and diffs the two outputs:
 
     PYTHONPATH=src python tools/payload_digest.py > digests.txt
 
-The payloads, each printed as ``<digest>  <name>``:
+The payloads, each printed as ``<digest>  <name>``; a report's digest hashes the JSON
+bytes the CLI writes for it, keys in the report's own order, so a reordered key moves
+it:
 
 - ``run/*``: ``harness.run`` reports with their ``timing`` sections dropped,
   for the default config over ``--seeds``, dense routing with s=2,
@@ -83,7 +85,9 @@ def without_timing(payload):
 
 
 def json_bytes(payload) -> bytes:
-    return json.dumps(without_timing(payload), sort_keys=True).encode()
+    """The bytes the CLI writes for ``payload`` (its ``json.dumps`` call, keys in the
+    payload's own order), with every ``timing`` entry dropped."""
+    return json.dumps(without_timing(payload), indent=2, allow_nan=False).encode()
 
 
 def checkpoint_payloads(cfg: dict, workdir: Path) -> dict[str, bytes]:
@@ -100,7 +104,7 @@ def checkpoint_payloads(cfg: dict, workdir: Path) -> dict[str, bytes]:
     rows = np.random.default_rng(seed).permutation(data.n)
     for i in range(CHECKPOINT_STEPS):
         batch = rows[i * bs:(i + 1) * bs]
-        step_dispatch(state, model, data.X[batch], data.y[batch], cfg["train"]["loss"])
+        step_dispatch(state, model, data.X[batch], data.y[batch])
     files = {"model": (save_model, model), "optimizer": (save_optimizer, state)}
     out = {}
     for name, (save, obj) in files.items():
