@@ -283,6 +283,9 @@ class OMoEState:
     def __post_init__(self):
         check_ranges({"lambda": self.lam, **{key: getattr(self, key) for key in (
             "s", "n_total", "alpha0", "o_lr", "e", "means_produced", "means_consumed")}})
+        if self.e > self.n_total + 1:  # the next step's batch index lies past the schedule
+            raise ContractViolation(f"e: must be <= n_total + 1 = {self.n_total + 1}, "
+                                    f"got {self.e!r}")
         if self.avg_norm not in AVG_NORMS:
             raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
         if self.M < 2:  # an O step projects each expert by the other experts' projectors

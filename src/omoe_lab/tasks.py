@@ -94,6 +94,8 @@ def load_csv(path, feature_columns: list[str], target_column: str) -> Dataset:
             values = []
             for i, parse in cells:
                 try:
+                    if "_" in row[i]:  # int and float would read it as digit grouping
+                        raise ValueError
                     values.append(parse(row[i]))
                 except ValueError:
                     raise DataLoadError(

@@ -691,7 +691,7 @@ class TestOptimizerCheckpoint:
             for k, arr in moments.items():
                 np.testing.assert_array_equal(resumed_state.base.state[name][k], arr)
 
-    # n_total=1 leaves the means buffered at batch index 2 outside the schedule
+    # n_total=1 puts e=3, the next step's batch index, past the schedule
     @pytest.mark.parametrize("key, bad", [("alpha0", 0.0), ("lam", 0.0), ("lam", 1.5),
                                           ("n_total", 0), ("alpha0", float("nan")), ("e", -7),
                                           ("e", 0), ("o_lr", 0.0), ("o_lr", -5.0),
@@ -925,6 +925,24 @@ class TestRanges:
             doc["lam" if key == "lambda" else key], field = bad, key
         path.write_text(json.dumps(doc))
         with pytest.raises(ContractViolation, match=rf"opt\.json: {re.escape(field)}: must "):
+            load_optimizer(path, model)
+
+    def test_batch_counter_past_schedule_rejected(self, tmp_path):
+        # e = n_total + 1 is a state saved after its last step; a larger e would have the
+        # next step read alpha at a batch index past the schedule
+        schedule = {"base": make_optimizer("sgd", 0.1), "M": 2, "s": 2, "n_total": 100}
+        assert OMoEState(**schedule, e=101).e == 101
+        with pytest.raises(ContractViolation, match=r"^e: must be <= n_total \+ 1 = 101, "
+                                                    r"got 102$"):
+            OMoEState(**schedule, e=102)
+        path = tmp_path / "opt.json"
+        model, state = TestOptimizerCheckpoint.buffered_state()
+        save_optimizer(state, path)
+        doc = json.loads(path.read_text())
+        doc.update(e=1000000, n_total=100)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContractViolation,
+                           match=r"opt\.json: e: must be <= n_total \+ 1 = 101, got 1000000"):
             load_optimizer(path, model)
 
 

@@ -20,9 +20,9 @@ TINY = ["--seeds", "0",
         "--override", "model.c=3", "--override", "train.epochs=1",
         "--override", "train.batch_size=16"]
 PAYLOADS = ["run/default", "run/dense_s2", "run/independent_M6", "run/omoe_off", "run/wide",
-            "compare_optimizers", "ablate_skip", "ablate_experts", "checkpoint/top1/model",
-            "checkpoint/top1/optimizer", "checkpoint/dense/model", "checkpoint/dense/optimizer",
-            "metrics"]
+            "compare_optimizers", "ablate_skip", "ablate_experts", "overhead",
+            "checkpoint/top1/model", "checkpoint/top1/optimizer", "checkpoint/dense/model",
+            "checkpoint/dense/optimizer", "metrics"]
 
 
 def digest_lines(*extra):

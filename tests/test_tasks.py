@@ -87,8 +87,11 @@ class TestCsvRoundTrip:
         ("-inf,7.5,0", "f0", "-inf is not a finite number"),
         ("7.0,7.5,-1", "target", "-1 is not a class index >= 0"),
         ("7.0,7.5,nan", "target", "unparsable cell 'nan'"),
+        # Python's int and float read digit-group underscores: 10 and 15.0
+        ("7.0,7.5,1_0", "target", "unparsable cell '1_0'"),
+        ("7.0,1_5.0,0", "f1", "unparsable cell '1_5.0'"),
     ], ids=["feature", "class_target", "real_target", "nan_feature", "inf_feature",
-            "negative_class", "nan_real_target"])
+            "negative_class", "nan_real_target", "underscore_target", "underscore_feature"])
     def test_bad_cell_cites_row_and_column(self, tmp_path, bad_row, column, why):
         path = tmp_path / "bad.csv"
         rows = ["f0,f1,target"] + [f"{i}.0,{i}.5,0" for i in range(1, 10)]

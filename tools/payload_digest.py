@@ -16,6 +16,8 @@ it:
 - ``compare_optimizers``: all five base optimizers, baseline and OMoE, and
   ``ablate_skip`` over s = 2, 5 and ``ablate_experts`` over M = 2, 3, with every
   report's ``timing`` dropped;
+- ``overhead``: the ``omoe-lab overhead`` JSON, the closed-form O-step cost
+  and memory accounting;
 - ``checkpoint/<routing>/{model,optimizer}``: the ``save_model`` and
   ``save_optimizer`` files after 7 ``step_dispatch`` steps on the first seed,
   with top-1 and with dense routing (the optimizer's mean buffers are then
@@ -47,8 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from omoe_lab import (ModelDims, Rng, ablate_experts, ablate_skip, compare_optimizers,
-                      init_model, make_config, make_optimizer, new_omoe_state, run, save_model,
-                      save_optimizer, step_dispatch)
+                      init_model, make_config, make_optimizer, new_omoe_state, overhead_report,
+                      run, save_model, save_optimizer, step_dispatch)
 from omoe_lab.cli import _load_config  # the CLI's --seeds and --override semantics
 from omoe_lab.cli import main as cli_main
 from omoe_lab.harness import build_dataset
@@ -125,6 +127,7 @@ def payloads(base: dict) -> dict[str, bytes]:
     out["compare_optimizers"] = json_bytes(compare_optimizers(base, list(OPTIMIZERS)))
     out["ablate_skip"] = json_bytes(ablate_skip(base, [2, 5]))
     out["ablate_experts"] = json_bytes(ablate_experts(base, [2, 3]))
+    out["overhead"] = json_bytes(overhead_report(base))  # the bytes `omoe-lab overhead` writes
     with tempfile.TemporaryDirectory() as tmp:
         for routing in ("top1", "dense"):
             cfg = make_config(merge(base, {"model": {"routing": routing}}))
