@@ -26,7 +26,7 @@ mc = cfg["model"]
 d, h, M = mc["d"], mc["h"], mc["M"]
 model = init_model(Rng(0), ModelDims(cfg["task"]["d_raw"], d, h, mc["c"]), M)
 state = new_omoe_state(make_optimizer("sgd", 0.1), model, s=cfg["omoe"]["s"],
-                       n_total=100, alpha0=1.0)
+                       n_total=100, alpha0=1.0, lam=0.9, avg_norm="paper", o_lr=0.1)
 rng = np.random.default_rng(0)
 means_counts = {}
 for key in state.buffers:

@@ -91,8 +91,6 @@ def _type_ok(value, default) -> bool:
 def _check_types(section: str, scope: dict, defaults: dict) -> None:
     for key, value in scope.items():
         if key in defaults and not _type_ok(value, defaults[key]):
-            if key == "o_lr" and value is None:  # null: O steps use the base lr
-                continue
             where = f"{section}.{key}" if section else key
             raise ConfigError(f"{where}: expected a value like the default "
                               f"{defaults[key]!r}, got {value!r}")
@@ -138,19 +136,13 @@ def validate_config(cfg: dict) -> None:
     for key in _TASK_REQUIRED.get(task["kind"], ()):
         if key not in task:
             raise ConfigError(f"task.{key}: required when task.kind is {task['kind']!r}")
-    minima = {"model.d": 1, "model.h": 1, "model.c": 1, "model.M": 2, "task.d_raw": 1,
-              "train.epochs": 1, "train.batch_size": 1, "task.noise_std": 0}
-    if task["kind"] == "subspace_clusters":
-        minima.update({"task.K": 2, "task.n_per_cluster": 1, "task.subspace_dim": 1})
-    for field, low in minima.items():
-        section, key = field.split(".")
-        if not low <= cfg[section][key] < math.inf:  # NaN and ±inf fail too
-            raise ConfigError(f"{field}: must be >= {low} and finite, got {cfg[section][key]!r}")
-    # optim.RANGES owns these ranges; omoe.s is checked only when OMoE runs
-    check_ranges(cfg["optimizer"], "optimizer.", ConfigError)
-    check_ranges(omoe if omoe["enabled"] else {**omoe, "s": None}, "omoe.", ConfigError)
-    if not 0 < (fraction := train["eval_fraction"]) < 1:  # written so that NaN fails too
-        raise ConfigError(f"train.eval_fraction: must lie in (0, 1), got {fraction!r}")
+    # optim.RANGES owns every fixed numeric range; omoe.s counts only when OMoE runs, and the
+    # subspace task's own keys only for that task
+    unused = {"omoe": () if omoe["enabled"] else ("s",),
+              "task": ("K", "n_per_cluster", "subspace_dim") if task["kind"] == "csv" else ()}
+    for section in ("task", "model", "optimizer", "omoe", "train"):
+        check_ranges({key: value for key, value in cfg[section].items()
+                      if key not in unused.get(section, ())}, f"{section}.", ConfigError)
     if task["kind"] == "subspace_clusters":  # a CSV task's rows and classes: counted on read
         n = task["K"] * task["n_per_cluster"]
         _check_batch(train["batch_size"], _split(n, train["eval_fraction"])[1])
@@ -233,7 +225,7 @@ def train_single(cfg: dict, seed: int) -> SeedResult:
     if omoe_cfg["enabled"]:
         state = new_omoe_state(base, model, omoe_cfg["s"], n_total,
                                omoe_cfg["alpha0"], omoe_cfg["lambda"],
-                               omoe_cfg["avg_norm"], omoe_cfg.get("o_lr"))
+                               omoe_cfg["avg_norm"], omoe_cfg["o_lr"])
 
     probe = X_eval[0]
     loss_curve, eval_curve, diversity_curve, entropy_curve = [], [], [], []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -47,8 +48,10 @@ class ModelDims:
 
     def validate(self):
         for name in ("d_raw", "d", "h", "c"):
-            if getattr(self, name) < 1:
-                raise ContractViolation(f"dimension {name} must be positive")
+            value = getattr(self, name)  # a bool is no integer here, as in a checkpoint
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ContractViolation(f"dimension {name} must be a positive integer, "
+                                        f"got {value!r}")
 
 
 def layer_widths(d: int, h: int) -> dict[int, tuple[int, int]]:
@@ -79,8 +82,7 @@ def require_keys(path, what: str, found, keys) -> None:
 
 
 # what a checkpoint field may hold, by exact type: a JSON true is a bool, not an integer
-JSON_KINDS = {"an integer": (int,), "a number": (int, float),
-              "a number or null": (int, float, type(None)), "a string": (str,),
+JSON_KINDS = {"an integer": (int,), "a number": (int, float), "a string": (str,),
               "a list": (list,), "an object": (dict,), "an array": (np.ndarray,)}
 
 

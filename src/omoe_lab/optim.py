@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -186,21 +187,25 @@ OPTIMIZERS = {cls.kind: cls for cls in (SGD, Adam, AdamW, RMSProp, Adagrad)}
 
 _POSITIVE, _UNIT = (lambda v: v > 0, "be > 0"), (lambda v: 0 <= v < 1, "lie in [0, 1)")
 _NON_NEGATIVE = (lambda v: v >= 0, "be >= 0")
-# each hyperparameter's and counter's range, by its config or file name; NaN and ±inf fail too
+_ONE_UP, _TWO_UP = (lambda v: v >= 1, "be >= 1"), (lambda v: v >= 2, "be >= 2")
+# each numeric config key's, hyperparameter's and counter's range, by its config or file
+# name; NaN and ±inf fail too. M >= 2: an O step projects by the other experts' projectors
 RANGES = {"lr": _POSITIVE, "eps": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT, "rho": _UNIT,
-          "weight_decay": _NON_NEGATIVE, "s": (lambda v: v >= 2, "be >= 2"),
-          "n_total": (lambda v: v >= 1, "be >= 1"), "alpha0": _POSITIVE,
-          "lambda": (lambda v: 0 < v <= 1, "lie in (0, 1]"), "o_lr": _POSITIVE,
-          "e": (lambda v: v >= 1, "be >= 1"), "t": _NON_NEGATIVE,
-          "means_produced": _NON_NEGATIVE, "means_consumed": _NON_NEGATIVE}
+          "weight_decay": _NON_NEGATIVE, "s": _TWO_UP, "n_total": _ONE_UP, "alpha0": _POSITIVE,
+          "lambda": (lambda v: 0 < v <= 1, "lie in (0, 1]"), "o_lr": _POSITIVE, "e": _ONE_UP,
+          "t": _NON_NEGATIVE, "means_produced": _NON_NEGATIVE, "means_consumed": _NON_NEGATIVE,
+          "d": _ONE_UP, "h": _ONE_UP, "c": _ONE_UP, "M": _TWO_UP, "d_raw": _ONE_UP, "K": _TWO_UP,
+          "n_per_cluster": _ONE_UP, "subspace_dim": _ONE_UP, "noise_std": _NON_NEGATIVE,
+          "epochs": _ONE_UP, "batch_size": _ONE_UP,
+          "eval_fraction": (lambda v: 0 < v < 1, "lie in (0, 1)")}
 
 
 def check_ranges(values: dict, where: str = "", error: type = ContractViolation) -> None:
     """Raise ``error`` naming ``where`` and the key for a value outside its ``RANGES``
-    entry or not finite; None and keys without an entry pass."""
+    entry, not finite or not a number (None included); keys without an entry pass."""
     for key, value in values.items():
-        if key in RANGES and value is not None and not (
-                RANGES[key][0](value) and math.isfinite(value)):
+        if key in RANGES and not (isinstance(value, numbers.Real)
+                                  and RANGES[key][0](value) and math.isfinite(value)):
             raise error(f"{where}{key}: must {RANGES[key][1]} and be finite, got {value!r}")
 
 
@@ -269,10 +274,10 @@ class OMoEState:
     M: int
     s: int
     n_total: int
-    alpha0: float = 1e-3
-    lam: float = 0.9
-    avg_norm: str = "paper"  # one of AVG_NORMS
-    o_lr: float | None = None  # O-step learning rate; None -> base.lr
+    alpha0: float
+    lam: float
+    avg_norm: str  # one of AVG_NORMS
+    o_lr: float  # the O step's learning rate
     e: int = 1
     projectors: dict = field(default_factory=dict)  # (m, layer) -> OrthoProjector
     buffers: dict = field(default_factory=dict)     # (m, layer) -> [(batch index, xbar)]
@@ -282,14 +287,12 @@ class OMoEState:
 
     def __post_init__(self):
         check_ranges({"lambda": self.lam, **{key: getattr(self, key) for key in (
-            "s", "n_total", "alpha0", "o_lr", "e", "means_produced", "means_consumed")}})
+            "M", "s", "n_total", "alpha0", "o_lr", "e", "means_produced", "means_consumed")}})
         if self.e > self.n_total + 1:  # the next step's batch index lies past the schedule
             raise ContractViolation(f"e: must be <= n_total + 1 = {self.n_total + 1}, "
                                     f"got {self.e!r}")
         if self.avg_norm not in AVG_NORMS:
             raise ContractViolation(f"unknown avg_norm {self.avg_norm!r}")
-        if self.M < 2:  # an O step projects each expert by the other experts' projectors
-            raise ContractViolation(f"M: must be >= 2, got {self.M!r}")
 
     def alpha_at(self, i: int) -> float:
         """Decayed regularizer alpha0 * lam^(i / n_total) for batch index i."""
@@ -298,9 +301,8 @@ class OMoEState:
         return self.alpha0 * self.lam ** (i / self.n_total)
 
 
-def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int,
-                   alpha0: float = 1e-3, lam: float = 0.9,
-                   avg_norm: str = "paper", o_lr: float | None = None) -> OMoEState:
+def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int, alpha0: float,
+                   lam: float, avg_norm: str, o_lr: float) -> OMoEState:
     state = OMoEState(base=base, M=model.M, s=s, n_total=n_total,
                       alpha0=alpha0, lam=lam, avg_norm=avg_norm, o_lr=o_lr)
     for m in range(model.M):
@@ -356,12 +358,11 @@ def _drain_buffers(state: OMoEState) -> None:
 def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
     """Orthogonally projected expert update; phi parameters stay untouched.
 
-    Weight matrices move by -lr * (G @ Pbar) with Pbar acting on the input
+    Weight matrices move by -o_lr * (G @ Pbar) with Pbar acting on the input
     dimension; biases have no input dimension and move unprojected. The base
     optimizer's moment buffers are not advanced.
     """
     _drain_buffers(state)
-    lr = state.o_lr if state.o_lr is not None else state.base.lr
     for layer in layer_widths(model.dims.d, model.dims.h):
         total, norm = average_projector(state, layer)
         others = np.empty_like(total)  # reused by every expert of the layer
@@ -370,10 +371,10 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
             np.subtract(total, state.projectors[(m, layer)].P, out=others)
             # the gradient is formed by this read and freed before the next expert's
             np.matmul(grads.grads[f"expert{m}.W{layer}"], others, out=step)
-            step *= lr / norm
+            step *= state.o_lr / norm
             state.mac_counter.project += projection_macs(*step.shape)
             model.params[f"expert{m}.W{layer}"] -= step
-            model.params[f"expert{m}.b{layer}"] -= lr * grads.grads[f"expert{m}.b{layer}"]
+            model.params[f"expert{m}.b{layer}"] -= state.o_lr * grads.grads[f"expert{m}.b{layer}"]
     state.e += 1
     return StepOutcome("O", grads.loss)
 
@@ -407,7 +408,7 @@ OPTIMIZER_CHECKPOINT_FORMAT = "omoe-lab-optimizer-v1"
 # the state's scalar fields, in the order a checkpoint lists them, with what each holds
 _STATE_SCALARS = {"M": "an integer", "s": "an integer", "n_total": "an integer",
                   "alpha0": "a number", "lam": "a number", "avg_norm": "a string",
-                  "o_lr": "a number or null", "e": "an integer",
+                  "o_lr": "a number", "e": "an integer",
                   "means_produced": "an integer", "means_consumed": "an integer"}
 _CHECKPOINT_FIELDS = {"base": "an object", **_STATE_SCALARS,
                       "projectors": "a list", "buffers": "a list"}

@@ -137,7 +137,8 @@ def test_criterion_05_scope_invariants():
     model = init_model(Rng(0), ModelDims(8, 6, 6, 3), 2, "independent")
     model.routing = "dense"
     base = make_optimizer("adamw", 1e-3)
-    state = new_omoe_state(base, model, s=5, n_total=1000, alpha0=1.0, o_lr=0.5)
+    state = new_omoe_state(base, model, s=5, n_total=1000, alpha0=1.0, lam=0.9,
+                           avg_norm="paper", o_lr=0.5)
     X_all = rng.normal(size=(64, 8))
     y_all = rng.integers(0, 3, size=64)
     phi_violations = proj_violations = 0
@@ -225,7 +226,8 @@ def test_criterion_10_overhead_exactness():
         M = int(rng.integers(2, 5))
         model = init_model(Rng(case), ModelDims(d, d, h, 3), M, "independent")
         base = make_optimizer("sgd", 0.1)
-        state = new_omoe_state(base, model, s=5, n_total=100, alpha0=1.0)
+        state = new_omoe_state(base, model, s=5, n_total=100, alpha0=1.0, lam=0.9,
+                               avg_norm="paper", o_lr=0.1)
         means_counts = {}
         for key in state.buffers:
             n = int(rng.integers(0, 4))

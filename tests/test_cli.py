@@ -185,6 +185,7 @@ class TestErrorPaths:
          "omoe.s: must be >= 2"),
         (["train", "--seeds", "0,0"], "seeds: duplicate seeds rejected"),
         (["train", "--override", "task.kind=piecewise_regression"], "task.kind"),
+        (["train", "--override", "omoe.o_lr=null"], "omoe.o_lr: expected a value like"),
     ])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, no_training_steps, args,
                                      field):

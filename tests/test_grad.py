@@ -335,7 +335,8 @@ class TestFactoredGradients:
     @pytest.mark.parametrize("routing, M, rows", [("top1", 8, 4), ("dense", 4, 6)])
     def test_o_step_moves_the_same_bits_from_either_backward(self, routing, M, rows):
         model = small_model(seed=8, M=M, routing=routing)
-        state = new_omoe_state(make_optimizer("adamw", 1e-2), model, s=3, n_total=10)
+        state = new_omoe_state(make_optimizer("adamw", 1e-2), model, 3, 10, 1e-3, 0.9, "paper",
+                               1e-2)
         rng = np.random.default_rng(8)
         for _ in range(2):  # two R steps buffer means, so the projectors move
             step_dispatch(state, model, rng.normal(size=(rows, model.dims.d_raw)),

@@ -111,20 +111,21 @@ class TestConfig:
         ({"task": {"n_per_cluster": 5}}, r"train\.batch_size.*training rows"),  # 16 rows
         ({"model": {"M": 1}}, r"model\.M: must be >= 2"),
         ({"task": {"kind": "bogus"}}, "task.kind"),
-        ({"task": {"noise_std": float("nan")}}, r"task\.noise_std: must be >= 0 and finite"),
-        ({"task": {"noise_std": float("inf")}}, r"task\.noise_std: must be >= 0 and finite"),
+        ({"task": {"noise_std": float("nan")}}, r"task\.noise_std: must be >= 0 and be finite"),
+        ({"task": {"noise_std": float("inf")}}, r"task\.noise_std: must be >= 0 and be finite"),
         ({"task": {"kind": "piecewise_regression"}}, "task.kind"),
+        # o_lr is a number: a run whose O steps take the base lr sets it to optimizer.lr
+        ({"omoe": {"o_lr": None}}, r"^omoe\.o_lr: expected a value like the default 2\.5, "
+                                   r"got None$"),
     ])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             make_config(overrides)
 
     def test_well_typed_values_accepted(self):
-        # an int passes for a float, o_lr may be null, rmsprop's constructor takes rho
-        cfg = make_config({"optimizer": {"kind": "rmsprop", "lr": 1, "rho": 0.9},
-                           "omoe": {"o_lr": None}})
+        # an int passes for a float, rmsprop's constructor takes rho
+        cfg = make_config({"optimizer": {"kind": "rmsprop", "lr": 1, "rho": 0.9}})
         assert cfg["optimizer"] == {"kind": "rmsprop", "lr": 1, "rho": 0.9}
-        assert cfg["omoe"]["o_lr"] is None
 
     def test_defaults_not_mutated_by_make_config(self):
         snapshot = copy.deepcopy(DEFAULT_CONFIG)

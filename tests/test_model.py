@@ -54,6 +54,14 @@ class TestInit:
         model = small_model(M=2)
         assert set(model.param_names()) == set(model.params)
 
+    @pytest.mark.parametrize("dims, name", [
+        ((0, 4, 4, 2), "d_raw"), ((None, 16, 32, 4), "d_raw"), ((4, 16.0, 4, 2), "d"),
+        ((4, 4, None, 2), "h"), ((4, 4, True, 2), "h"), ((4, 4, 4, -1), "c")])
+    def test_bad_dimension_named(self, dims, name):
+        with pytest.raises(ContractViolation,
+                           match=rf"^dimension {name} must be a positive integer, got "):
+            init_model(Rng(0), ModelDims(*dims), 2)
+
     def test_bad_expert_count(self):
         with pytest.raises(ContractViolation):
             init_model(Rng(0), ModelDims(4, 4, 4, 2), 0)

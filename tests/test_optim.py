@@ -148,9 +148,12 @@ class TestBaseOptimizers:
             assert make_optimizer(kind, 1e-3).state_floats(17) == factor * 17
 
 
-def make_state(model, s=5, n_total=100, base_kind="sgd", lr=0.1, **kw):
+def make_state(model, s=5, n_total=100, base_kind="sgd", lr=0.1, **schedule):
+    """An OMoE state over ``model``: alpha0 1e-3, lambda 0.9, the paper's averaging norm and
+    O steps at the base lr, unless ``schedule`` says otherwise."""
     base = make_optimizer(base_kind, lr)
-    return new_omoe_state(base, model, s, n_total, **kw)
+    return new_omoe_state(base, model, s, n_total, **{
+        "alpha0": 1e-3, "lam": 0.9, "avg_norm": "paper", "o_lr": lr, **schedule})
 
 
 def grads_for(model, X, y):
@@ -282,7 +285,7 @@ class TestAverageProjector:
 
     def test_single_expert_rejected(self):
         # no average projector is built for one expert: the state refuses M = 1
-        with pytest.raises(ContractViolation, match=r"^M: must be >= 2, got 1$"):
+        with pytest.raises(ContractViolation, match=r"^M: must be >= 2 and be finite, got 1$"):
             make_state(small_model(M=1))
 
     def test_bad_avg_norm_rejected(self):
@@ -335,8 +338,8 @@ class TestOStep:
     def test_single_expert_raises_with_remediation(self):
         # an O step projects by the other experts' projectors; the message names M and its floor
         base = make_optimizer("adamw", 1e-2)
-        with pytest.raises(ContractViolation, match=r"^M: must be >= 2, got 1$"):
-            new_omoe_state(base, small_model(M=1), 5, 100)
+        with pytest.raises(ContractViolation, match=r"^M: must be >= 2 and be finite, got 1$"):
+            new_omoe_state(base, small_model(M=1), 5, 100, 1e-3, 0.9, "paper", 1e-2)
 
     def test_drain_exactness(self):
         model = small_model(M=2, routing="dense")
@@ -529,7 +532,8 @@ class TestDispatchSchedule:
         model = small_model(seed=2, d=64, h=64, M=3, routing="top1")
         assert model.params["expert0.W1"].size >= GATHER_BELOW
         base = make_optimizer("adam", 1e-3)
-        state = base if arm == "baseline" else new_omoe_state(base, model, s=2, n_total=10)
+        state = base if arm == "baseline" else new_omoe_state(base, model, 2, 10, 1e-3, 0.9,
+                                                              "paper", 1e-3)
         if kind == "O":
             state.e = 2
         out_ref, dead, read_refs, alive_at_read = [], [], [], []
@@ -570,7 +574,7 @@ class TestDispatchSchedule:
         model_b = copy.deepcopy(model_a)
         base_a = make_optimizer("adamw", 1e-3)
         base_b = make_optimizer("adamw", 1e-3)
-        state = new_omoe_state(base_a, model_a, s=1000, n_total=10)
+        state = new_omoe_state(base_a, model_a, 1000, 10, 1e-3, 0.9, "paper", 1e-3)
         rng = np.random.default_rng(2)
         for _ in range(10):
             X = rng.normal(size=(4, model_a.dims.d_raw))
@@ -646,13 +650,14 @@ class TestOptimizerCheckpoint:
         assert model.params["expert0.W1"].size == GATHER_BELOW
         return model
 
-    # sha256 of each kind's file after 7 steps; the gathered step must not move a bit of it
+    # sha256 of each kind's file after 7 steps; the gathered step must not move a bit of it.
+    # The file writes o_lr as the base lr, 0.001
     CHECKPOINT_DIGESTS = {
-        "sgd": "9e58f54722e77350578639fd128d541fdfdd14a93cf7240fe17d010b47d75329",
-        "adam": "1e226fc2bee21a09a0dfac99fe440172edc6e4e4a460e82961e422dfaeff23d0",
-        "adamw": "9fb1c375306d0b21f85884329ed1c38ea01544e1ac11300475ce598809471777",
-        "rmsprop": "478879f14e8194f169b51721431fb9ace255fe2fdf107c2e3535d3b883f53d18",
-        "adagrad": "19d0f9b82d04cfe140addf1f5752b00ad7a110a90991251205abb66c4cacab1f",
+        "sgd": "c63773ea1529a183695338082335a586a9d0f9f8c04492d6ad6cd3236b62716f",
+        "adam": "b5d6a4650623a023645956b8eff509fa53616df80a4ddec96b57ffece5d8c040",
+        "adamw": "b675e43504c2760bbb4eecfcb11731320beb9925f7e8e9450a863ba440f506b7",
+        "rmsprop": "5c48eeaede79fd1381424dee62b6fc327bfd6d64f11b88f34ded0d0c21abca77",
+        "adagrad": "e4bb6188d4cee51f8c19d2cfa8fa83dcef869c6132a520ef0176fe1ff09a2de3",
     }
 
     @pytest.mark.parametrize("kind", list(CHECKPOINT_DIGESTS))
@@ -696,7 +701,7 @@ class TestOptimizerCheckpoint:
                                           ("n_total", 0), ("alpha0", float("nan")), ("e", -7),
                                           ("e", 0), ("o_lr", 0.0), ("o_lr", -5.0),
                                           ("n_total", 1), ("means_produced", -1),
-                                          ("means_consumed", -1)])
+                                          ("means_consumed", -1), ("o_lr", None)])
     def test_bad_schedule_rejected(self, tmp_path, key, bad):
         path = tmp_path / "opt.json"
         model, state = self.buffered_state()
@@ -862,14 +867,20 @@ class TestOptimizerCheckpoint:
 NAN = float("nan")
 # a bad value for each key of optim.RANGES, and the config section that holds the key
 # (None: n_total and e are worked out and the counters counted, not configured);
-# NaN must fail every range
+# NaN must fail every range. An optimizer file holds the optimizer and omoe keys and the
+# unconfigured ones; of the model, task and train keys, OMoEState takes M alone
 BAD_RANGES = [("lr", NAN, "optimizer"), ("lr", -1.0, "optimizer"), ("eps", 0.0, "optimizer"),
               ("beta1", 2.0, "optimizer"), ("beta2", NAN, "optimizer"),
               ("rho", 1.0, "optimizer"), ("weight_decay", -0.1, "optimizer"),
               ("s", 1, "omoe"), ("n_total", 0, None), ("alpha0", NAN, "omoe"),
               ("lambda", 1.5, "omoe"), ("o_lr", 0.0, "omoe"), ("e", 0, None),
-              ("t", -1, None), ("means_produced", -1, None), ("means_consumed", -1, None)]
+              ("t", -1, None), ("means_produced", -1, None), ("means_consumed", -1, None),
+              ("d", 0, "model"), ("h", -1, "model"), ("c", 0, "model"), ("M", 1, "model"),
+              ("d_raw", 0, "task"), ("K", 1, "task"), ("n_per_cluster", 0, "task"),
+              ("subspace_dim", 0, "task"), ("noise_std", -0.5, "task"), ("epochs", 0, "train"),
+              ("batch_size", 0, "train"), ("eval_fraction", 1.0, "train")]
 BASE_KEYS = ("lr", "eps", "beta1", "beta2", "rho", "weight_decay")
+IN_FILE = [case for case in BAD_RANGES if case[2] in ("optimizer", "omoe", None)]
 
 
 def kind_for(key):
@@ -885,10 +896,10 @@ class TestRanges:
 
     @pytest.mark.parametrize("key", sorted(RANGES))
     def test_nan_fails_and_none_passes(self, key):
-        for bad in (NAN, math.inf, -math.inf):  # ±inf fails even where a range has no top
+        # None fails too, named like any value out of range
+        for bad in (NAN, math.inf, -math.inf, None):  # ±inf fails even with no top to a range
             with pytest.raises(ContractViolation, match=rf"^{key}: must .*, got {bad!r}$"):
                 check_ranges({key: bad})
-        check_ranges({key: None})
 
     @pytest.mark.parametrize("key, bad, section",
                              [case for case in BAD_RANGES if case[2] is not None])
@@ -899,19 +910,21 @@ class TestRanges:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: must "):
             make_config(overrides)
 
-    # base.t is no constructor parameter: only steps and the loader set it
-    @pytest.mark.parametrize("key, bad, section", [case for case in BAD_RANGES if case[0] != "t"])
+    # base.t is no constructor parameter: only steps and the loader set it; None is no number
+    @pytest.mark.parametrize("key, bad, section", [
+        *(case for case in IN_FILE if case[0] != "t"), ("M", 1, "model"),
+        *((key, None, None) for key in ("lr", "s", "alpha0", "lambda", "n_total", "M"))])
     def test_constructor_rejects(self, key, bad, section):
         with pytest.raises(ContractViolation, match=rf"^{key}: must "):
             if key in BASE_KEYS:
                 make_optimizer(kind_for(key), **{"lr": 1e-3, key: bad})
             else:
-                schedule = {"s": 2, "n_total": 10, "alpha0": 1.0, "lambda": 0.9, "e": 1,
-                            key: bad}
-                OMoEState(base=make_optimizer("sgd", 0.1), M=2, avg_norm="paper",
+                schedule = {"M": 2, "s": 2, "n_total": 10, "alpha0": 1.0, "lambda": 0.9,
+                            "o_lr": 0.1, "e": 1, key: bad}
+                OMoEState(base=make_optimizer("sgd", 0.1), avg_norm="paper",
                           lam=schedule.pop("lambda"), **schedule)
 
-    @pytest.mark.parametrize("key, bad, section", BAD_RANGES)
+    @pytest.mark.parametrize("key, bad, section", IN_FILE)
     def test_loader_names_file_and_field(self, tmp_path, key, bad, section):
         path = tmp_path / "opt.json"
         model, state = TestOptimizerCheckpoint.buffered_state(kind_for(key))
@@ -930,7 +943,8 @@ class TestRanges:
     def test_batch_counter_past_schedule_rejected(self, tmp_path):
         # e = n_total + 1 is a state saved after its last step; a larger e would have the
         # next step read alpha at a batch index past the schedule
-        schedule = {"base": make_optimizer("sgd", 0.1), "M": 2, "s": 2, "n_total": 100}
+        schedule = {"base": make_optimizer("sgd", 0.1), "M": 2, "s": 2, "n_total": 100,
+                    "alpha0": 1e-3, "lam": 0.9, "avg_norm": "paper", "o_lr": 0.1}
         assert OMoEState(**schedule, e=101).e == 101
         with pytest.raises(ContractViolation, match=r"^e: must be <= n_total \+ 1 = 101, "
                                                     r"got 102$"):

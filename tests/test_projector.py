@@ -26,17 +26,18 @@ class TestConstruction:
     def test_bad_alpha0(self):
         with pytest.raises(ContractViolation, match="alpha0"):
             new_omoe_state(make_optimizer("sgd", 0.1), small_model(M=2), s=2, n_total=10,
-                           alpha0=0.0)
+                           alpha0=0.0, lam=0.9, avg_norm="paper", o_lr=0.1)
 
     def test_bad_lambda(self):
         with pytest.raises(ContractViolation, match="lambda"):
             new_omoe_state(make_optimizer("sgd", 0.1), small_model(M=2), s=2, n_total=10,
-                           lam=1.5)
+                           alpha0=1e-3, lam=1.5, avg_norm="paper", o_lr=0.1)
 
 
-def decay_state(n_total=10, **schedule):
-    """An OMoE state holding only the alpha schedule: alpha0 and lam given by ``schedule``."""
-    return OMoEState(base=make_optimizer("sgd", 0.1), M=2, s=2, n_total=n_total, **schedule)
+def decay_state(n_total=10, alpha0=1e-3, lam=0.9):
+    """An OMoE state holding only the alpha schedule."""
+    return OMoEState(base=make_optimizer("sgd", 0.1), M=2, s=2, n_total=n_total,
+                     alpha0=alpha0, lam=lam, avg_norm="paper", o_lr=0.1)
 
 
 class TestAlphaDecay:
