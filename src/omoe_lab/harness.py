@@ -152,9 +152,15 @@ def validate_config(cfg: dict) -> None:
         if task["K"] > model["c"]:
             raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} "
                               f"classes")
-    if task["kind"] == "csv" and len(task["feature_columns"]) != task["d_raw"]:
-        raise ConfigError(f"task.feature_columns: {len(task['feature_columns'])} columns "
-                          f"but task.d_raw = {task['d_raw']}")
+    if task["kind"] == "csv":
+        columns = [*task["feature_columns"], task["target_column"]]
+        for col in columns:  # the target among the features would leak the label
+            if columns.count(col) > 1:
+                raise ConfigError(f"task.feature_columns: column {col!r} is named twice "
+                                  f"among the features and task.target_column")
+        if len(task["feature_columns"]) != task["d_raw"]:
+            raise ConfigError(f"task.feature_columns: {len(task['feature_columns'])} columns "
+                              f"but task.d_raw = {task['d_raw']}")
     if not cfg["seeds"]:
         raise ConfigError("seeds: need at least one seed")
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):  # a repeat would count twice in aggregate

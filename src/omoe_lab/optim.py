@@ -202,10 +202,10 @@ RANGES = {"lr": _POSITIVE, "eps": _POSITIVE, "beta1": _UNIT, "beta2": _UNIT, "rh
 
 def check_ranges(values: dict, where: str = "", error: type = ContractViolation) -> None:
     """Raise ``error`` naming ``where`` and the key for a value outside its ``RANGES``
-    entry, not finite or not a number (None included); keys without an entry pass."""
+    entry, not finite or not a number (None or a bool); keys without an entry pass."""
     for key, value in values.items():
-        if key in RANGES and not (isinstance(value, numbers.Real)
-                                  and RANGES[key][0](value) and math.isfinite(value)):
+        if key in RANGES and (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                              or not (RANGES[key][0](value) and math.isfinite(value))):
             raise error(f"{where}{key}: must {RANGES[key][1]} and be finite, got {value!r}")
 
 
@@ -404,22 +404,22 @@ def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets)
 
 # --- optimizer checkpoint io (the model checkpoint's codec) ---
 
-OPTIMIZER_CHECKPOINT_FORMAT = "omoe-lab-optimizer-v1"
+OPTIMIZER_CHECKPOINT_FORMAT = "omoe-lab-optimizer-v2"
 # the state's scalar fields, in the order a checkpoint lists them, with what each holds
 _STATE_SCALARS = {"M": "an integer", "s": "an integer", "n_total": "an integer",
                   "alpha0": "a number", "lam": "a number", "avg_norm": "a string",
-                  "o_lr": "a number", "e": "an integer",
-                  "means_produced": "an integer", "means_consumed": "an integer"}
-_CHECKPOINT_FIELDS = {"base": "an object", **_STATE_SCALARS,
-                      "projectors": "a list", "buffers": "a list"}
+                  "o_lr": "a number", "e": "an integer", "means_produced": "an integer"}
+_CHECKPOINT_FIELDS = {"base": "an object", **_STATE_SCALARS, "projectors": "a list"}
 _BASE_FIELDS = {"kind": "a string", "t": "an integer", "hyper": "an object", "state": "an object"}
 _PROJECTOR_FIELDS = {"m": "an integer", "layer": "an integer", "d": "an integer",
                      "updates_applied": "an integer", "P": "an array"}
-_BUFFER_FIELDS = {"m": "an integer", "layer": "an integer", "entries": "a list"}
-_ENTRY_FIELDS = {"i": "an integer", "xbar": "an array"}
 
 
 def save_optimizer(state: OMoEState, path) -> None:
+    """Write ``state`` with no pending means: they are applied to its projectors first, as the
+    next O step would. That changes the live state but no later bit: nothing reads a projector
+    before that step, and each applies its means in batch order at ``alpha_at(batch index)``."""
+    _drain_buffers(state)
     base = state.base
     hyper = {k: getattr(base, k) for k in hyperparameters(base.kind)}
     write_checkpoint(path, OPTIMIZER_CHECKPOINT_FORMAT, {
@@ -430,20 +430,7 @@ def save_optimizer(state: OMoEState, path) -> None:
              "updates_applied": proj.updates_applied, "P": proj.P}
             for (m, layer), proj in state.projectors.items()
         ],
-        "buffers": [
-            {"m": m, "layer": layer,
-             "entries": [{"i": i, "xbar": x} for i, x in entries]}
-            for (m, layer), entries in state.buffers.items()
-        ],
     })
-
-
-def _new_key(path, where: str, item: dict, seen: dict) -> tuple:
-    """``item``'s (expert, layer) key, which no earlier item of its list may have."""
-    key = (item["m"], item["layer"])
-    if key in seen:
-        raise ContractViolation(f"{path}: {where}: (expert, layer) {key} is listed twice")
-    return key
 
 
 def load_optimizer(path, model: MoEModel) -> OMoEState:
@@ -464,7 +451,8 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
     base.t = doc["base"]["t"]
     base.state = doc["base"]["state"]
     try:
-        state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS})
+        state = OMoEState(base=base, **{key: doc[key] for key in _STATE_SCALARS},
+                          means_consumed=doc["means_produced"])  # saved with none pending
     except ContractViolation as exc:
         raise ContractViolation(f"{path}: {exc}") from None
     for n, item in enumerate(doc["projectors"]):
@@ -474,13 +462,11 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
         except ContractViolation as exc:
             raise ContractViolation(f"{path}: projectors[{n}]: {exc}") from None
         require_finite(proj.P, f"{path}: projectors[{n}].P")
-        state.projectors[_new_key(path, f"projectors[{n}]", item, state.projectors)] = proj
-    for n, item in enumerate(doc["buffers"]):
-        require_fields(path, f"buffers[{n}]", item, _BUFFER_FIELDS)
-        for k, entry in enumerate(item["entries"]):
-            require_fields(path, f"buffers[{n}].entries[{k}]", entry, _ENTRY_FIELDS)
-        state.buffers[_new_key(path, f"buffers[{n}]", item, state.buffers)] = [
-            (entry["i"], entry["xbar"]) for entry in item["entries"]]
+        key = (item["m"], item["layer"])
+        if key in state.projectors:  # a second copy would replace the first
+            raise ContractViolation(f"{path}: projectors[{n}]: (expert, layer) {key} "
+                                    "is listed twice")
+        state.projectors[key], state.buffers[key] = proj, []
     require_shapes(path, "projector", {key: proj.P for key, proj in state.projectors.items()},
                    {(m, layer): (d_in, d_in) for m in range(model.M)
                     for layer, (d_in, _d_out) in layer_widths(model.dims.d, model.dims.h).items()})
@@ -492,15 +478,4 @@ def load_optimizer(path, model: MoEModel) -> OMoEState:
                            dict.fromkeys(base.moments, shapes[name]))
             for k, arr in moments.items():
                 require_finite(arr, f"{path}: base.state {name} moment {k}")
-    if state.buffers.keys() != state.projectors.keys():
-        raise ContractViolation(f"{path}: buffers and projectors differ in (expert, layer) keys")
-    for key, entries in state.buffers.items():
-        for i, xbar in entries:
-            if not 0 <= i <= state.n_total:
-                raise ContractViolation(f"{path}: mean buffered for {key} at batch index {i}, "
-                                        f"outside [0, {state.n_total}]")
-            if np.shape(xbar) != (state.projectors[key].d,):
-                raise ContractViolation(f"{path}: mean {i} buffered for {key} has shape "
-                                        f"{np.shape(xbar)}, not ({state.projectors[key].d},)")
-            require_finite(xbar, f"{path}: mean {i} buffered for {key}")
     return state

@@ -84,6 +84,9 @@ def load_csv(path, feature_columns: list[str], target_column: str) -> Dataset:
         for col in feature_columns + [target_column]:
             if col not in header:
                 raise DataLoadError(f"missing column {col!r}")
+            if header.count(col) > 1:  # header.index would read its first copy alone
+                raise DataLoadError(f"column {col!r} appears {header.count(col)} times "
+                                    f"in the header")
         # (column index, parser) per cell read: float features, then the target
         cells = [(header.index(c), float) for c in feature_columns]
         cells.append((header.index(target_column), int))

@@ -111,6 +111,8 @@ class TestErrorPaths:
         assert err["error"]["type"] == "ConfigError"
         assert "task.K" in err["error"]["message"] and "model.c" in err["error"]["message"]
 
+    # each case has its own id, so inserting a case renames no other; the first 59
+    # keep the index-based ids pytest gave them before the ids were written out
     @pytest.mark.parametrize("args, field", [
         (["train", "--override", "model.M=abc"], "model.M"),
         (["train", "--override", "train.batch_size=2.5"], "train.batch_size"),
@@ -186,7 +188,32 @@ class TestErrorPaths:
         (["train", "--seeds", "0,0"], "seeds: duplicate seeds rejected"),
         (["train", "--override", "task.kind=piecewise_regression"], "task.kind"),
         (["train", "--override", "omoe.o_lr=null"], "omoe.o_lr: expected a value like"),
-    ])
+        # a target among the features would leak the label
+        (["train", "--override", "task.kind=csv", "--override", "task.path=x.csv",
+          "--override", 'task.feature_columns=["f0", "y"]', "--override", "task.target_column=y",
+          "--override", "task.d_raw=2"], "task.feature_columns: column 'y' is named twice"),
+    ], ids=["args0-model.M", "args1-train.batch_size", "args2---seeds", "args3---s-values",
+            "args4-task.feature_columns", "args5-optimizer.beta1", "args6-optimizer.beta1",
+            "args7-omoe.bogus", "args8-nosection", "args9-train.loss", "args10-train.loss",
+            "args11-task.pieces", "args12-task.d_raw", "args13-train.loss", "args14-model.init",
+            "args15-model.d", "args16-model.h", "args17-model.c: must be", "args18-task.d_raw",
+            "args19-omoe.alpha0", "args20-omoe.lambda", "args21-omoe.lambda", "args22-task.n",
+            "args23-task.n_per_cluster", "args24-task.pieces", "args25-task.K",
+            "args26-task.subspace_dim", "args27-train.eval_fraction", "args28-train.eval_fraction",
+            "args29-task.noise_std", "args30-train.batch_size", "args31-train.batch_size",
+            "args32-model.M", "args33-model.M", "args34-task.kind", "args35---m-values",
+            "args36-lion", "args37---s-values", "args38-duplicate m_values",
+            "args39-duplicate kinds", "args40-optimizer.lr: must be > 0",
+            "args41-optimizer.lr: must be > 0", "args42-optimizer.lr: must be > 0",
+            "args43-omoe.o_lr: must be > 0", "args44-omoe.o_lr: must be > 0",
+            "args45-optimizer.weight_decay", "args46-optimizer.beta1: must lie in [0, 1)",
+            "args47-optimizer.beta2: must lie in [0, 1)", "args48-optimizer.eps: must be > 0",
+            "args49-optimizer.rho: must lie in [0, 1)", "args50-seeds: must be >= 0",
+            "args51-seeds: must be >= 0", "args52-task.noise_std: must be >= 0 and",
+            "args53-optimizer.lr: must be > 0 and", "args54-omoe.s: must be >= 2",
+            "args55-omoe.s: must be >= 2", "args56-seeds: duplicate seeds rejected",
+            "args57-task.kind", "args58-omoe.o_lr: expected a value like",
+            "target_among_features"])
     def test_bad_config_value_exit_2(self, tiny_config_path, capsys, no_training_steps, args,
                                      field):
         assert main([*args, "--config", tiny_config_path]) == 2

@@ -69,6 +69,8 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"seeds: must be >= 0, got -1"):
             make_config({"seeds": [0, -1]})
 
+    # each case has its own id, so inserting a case renames no other; the first 39
+    # keep the index-based ids pytest gave them before the ids were written out
     @pytest.mark.parametrize("overrides, field", [
         ({"model": {"M": "abc"}}, "model.M"),
         ({"train": {"batch_size": 2.5}}, "train.batch_size"),
@@ -117,7 +119,31 @@ class TestConfig:
         # o_lr is a number: a run whose O steps take the base lr sets it to optimizer.lr
         ({"omoe": {"o_lr": None}}, r"^omoe\.o_lr: expected a value like the default 2\.5, "
                                    r"got None$"),
-    ])
+        # CSV columns are distinct: a target among the features would leak the label
+        ({"task": {"kind": "csv", "path": "x.csv", "feature_columns": ["f0", "y"],
+                   "target_column": "y", "d_raw": 2}},
+         r"^task\.feature_columns: column 'y' is named twice"),
+        ({"task": {"kind": "csv", "path": "x.csv", "feature_columns": ["f0", "f0"],
+                   "target_column": "y", "d_raw": 2}},
+         r"^task\.feature_columns: column 'f0' is named twice"),
+    ], ids=["overrides0-model.M", "overrides1-train.batch_size", "overrides2-train.epochs",
+            "overrides3-seeds", "overrides4-task.feature_columns",
+            r"overrides5-optimizer\.beta1.*'sgd'", r"overrides6-optimizer\.beta1.*'adagrad'",
+            "overrides7-optimizer.rho", "overrides8-optimizer.kind", "overrides9-train.loss",
+            "overrides10-train.loss", "overrides11-task.pieces",
+            "overrides12-task.feature_columns", r"overrides13-task\.feature_columns.*task\.d_raw",
+            "overrides14-train.loss", "overrides15-model.init", "overrides16-model.d",
+            "overrides17-model.h", r"overrides18-model\.c: must be", "overrides19-task.d_raw",
+            "overrides20-omoe.alpha0", "overrides21-omoe.lambda", "overrides22-omoe.lambda",
+            "overrides23-task.n_per_cluster", "overrides24-task.n", "overrides25-task.pieces",
+            "overrides26-task.K", r"overrides27-task\.subspace_dim.*task\.d_raw",
+            "overrides28-train.eval_fraction", "overrides29-train.eval_fraction",
+            "overrides30-task.noise_std", r"overrides31-train\.batch_size.*training rows",
+            r"overrides32-train\.batch_size.*training rows", r"overrides33-model\.M: must be >= 2",
+            "overrides34-task.kind", r"overrides35-task\.noise_std: must be >= 0 and be finite",
+            r"overrides36-task\.noise_std: must be >= 0 and be finite", "overrides37-task.kind",
+            r"overrides38-^omoe\.o_lr: expected a value like the default 2\.5, got None$",
+            "target_among_features", "repeated_feature"])
     def test_bad_value_rejected(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             make_config(overrides)

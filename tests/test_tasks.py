@@ -119,6 +119,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataLoadError, match="missing column"):
             load_csv(path, ["f0", "f9"], "target")
 
+    def test_repeated_column(self, tmp_path):
+        # header.index would read the first x and never the second
+        path = tmp_path / "twice.csv"
+        path.write_text("x,x,y\n1.0,2.0,0\n")
+        with pytest.raises(DataLoadError, match=r"^column 'x' appears 2 times in the header$"):
+            load_csv(path, ["x"], "y")
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("f0,f1,target\n1.0,2.0,0\n1.0,0\n")

@@ -20,8 +20,8 @@ it:
   and memory accounting;
 - ``checkpoint/<routing>/{model,optimizer}``: the ``save_model`` and
   ``save_optimizer`` files after 7 ``step_dispatch`` steps on the first seed,
-  with top-1 and with dense routing (the optimizer's mean buffers are then
-  non-empty);
+  with top-1 and with dense routing (R steps have then buffered means since
+  the last O step, and ``save_optimizer`` applies them before it writes);
 - ``metrics``: the ``omoe-lab metrics`` JSON for those two model files, the
   top-1 one as model A: both ``diversity_report``s and ``diverse_degree``.
 
