@@ -11,9 +11,9 @@ empty, so its gradients come out exactly zero from the same code. With
 
 An expert weight gradient is the product ``U.T @ X`` of two pair-row factors:
 the upstream gradient of the expert's pairs and their input rows. ``backward``
-keeps the two factors and does not form the product; reading the entry from
-``Gradients.grads`` forms it, so an optimizer that reads one weight at a time
-holds one such gradient at a time.
+keeps the two factors, which ``Gradients.factors`` returns, and does not form the
+product; reading the entry forms it, so an optimizer that reads one weight at a
+time holds one such gradient at a time.
 """
 
 from __future__ import annotations
@@ -29,18 +29,23 @@ from .model import (BatchTape, ModelDims, MoEModel, fold_pairs, model_forward, p
                     softmax)
 
 
-class FactoredGradients(Mapping):
-    """Read-only parameter name -> gradient, iterated in ``param_shapes`` order.
+class Gradients(Mapping):
+    """Read-only parameter name -> gradient, with the batch's ``loss``.
 
-    Each expert weight's entry is held as its factors (U, X) and read as
-    ``U.T @ X``, formed anew on every read and not kept. Every other entry is
-    an array. Iteration, ``len`` and ``in`` cover only the names it holds: all
-    of them, or the experts' alone from an ``experts_only`` backward.
+    ``Gradients(arrays, loss)`` holds arrays, in their order. ``backward``'s holds each
+    expert weight's entry as its factors (U, X), read as ``U.T @ X``, formed anew on every
+    read and not kept, and iterates in ``param_shapes`` order. Iteration, ``len`` and
+    ``in`` cover only the names it holds: all, or the experts' from ``experts_only``.
     """
 
-    def __init__(self, dims: ModelDims, M: int, arrays: dict, factors: dict):
-        self._layout = dims, M  # the name order is built only when the mapping is iterated
-        self._arrays, self._factors = arrays, factors
+    def __init__(self, arrays: dict, loss: float, factors: dict | None = None,
+                 layout: tuple[ModelDims, int] | None = None):
+        self.loss, self._arrays, self._factors = loss, arrays, factors or {}
+        self._layout = layout  # (dims, M); the name order is built only when iterated
+
+    def factors(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Expert weight ``name``'s factors (U, X): its gradient is ``U.T @ X``."""
+        return self._factors[name]
 
     def __getitem__(self, name: str) -> np.ndarray:
         factors = self._factors.get(name)
@@ -52,16 +57,11 @@ class FactoredGradients(Mapping):
         return name in self._arrays or name in self._factors
 
     def __iter__(self):
-        return (name for name in param_shapes(*self._layout) if name in self)
+        names = self._arrays if self._layout is None else param_shapes(*self._layout)
+        return (name for name in names if name in self)
 
     def __len__(self) -> int:
         return len(self._arrays) + len(self._factors)
-
-
-@dataclass
-class Gradients:
-    grads: Mapping[str, np.ndarray]  # backward gives a FactoredGradients
-    loss: float
 
 
 def _class_indices(targets, n: int, c: int) -> np.ndarray:
@@ -115,8 +115,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, experts_only: bool = Fal
     and the mapping holds only the expert names.
     """
     if tape.hidden is None:
-        raise ContractViolation("tape keeps no activations: its forward ran with "
-                                "backward=False, or a step spent it")
+        raise ContractViolation("tape keeps no activations: its forward ran with backward=False")
     if tape.fingerprint is not None and tape.fingerprint != model.fingerprint():
         raise ContractViolation("stale tape: model parameters changed since forward")
     p = model.params
@@ -153,7 +152,7 @@ def backward(model: MoEModel, tape: BatchTape, targets, experts_only: bool = Fal
         dZ0 += dGl @ p["gate.W"]
         g["input_map.W"] = dZ0.T @ tape.X
         g["input_map.b"] = dZ0.sum(axis=0)
-    return Gradients(FactoredGradients(model.dims, model.M, g, factors), loss_value)
+    return Gradients(g, loss_value, factors, (model.dims, model.M))
 
 
 @dataclass
@@ -196,7 +195,7 @@ def grad_check(model: MoEModel, X, targets, h: float = 1e-5, n_samples: int = 20
     for name, flat_ids in by_name.items():
         flat = model.params[name].reshape(-1)
         # read once: an expert weight's gradient is formed from its factors on every read
-        analytic_flat = analytic.grads[name].reshape(-1)
+        analytic_flat = analytic[name].reshape(-1)
         for i in flat_ids:
             orig = flat[i]
             flat[i] = orig + h

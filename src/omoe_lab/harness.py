@@ -29,7 +29,7 @@ from .model import (INIT_MODES, ROUTING_MODES, MoEModel, ModelDims, init_model, 
                     model_forward, param_shapes)
 from .optim import (AVG_NORMS, OPTIMIZERS, check_ranges, hyperparameters, make_optimizer,
                     new_omoe_state, predict_o_step_macs, step_dispatch)
-from .tasks import Dataset, batches, gen_subspace_clusters, load_csv
+from .tasks import Dataset, batches, gen_subspace_clusters, load_csv, require_distinct_columns
 
 DEFAULT_CONFIG = {
     "task": {"kind": "subspace_clusters", "K": 4, "d_raw": 32, "subspace_dim": 6,
@@ -153,11 +153,8 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"task.K: {task['K']} clusters exceed model.c = {model['c']} "
                               f"classes")
     if task["kind"] == "csv":
-        columns = [*task["feature_columns"], task["target_column"]]
-        for col in columns:  # the target among the features would leak the label
-            if columns.count(col) > 1:
-                raise ConfigError(f"task.feature_columns: column {col!r} is named twice "
-                                  f"among the features and task.target_column")
+        require_distinct_columns(task["feature_columns"], task["target_column"],
+                                 "task.feature_columns: ", ConfigError)
         if len(task["feature_columns"]) != task["d_raw"]:
             raise ConfigError(f"task.feature_columns: {len(task['feature_columns'])} columns "
                               f"but task.d_raw = {task['d_raw']}")

@@ -120,7 +120,7 @@ class RoutingRecord:
 
 @dataclass
 class BatchTape:
-    """Activations cached by a forward pass, consumed by backward()."""
+    """Activations a forward pass caches for backward(), which only reads them."""
     X: np.ndarray                  # (N, d_raw) raw inputs
     Z0: np.ndarray                 # (N, d) post-input-map representation
     routing: RoutingRecord
@@ -128,7 +128,7 @@ class BatchTape:
     experts: np.ndarray            # (P,) expert of each pair, ascending
     spans: list                    # [m] slice of the pairs expert m takes; empty if idle
     slots: np.ndarray              # (N, k) pair index of each row's k pairs, in expert order
-    # the pair buffers; None if the forward ran with backward=False, or once a step spent them
+    # the pair buffers; None if the forward ran with backward=False
     inputs: list | None            # [m] m's input rows: Z0 if its span holds them all
     hidden: np.ndarray | None      # (P, h) post-ReLU hidden activations of each pair
     out: np.ndarray | None         # (P, d) expert output of each pair, before the gate

@@ -5,8 +5,8 @@ OMoE alternates two kinds of steps over mini-batches (counter ``e`` starts at
 
 * R step (``e mod s != 0``): the base optimizer updates every parameter, and
   the mean input of each expert's two weight layers over the batch's rows that
-  expert ran on, read from the forward tape, is appended to accumulation
-  buffers. An idle expert, with no rows, buffers nothing.
+  expert ran on, the column mean of its weight gradient's row factor ``X``, is
+  appended to accumulation buffers. An idle expert, with no rows, buffers nothing.
 * O step (``e mod s == 0``): buffered means are drained into the per-expert
   RLS projectors, then each expert's weight matrices take a plain gradient
   step projected by the averaged projector of the *other* experts. Only
@@ -30,9 +30,8 @@ import numpy as np
 from .errors import ContractViolation
 from .grad import Gradients, backward
 from .linalg import require_finite
-from .model import (BatchTape, MoEModel, layer_widths, model_forward, param_shapes,
-                    read_checkpoint, require_fields, require_keys, require_kind, require_shapes,
-                    write_checkpoint)
+from .model import (MoEModel, layer_widths, model_forward, param_shapes, read_checkpoint,
+                    require_fields, require_keys, require_kind, require_shapes, write_checkpoint)
 from .projector import OrthoProjector
 
 AVG_NORMS = ("paper", "proper")  # "paper": 1/M over M-1 terms; "proper": 1/(M-1)
@@ -312,21 +311,16 @@ def new_omoe_state(base: BaseOptimizer, model: MoEModel, s: int, n_total: int, a
     return state
 
 
-def r_step(state: OMoEState, model: MoEModel, grads: Gradients,
-           tape: BatchTape) -> StepOutcome:
-    """Each expert with rows in ``tape`` buffers the mean input of its two weight layers
-    over those rows, then the base optimizer updates every parameter. The tape is spent
-    once the means are buffered: it drops its pair buffers, and backward refuses it. The
-    hidden buffer and the input rows stay alive only as factors of ``grads``' expert
-    weight entries, each formed when the base step reads it."""
-    for m, span in enumerate(tape.spans):  # no loop variable outlives the tape's buffers
-        n = span.stop - span.start
-        if n:  # sum / count is what ndarray.mean computes, without its per-call overhead
-            state.buffers[(m, 1)].append((state.e, np.add.reduce(tape.inputs[m]) / n))
-            state.buffers[(m, 2)].append((state.e, np.add.reduce(tape.hidden[span]) / n))
-            state.means_produced += 2
-    tape.inputs = tape.hidden = tape.out = None
-    state.base.step(model.params, grads.grads)
+def r_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
+    """Each expert that ran on rows of the batch buffers the mean input of its two weight
+    layers over those rows, the column mean of the row factor ``X`` of each weight gradient
+    in ``grads``, then the base optimizer updates every parameter. An idle expert has none."""
+    for (m, layer), entries in state.buffers.items():
+        rows = grads.factors(f"expert{m}.W{layer}")[1]
+        if len(rows):  # sum / count is what ndarray.mean computes, without its overhead
+            entries.append((state.e, np.add.reduce(rows) / len(rows)))
+            state.means_produced += 1
+    state.base.step(model.params, grads)
     state.e += 1
     return StepOutcome("R", grads.loss)
 
@@ -370,11 +364,11 @@ def o_step(state: OMoEState, model: MoEModel, grads: Gradients) -> StepOutcome:
         for m in range(state.M):
             np.subtract(total, state.projectors[(m, layer)].P, out=others)
             # the gradient is formed by this read and freed before the next expert's
-            np.matmul(grads.grads[f"expert{m}.W{layer}"], others, out=step)
+            np.matmul(grads[f"expert{m}.W{layer}"], others, out=step)
             step *= state.o_lr / norm
             state.mac_counter.project += projection_macs(*step.shape)
             model.params[f"expert{m}.W{layer}"] -= step
-            model.params[f"expert{m}.b{layer}"] -= state.o_lr * grads.grads[f"expert{m}.b{layer}"]
+            model.params[f"expert{m}.b{layer}"] -= state.o_lr * grads[f"expert{m}.b{layer}"]
     state.e += 1
     return StepOutcome("O", grads.loss)
 
@@ -386,19 +380,17 @@ def step_dispatch(state: OMoEState | BaseOptimizer, model: MoEModel, X, targets)
     OMoE state takes R or O by ``e mod s``; O steps use the current batch's
     gradients but do not accumulate its input means. The step's kind is known
     before ``backward`` runs, so an O step's backward builds only the expert
-    gradients it reads (``experts_only``). No frame holds the tape's output pair
-    buffer while the base step or the O step runs; its hidden buffer and input
-    rows live on as the factors of the expert weight gradients.
+    gradients it reads (``experts_only``). The tape is dropped before any step runs:
+    its hidden buffer and input rows live on only as the factors of the expert
+    weight gradients, where an R step reads its input means.
     """
     o_next = isinstance(state, OMoEState) and not state.e % state.s
     _, tape = model_forward(model, X, guard=False)
     grads = backward(model, tape, targets, experts_only=o_next)
-    if isinstance(state, OMoEState) and not o_next:
-        return r_step(state, model, grads, tape)  # which spends the tape before its base step
     del tape
-    if o_next:
-        return o_step(state, model, grads)
-    state.step(model.params, grads.grads)
+    if isinstance(state, OMoEState):
+        return (o_step if o_next else r_step)(state, model, grads)
+    state.step(model.params, grads)
     return StepOutcome("R", grads.loss)
 
 

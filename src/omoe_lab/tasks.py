@@ -68,9 +68,20 @@ def gen_subspace_clusters(rng: np.random.Generator, K: int, d_raw: int, n_per_cl
     return Dataset(np.vstack(xs), np.concatenate(ys), K)
 
 
+def require_distinct_columns(feature_columns: list[str], target_column: str, where: str = "",
+                             error: type = DataLoadError) -> None:
+    """Raise ``error``, prefixed by ``where``, naming a column listed twice among
+    ``feature_columns`` and ``target_column``: it would be read twice, or leak the label."""
+    columns = [*feature_columns, target_column]
+    for col in columns:
+        if columns.count(col) > 1:
+            raise error(f"{where}column {col!r} is named twice among the features and target")
+
+
 def load_csv(path, feature_columns: list[str], target_column: str) -> Dataset:
     """Strict CSV ingestion of float features and a class-index target; errors carry
     row and column coordinates."""
+    require_distinct_columns(feature_columns, target_column)
     try:
         f = open(path, newline="")
     except OSError as exc:

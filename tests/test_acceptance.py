@@ -291,7 +291,7 @@ def record_projector_run(monkeypatch, cfg):
         keys = list(state.projectors)  # (expert, layer) of every weight matrix
         before = {key: model.params["expert%d.W%d" % key].copy() for key in keys}
         outcome = o_step(state, model, grads)
-        record["o_step"] = {key: (before[key], grads.grads["expert%d.W%d" % key].copy(),
+        record["o_step"] = {key: (before[key], grads["expert%d.W%d" % key].copy(),
                                   model.params["expert%d.W%d" % key].copy()) for key in keys}
         return outcome
 

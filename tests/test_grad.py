@@ -8,7 +8,7 @@ import pytest
 from omoe_lab import (Rng, grad_check, make_optimizer, model_forward, new_omoe_state, o_step,
                       step_dispatch)
 from omoe_lab.errors import ContractViolation
-from omoe_lab.grad import FactoredGradients, _loss_with_grad, backward, loss
+from omoe_lab.grad import Gradients, _loss_with_grad, backward, loss
 from omoe_lab.model import expert_forward
 from tests.test_model import small_model
 
@@ -138,7 +138,7 @@ class TestBackward:
         grads = backward(model, tape, [0])
         # d(cross-entropy)/dW = (softmax(Wx) - e_0) x^T, softmax((1, 0)) = (e, 1) / (e + 1)
         q = 1.0 / (np.e + 1.0)
-        np.testing.assert_allclose(grads.grads["head.W"], np.array([[-q, 0.0], [q, 0.0]]))
+        np.testing.assert_allclose(grads["head.W"], np.array([[-q, 0.0], [q, 0.0]]))
 
     def test_zero_token_expert_gets_zero_gradient(self):
         model = small_model(M=3, routing="top1")
@@ -150,11 +150,11 @@ class TestBackward:
         X = np.random.default_rng(0).normal(size=(6, model.dims.d_raw))
         _, tape = model_forward(model, X)
         grads = backward(model, tape, [0, 1, 2, 0, 1, 2])
-        assert set(grads.grads) == set(model.param_names())
+        assert set(grads) == set(model.param_names())
         for m in (1, 2):
             assert tape.spans[m] == slice(6, 6)
             for suffix in ("W1", "b1", "W2", "b2"):
-                np.testing.assert_array_equal(grads.grads[f"expert{m}.{suffix}"], 0.0)
+                np.testing.assert_array_equal(grads[f"expert{m}.{suffix}"], 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_idle_expert_gradients_exactly_zero(self, seed):
@@ -169,7 +169,7 @@ class TestBackward:
         grads = backward(model, tape, rng.integers(0, model.dims.c, size=4))
         for m in idle:
             for name in model.expert_names(m):
-                got = grads.grads[name]
+                got = grads[name]
                 np.testing.assert_array_equal(got, np.zeros_like(model.params[name]))
                 assert not np.signbit(got).any(), name
 
@@ -182,7 +182,7 @@ class TestBackward:
         _, tape2 = model_forward(model, np.vstack([X, X]))
         g2 = backward(model, tape2, y + y)
         for name in model.param_names():
-            np.testing.assert_allclose(g1.grads[name], g2.grads[name], atol=1e-12)
+            np.testing.assert_allclose(g1[name], g2[name], atol=1e-12)
 
     def test_zero_loss_head_gradient_zero(self):
         # a margin of 1000 on the target class rounds its softmax to exactly 1 and every
@@ -195,8 +195,8 @@ class TestBackward:
         _, tape = model_forward(model, X)
         grads = backward(model, tape, [1, 1, 1])
         assert grads.loss == 0.0
-        np.testing.assert_array_equal(grads.grads["head.W"], 0.0)
-        np.testing.assert_array_equal(grads.grads["head.b"], 0.0)
+        np.testing.assert_array_equal(grads["head.W"], 0.0)
+        np.testing.assert_array_equal(grads["head.b"], 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_top1_gate_grad_matches_reference(self, seed):
@@ -210,7 +210,7 @@ class TestBackward:
         assert any(s.start == s.stop for s in tape.spans)  # some expert gets no rows
         grads = backward(model, tape, y)
         ref = reference_gate_grad(model, tape, y)
-        got = grads.grads["gate.W"]
+        got = grads["gate.W"]
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_dense_gate_grad_equals_reference(self):
@@ -220,7 +220,7 @@ class TestBackward:
         y = rng.integers(0, model.dims.c, size=6)
         _, tape = model_forward(model, X)
         grads = backward(model, tape, y)
-        np.testing.assert_array_equal(grads.grads["gate.W"], reference_gate_grad(model, tape, y))
+        np.testing.assert_array_equal(grads["gate.W"], reference_gate_grad(model, tape, y))
 
     @pytest.mark.parametrize("routing", ["top1", "dense"])
     @pytest.mark.parametrize("M, N", [(2, 1), (4, 5), (4, 32), (8, 17), (8, 4)])
@@ -235,9 +235,9 @@ class TestBackward:
         grads = backward(model, tape, y)
         ref, ref_loss = reference_backward(model, tape, y)
         assert grads.loss == ref_loss
-        assert set(grads.grads) == set(ref)
+        assert set(grads) == set(ref)
         for name, want in ref.items():
-            np.testing.assert_array_equal(grads.grads[name], want, err_msg=name)
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
     def test_stale_tape_rejected(self):
         model = small_model()
@@ -259,7 +259,7 @@ class TestFactoredGradients:
         rng = np.random.default_rng(4)
         X, y = rng.normal(size=(6, model.dims.d_raw)), rng.integers(0, model.dims.c, size=6)
         _, tape = model_forward(model, X)
-        grads = backward(model, tape, y).grads
+        grads = backward(model, tape, y)
         assert list(grads) == model.param_names() and len(grads) == len(model.param_names())
         assert "head.b" in grads and "expert0.W1" in grads and "expert9.W1" not in grads
         with pytest.raises(TypeError):
@@ -272,8 +272,21 @@ class TestFactoredGradients:
             assert grads[name].shape == model.params[name].shape
         for name in expert_weight_names(model.M):  # formed on every read, never kept
             assert grads[name] is not grads[name]
+            U, rows = grads.factors(name)
+            np.testing.assert_array_equal(U.T @ rows, first[name], err_msg=name)
         with pytest.raises(KeyError):
             grads["expert9.W1"]
+        with pytest.raises(KeyError):  # a bias gradient is an array, with no factors
+            grads.factors("expert0.b1")
+
+    def test_plain_arrays_keep_their_order(self):
+        arrays = {"head.b": np.ones(2), "expert0.W1": np.eye(2)}
+        grads = Gradients(arrays, 0.5)
+        assert list(grads) == ["head.b", "expert0.W1"] and len(grads) == 2
+        assert grads.loss == 0.5 and grads["expert0.W1"] is arrays["expert0.W1"]
+        assert "gate.W" not in grads
+        with pytest.raises(KeyError):
+            grads.factors("expert0.W1")
 
     def test_entries_do_not_read_the_parameters(self):
         # the factors come from the tape and backward's buffers, so a step that has
@@ -282,7 +295,7 @@ class TestFactoredGradients:
         rng = np.random.default_rng(6)
         X, y = rng.normal(size=(9, model.dims.d_raw)), rng.integers(0, model.dims.c, size=9)
         _, tape = model_forward(model, X)
-        grads = backward(model, tape, y).grads
+        grads = backward(model, tape, y)
         before = {name: grads[name] for name in grads}
         for arr in model.params.values():
             arr *= -2.0
@@ -306,7 +319,8 @@ class TestFactoredGradients:
         finally:
             tracemalloc.stop()
         all_weights = sum(model.params[name].nbytes for name in expert_weight_names(model.M))
-        assert isinstance(grads.grads, FactoredGradients)
+        for name in expert_weight_names(model.M):  # held as its two 32-row factors
+            assert [part.shape[0] for part in grads.factors(name)] == [32, 32], name
         assert peak < all_weights, (peak, all_weights)
 
 
@@ -323,14 +337,14 @@ class TestFactoredGradients:
         part = backward(model, tape, y, experts_only=True)
         assert part.loss == full.loss
         held = [name for name in model.param_names() if name.startswith("expert")]
-        assert list(part.grads) == held and len(part.grads) == len(held)
+        assert list(part) == held and len(part) == len(held)
         for name in model.param_names():
-            assert (name in part.grads) == (name in held), name
+            assert (name in part) == (name in held), name
         for name in held:
-            np.testing.assert_array_equal(part.grads[name], full.grads[name], err_msg=name)
+            np.testing.assert_array_equal(part[name], full[name], err_msg=name)
         for name in ("input_map.W", "input_map.b", "gate.W", "head.W", "head.b"):
             with pytest.raises(KeyError):
-                part.grads[name]
+                part[name]
 
     @pytest.mark.parametrize("routing, M, rows", [("top1", 8, 4), ("dense", 4, 6)])
     def test_o_step_moves_the_same_bits_from_either_backward(self, routing, M, rows):
@@ -358,12 +372,12 @@ class TestFactoredGradients:
 class TestGradCheck:
     def test_reads_each_gradient_once(self, monkeypatch):
         reads = Counter()
-        read = FactoredGradients.__getitem__
+        read = Gradients.__getitem__
 
         def counting(self, name):
             reads[name] += 1
             return read(self, name)
-        monkeypatch.setattr(FactoredGradients, "__getitem__", counting)
+        monkeypatch.setattr(Gradients, "__getitem__", counting)
         model = small_model(seed=5, M=3, routing="dense")
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, model.dims.d_raw))

@@ -16,7 +16,7 @@ from omoe_lab import (Rng, average_projector, grad_check, load_model, load_optim
 from omoe_lab import harness, optim
 from omoe_lab.cli import main
 from omoe_lab.errors import ConfigError, ContractViolation
-from omoe_lab.grad import FactoredGradients, Gradients, backward
+from omoe_lab.grad import Gradients, backward
 from omoe_lab.harness import _eval_score, make_config, train_single
 from omoe_lab.linalg import sym_eigvals
 from omoe_lab.model import MoEModel, _decode
@@ -169,7 +169,7 @@ class TestRStep:
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
         before = {k: v.copy() for k, v in model.params.items()}
         grads, tape = grads_for(model, X, [0, 1, 2, 0])
-        out = r_step(state, model, grads, tape)
+        out = r_step(state, model, grads)
         assert out.kind == "R"
         assert any(not np.array_equal(model.params[n], before[n])
                    for n in model.param_names())
@@ -187,7 +187,7 @@ class TestRStep:
         state = make_state(model)
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
         grads, tape = grads_for(model, X, [0, 1, 2, 0])
-        r_step(state, model, grads, tape)
+        r_step(state, model, grads)
         assert len(state.buffers[(0, 1)]) == 1
         assert len(state.buffers[(1, 1)]) == 0
 
@@ -200,15 +200,13 @@ class TestRStep:
             state = make_state(model)
             X = np.random.default_rng(1).normal(size=(4, model.dims.d_raw))
             grads, tape = grads_for(model, X, [0, 1, 2, 0])
-            hidden = tape.hidden  # r_step spends the tape, dropping its pair buffers
-            r_step(state, model, grads, tape)
-            assert tape.inputs is None and tape.hidden is None and tape.out is None
+            r_step(state, model, grads)
             spans = tape.spans
             assert any(s.start == s.stop for s in spans) == (routing == "top1")
             for m, span in enumerate(spans):
                 busy = span.stop > span.start
                 rows = tape.Z0[tape.order[span]]  # the batch rows of m's pairs
-                for layer, acts in ((1, rows), (2, hidden[span])):
+                for layer, acts in ((1, rows), (2, tape.hidden[span])):
                     entries = state.buffers[(m, layer)]
                     assert len(entries) == busy
                     if busy:
@@ -234,7 +232,7 @@ class TestRStep:
         state = make_state(model)
         X = np.random.default_rng(0).normal(size=(4, model.dims.d_raw))
         grads, tape = grads_for(model, X, [0, 1, 2, 0])
-        r_step(state, model, grads, tape)
+        r_step(state, model, grads)
         for proj in state.projectors.values():
             np.testing.assert_array_equal(proj.P, np.eye(proj.d))
 
@@ -305,7 +303,7 @@ class TestOStep:
         assert out.kind == "O"
         for name in [n for n in model.param_names() if n.startswith("expert")]:
             np.testing.assert_allclose(model.params[name],
-                                       twin.params[name] - 0.1 * grads.grads[name],
+                                       twin.params[name] - 0.1 * grads[name],
                                        atol=1e-12)
         for name in [n for n in model.param_names() if not n.startswith("expert")]:
             np.testing.assert_array_equal(model.params[name], twin.params[name])
@@ -326,7 +324,7 @@ class TestOStep:
             for b in ("b1", "b2"):
                 np.testing.assert_allclose(
                     model.params[f"expert{m}.{b}"],
-                    twin.params[f"expert{m}.{b}"] - 0.1 * grads.grads[f"expert{m}.{b}"],
+                    twin.params[f"expert{m}.{b}"] - 0.1 * grads[f"expert{m}.{b}"],
                     atol=1e-12)
 
     def test_hand_projected_delta(self):
@@ -394,11 +392,11 @@ class TestOStep:
             for layer in (1, 2):
                 pbar = sum(state.projectors[(j, layer)].P for j in range(M) if j != m) / norm
                 w, b = f"expert{m}.W{layer}", f"expert{m}.b{layer}"
-                want = -0.1 * (grads.grads[w] @ pbar)
+                want = -0.1 * (grads[w] @ pbar)
                 got = model.params[w] - twin.params[w]
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
                 np.testing.assert_array_equal(model.params[b],
-                                              twin.params[b] - 0.1 * grads.grads[b])
+                                              twin.params[b] - 0.1 * grads[b])
         for name in [n for n in model.param_names() if not n.startswith("expert")]:
             np.testing.assert_array_equal(model.params[name], twin.params[name])
 
@@ -483,7 +481,7 @@ class TestDispatchSchedule:
             outcome = step_dispatch(base, model, X, y)
             _, tape = model_forward(twin, X)
             grads = backward(twin, tape, y)
-            hand.step(twin.params, grads.grads)
+            hand.step(twin.params, grads)
             assert outcome == StepOutcome("R", grads.loss)
         assert base.t == hand.t == 3
         for name in model.param_names():
@@ -550,7 +548,7 @@ class TestDispatchSchedule:
                 return fn(*args, **kwargs)
             return checked
 
-        read = FactoredGradients.__getitem__
+        read = Gradients.__getitem__
 
         def reading(self, name):
             if name not in weights:
@@ -562,12 +560,49 @@ class TestDispatchSchedule:
         monkeypatch.setattr(optim, "model_forward", recording)
         monkeypatch.setattr(optim.BaseOptimizer, "step", checking(optim.BaseOptimizer.step))
         monkeypatch.setattr(optim, "o_step", checking(o_step))
-        monkeypatch.setattr(FactoredGradients, "__getitem__", reading)
+        monkeypatch.setattr(Gradients, "__getitem__", reading)
         rng = np.random.default_rng(8)
         X, y = rng.normal(size=(12, model.dims.d_raw)), rng.integers(0, model.dims.c, size=12)
         assert step_dispatch(state, model, X, y).kind == kind
         assert dead == [True]
         assert alive_at_read == [0] * len(weights)  # each weight read once, alone
+
+    @pytest.mark.parametrize("routing", ["top1", "dense"])
+    @pytest.mark.parametrize("kind", ["R", "O"])
+    def test_tape_dropped_before_the_step(self, monkeypatch, routing, kind):
+        # no frame holds the step's tape once backward returns: the base step and the O
+        # step read the batch's rows from the expert weight gradients' factors alone, and
+        # an R step its input means too; four rows over four top-1 experts leave some idle
+        model = small_model(seed=3, M=4, routing=routing)
+        state = make_state(model, s=2)
+        state.e = 2 if kind == "O" else 1
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(4, model.dims.d_raw)), rng.integers(0, model.dims.c, size=4)
+        _, want = model_forward(model, X)  # the forward the step runs, kept here
+        tape_ref, checked_steps = [], []
+
+        def recording(*args, **kwargs):
+            logits, tape = model_forward(*args, **kwargs)
+            tape_ref[:] = [weakref.ref(tape)]
+            return logits, tape
+
+        def checking(fn):
+            def checked(*args):  # the grads come last: step(self, params, grads), o_step's
+                assert tape_ref[0]() is None
+                for m, span in enumerate(want.spans):
+                    for layer, rows in ((1, want.inputs[m]), (2, want.hidden[span])):
+                        np.testing.assert_array_equal(
+                            args[-1].factors(f"expert{m}.W{layer}")[1], rows)
+                checked_steps.append(fn.__name__)
+                return fn(*args)
+            return checked
+        monkeypatch.setattr(optim, "model_forward", recording)
+        monkeypatch.setattr(optim.BaseOptimizer, "step", checking(optim.BaseOptimizer.step))
+        monkeypatch.setattr(optim, "o_step", checking(o_step))
+        assert step_dispatch(state, model, X, y).kind == kind
+        assert checked_steps == ["step" if kind == "R" else "o_step"]
+        if routing == "top1":
+            assert any(span.start == span.stop for span in want.spans)
 
     def test_parity_when_s_exceeds_horizon(self):
         model_a = small_model(seed=9, M=2, routing="dense")
@@ -582,7 +617,7 @@ class TestDispatchSchedule:
             step_dispatch(state, model_a, X, y)
             _, tape = model_forward(model_b, X)
             grads = backward(model_b, tape, y)
-            base_b.step(model_b.params, grads.grads)
+            base_b.step(model_b.params, grads)
         for name in model_a.param_names():
             np.testing.assert_array_equal(model_a.params[name], model_b.params[name])
 

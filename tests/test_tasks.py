@@ -126,6 +126,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DataLoadError, match=r"^column 'x' appears 2 times in the header$"):
             load_csv(path, ["x"], "y")
 
+    @pytest.mark.parametrize("features, column", [(["x", "x"], "x"), (["x", "y"], "y")],
+                             ids=["repeated_feature", "target_as_feature"])
+    def test_column_named_twice(self, tmp_path, features, column):
+        # a repeat reads one column twice, and the target among the features leaks the label
+        path = tmp_path / "xy.csv"
+        path.write_text("x,y\n1.5,0\n2.5,1\n")
+        with pytest.raises(DataLoadError, match=rf"^column '{column}' is named twice "
+                                                r"among the features and target$"):
+            load_csv(path, features, "y")
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("f0,f1,target\n1.0,2.0,0\n1.0,0\n")
